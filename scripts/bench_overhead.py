@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from protolite.bench import BenchConfig, bench, deep_send_workload
+from protolite.bench import BenchConfig, bench_pair, deep_send_workload
 from protolite.compiler import CompileMode
 
 
@@ -40,13 +40,12 @@ def main() -> int:
         ("global cache only", True, False),
         ("no caches", False, False),
     ):
-        baseline = bench(workload, BenchConfig(
-            label="baseline", mode=CompileMode.BASELINE,
-            global_cache_on=gc_on, inline_cache_on=ic_on, **shared))
-        worst = bench(workload, BenchConfig(
-            label="worst-case", mode=CompileMode.WORST_CASE,
-            global_cache_on=gc_on, inline_cache_on=ic_on, **shared),
-            baseline=baseline)
+        baseline, worst = bench_pair(
+            workload,
+            BenchConfig(label="baseline", mode=CompileMode.BASELINE,
+                        global_cache_on=gc_on, inline_cache_on=ic_on, **shared),
+            BenchConfig(label="worst-case", mode=CompileMode.WORST_CASE,
+                        global_cache_on=gc_on, inline_cache_on=ic_on, **shared))
         print(f"\n[{caches}]")
         print(f"  baseline   median {baseline.median * 1e3:8.3f} ms  "
               f"mean {baseline.mean * 1e3:8.3f} ms")

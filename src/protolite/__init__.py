@@ -10,7 +10,14 @@ dictionary-based runtime with lookup caches), a differential test harness,
 and memory/cache accounting.
 """
 
-from .bench import BenchConfig, BenchReport, bench, deep_send_workload, repeat_main
+from .bench import (
+    BenchConfig,
+    BenchReport,
+    bench,
+    bench_pair,
+    deep_send_workload,
+    repeat_main,
+)
 from .compiler import (
     CompiledMethod,
     CompileMode,

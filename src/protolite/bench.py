@@ -78,52 +78,86 @@ class BenchReport:
         return out
 
 
-def bench(program: Program, config: BenchConfig = BenchConfig(),
-          baseline: BenchReport | None = None) -> BenchReport:
-    """Measure one cache/compile configuration over a program.
+class _Measurement:
+    """The invocations of one configuration, run one at a time."""
 
-    Raises BenchConfigError for an empty iteration budget or a workload that
-    cannot finish (fuel exhaustion is a failed benchmark, not a sample).
-    """
-    if config.iterations <= 0 or config.invocations <= 0:
-        raise BenchConfigError("benchmark needs at least one invocation and "
-                               "one iteration")
-    if config.iterations <= config.warmup:
-        raise BenchConfigError(
-            f"{config.iterations} iteration(s) leave nothing after "
-            f"{config.warmup} warm-up discard(s)")
-    image = compile_program(program, config.mode)
-    samples: list[float] = []
-    per_invocation: list[list[float]] = []
-    last_stats: CacheStats | None = None
-    for _ in range(config.invocations):
+    def __init__(self, program: Program, config: BenchConfig):
+        if config.iterations <= 0 or config.invocations <= 0:
+            raise BenchConfigError("benchmark needs at least one invocation "
+                                   "and one iteration")
+        if config.iterations <= config.warmup:
+            raise BenchConfigError(
+                f"{config.iterations} iteration(s) leave nothing after "
+                f"{config.warmup} warm-up discard(s)")
+        self.config = config
+        self.image = compile_program(program, config.mode)
+        self.samples: list[float] = []
+        self.per_invocation: list[list[float]] = []
+        self.last_stats: CacheStats | None = None
+
+    def invoke(self) -> None:
+        config = self.config
         times: list[float] = []
         for _ in range(config.iterations):
             start = time.perf_counter()
-            result = run_image(image, global_cache_on=config.global_cache_on,
+            result = run_image(self.image,
+                               global_cache_on=config.global_cache_on,
                                inline_cache_on=config.inline_cache_on,
                                fuel=config.fuel)
             times.append(time.perf_counter() - start)
             if not isinstance(result.outcome, Completed):
                 raise BenchConfigError(
                     f"benchmark run did not complete: {result.outcome!r}")
-            last_stats = result.stats
-        per_invocation.append(times)
-        samples.extend(times[config.warmup:])
-    report = BenchReport(
-        label=config.label,
-        invocations=config.invocations,
-        iterations=config.iterations,
-        warmup=config.warmup,
-        samples=samples,
-        median=statistics.median(samples),
-        mean=statistics.fmean(samples),
-        cache_stats=last_stats if last_stats is not None else CacheStats(),
-        per_invocation=per_invocation,
-    )
-    if baseline is not None:
-        report.relative_overhead = report.median / baseline.median - 1.0
-    return report
+            self.last_stats = result.stats
+        self.per_invocation.append(times)
+        self.samples.extend(times[config.warmup:])
+
+    def report(self) -> BenchReport:
+        config = self.config
+        return BenchReport(
+            label=config.label,
+            invocations=config.invocations,
+            iterations=config.iterations,
+            warmup=config.warmup,
+            samples=self.samples,
+            median=statistics.median(self.samples),
+            mean=statistics.fmean(self.samples),
+            cache_stats=self.last_stats or CacheStats(),
+            per_invocation=self.per_invocation,
+        )
+
+
+def bench(program: Program,
+          config: BenchConfig = BenchConfig()) -> BenchReport:
+    """Measure one cache/compile configuration over a program.
+
+    Raises BenchConfigError for an empty iteration budget or a workload that
+    cannot finish (fuel exhaustion is a failed benchmark, not a sample).
+    """
+    measurement = _Measurement(program, config)
+    for _ in range(config.invocations):
+        measurement.invoke()
+    return measurement.report()
+
+
+def bench_pair(program: Program, baseline: BenchConfig,
+               config: BenchConfig) -> tuple[BenchReport, BenchReport]:
+    """Measure ``config`` against ``baseline``, invocations alternated.
+
+    Invocations run baseline, config, baseline, config, ..., so a burst of
+    contention on the machine falls on both sides alike instead of on one
+    side's block. The second report carries its median's overhead relative
+    to the baseline's. Raises BenchConfigError as ``bench`` does.
+    """
+    measurements = (_Measurement(program, baseline),
+                    _Measurement(program, config))
+    for i in range(max(baseline.invocations, config.invocations)):
+        for measurement in measurements:
+            if i < measurement.config.invocations:
+                measurement.invoke()
+    base_report, report = (m.report() for m in measurements)
+    report.relative_overhead = report.median / base_report.median - 1.0
+    return base_report, report
 
 
 # --- workloads ------------------------------------------------------------------

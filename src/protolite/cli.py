@@ -22,10 +22,11 @@ import json
 import os
 import sys
 
-from .bench import BenchConfig, BenchReport, bench, repeat_main
+from .bench import BenchConfig, BenchReport, bench_pair, repeat_main
 from .compiler import CompileMode, compile_program, desugar_dump
 from .errors import LangError, ParseError, ProgramInvalidError
 from .metrics import (
+    DIFF_FUEL,
     differential_run,
     failing_source,
     measure_image,
@@ -152,7 +153,7 @@ def cmd_desugar(args) -> int:
 def cmd_diff(args) -> int:
     from .generator import generate_program
 
-    fuel = _fuel(args) if args.fuel is not None else 3_000
+    fuel = _fuel(args) if args.fuel is not None else DIFF_FUEL
     results = []
     if args.seeds:
         try:
@@ -207,11 +208,10 @@ def cmd_bench(args) -> int:
         inline_cache_on=not args.no_inline_cache,
         fuel=_fuel(args) if args.fuel is not None else BenchConfig().fuel,
     )
-    baseline = bench(program, BenchConfig(label="baseline",
-                                          mode=CompileMode.BASELINE, **common))
-    measured = bench(program, BenchConfig(label=_mode(args).value,
-                                          mode=_mode(args), **common),
-                     baseline=baseline)
+    baseline, measured = bench_pair(
+        program,
+        BenchConfig(label="baseline", mode=CompileMode.BASELINE, **common),
+        BenchConfig(label=_mode(args).value, mode=_mode(args), **common))
     if args.json:
         print(json.dumps({"baseline": baseline.to_json(),
                           "measured": measured.to_json()}))

@@ -267,6 +267,10 @@ class RuntimeImage:
     protection_roots: frozenset[str]
     deferred_sites: tuple[DeferredSite, ...]
     site_count: int
+    # The runtime's code arrays, lowered lazily from the bodies above: keyed
+    # by CompiledMethod (identity), with None for main. Not part of equality.
+    code_arrays: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def class_of(self, name: str) -> ImageClass:
         try:

@@ -126,21 +126,25 @@ class DiffResult:
 
 def differential_run(program: Program, fuel: int = DIFF_FUEL,
                      program_id: str = "") -> DiffResult:
-    """Run the reference evaluator and the compiled runtime; compare outcomes.
+    """Run the reference evaluator and the compiled runtime; compare them.
 
     The runtime runs with both caches enabled and a shadow uncached lookup
     asserting that every cached resolution matches the plain chain walk.
-    Mangled selectors never leak into runtime error reasons, so agreement is
-    plain outcome equality.
+    Mangled selectors never leak into runtime error reasons, and both sides
+    account steps event for event, so the two agree when their outcomes are
+    equal and so are their step counts.
     """
     ref = eval_program(program, fuel)
     image = compile_program(program)
     run = run_image(image, fuel=fuel, shadow_lookup_check=True)
-    agree = ref.outcome == run.outcome
     detail = ""
-    if not agree:
+    if ref.outcome != run.outcome:
         detail = (f"reference={ref.outcome!r} runtime={run.outcome!r}; "
                   f"steps {ref.steps}/{run.steps}")
+    elif ref.steps != run.steps:
+        detail = (f"step mismatch: reference {ref.steps}, runtime "
+                  f"{run.steps}; both {ref.outcome!r}")
+    agree = not detail
     return DiffResult(
         program_id=program_id,
         reference_outcome=ref.outcome,

@@ -15,6 +15,21 @@ Two optional layers sit in front of it:
 Failed lookups are never cached at either level, because installing a method
 later may change them. Caches affect statistics only, never outcomes.
 
+Execution does not walk the lowered expression trees. Each method body, and
+the image's main expression, is lowered once more into a flat postfix *code
+array* of ``(opcode, a, b)`` instructions ending in ``RETURN``. Variables are
+resolved to numbered slots of the activation's environment while lowering, so
+a variable read is a list index and a ``let`` needs no environment copy. The
+lowering is lazy -- a method's code is built at its first activation -- and
+memoised in the image, so large images pay only for the methods they run.
+
+One loop runs every activation. A frame is ``(code, pc, env, owner,
+defining)``; a send saves the caller's frame and switches to the callee's
+code, and ``RETURN`` restores it. A send that is the last instruction of its
+code reuses the caller's frame instead, so self-recursive loops (also when
+wrapped in ``let``) run in constant space, and no depth of activation ever
+touches the host's recursion limit.
+
 Step accounting deliberately matches the reference evaluator event for event
 (allocations, field reads/writes, sends, let bindings), so a fuel budget
 means the same thing to both and fuel-bounded runs stay comparable.
@@ -51,7 +66,6 @@ from .outcomes import (
     FuelExhausted,
     NilReceiver,
     PrimitiveFailure,
-    StuckReason,
     UnknownClass,
     UnknownField,
     UnknownVariable,
@@ -111,11 +125,13 @@ class GlobalCache:
         self.slots[target] = (class_name, sym, method, defining)
         self.installs += 1
 
-    def flush(self) -> None:
-        self.slots = [None] * GLOBAL_CACHE_SIZE
 
+class _Megamorphic(tuple):
+    """Inline-cache state of a site that gave up caching.
 
-class _Megamorphic:
+    An empty tuple, so the hit path iterates it like an unfilled site.
+    """
+
     def __repr__(self) -> str:
         return "<megamorphic>"
 
@@ -147,7 +163,10 @@ class CacheStats:
             "probe2": self.probe_hits[1],
             "probe3": self.probe_hits[2],
             "misses": self.misses,
+            "installs": self.installs,
             "distinctKeys": self.distinct_keys,
+            "icHits": self.ic_hits,
+            "icFills": self.ic_fills,
             "ic": {
                 "mono": self.ic_monomorphic,
                 "poly": self.ic_polymorphic,
@@ -185,11 +204,116 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
     return found
 
 
+# -- code arrays ------------------------------------------------------------------
+#
+# Instructions are (opcode, a, b) triples:
+#
+#   LOAD slot          push env[slot]
+#   CONST value        push a value built at lowering time
+#   SELF               push the frame's owner
+#   SEND site nargs    send to the receiver below the nargs arguments
+#   SELF_SEND site n   send to the owner
+#   SUPER_SEND site n  send to the owner, looked up above the defining class
+#   LET slot           pop into env[slot] (one step)
+#   GET field          push a field of the owner (one step)
+#   SET field          write the top of stack to a field, leaving it (one step)
+#   NEW class          push a fresh instance (one step)
+#   UNBOUND name       stuck: the variable is bound nowhere in scope
+#   RETURN             end of code: the top of stack is the result
+
+# The run loop tests opcodes in this order and the three sends as one range.
+(LOAD, CONST, RETURN, SEND, SELF_SEND, SUPER_SEND, SELF, LET, GET, SET, NEW,
+ UNBOUND) = range(12)
+
+_RETURN = (RETURN, None, None)
+
+
+def _lower_code(body: LExpr, params: tuple[str, ...] = ()) -> tuple:
+    """Lower a body to ``(instructions, parameter count, let padding)``.
+
+    The padding is a tuple of one None per let slot; an activation's
+    environment is a list of its arguments followed by the padding.
+    Variables become environment slots: parameters take slots 0..n-1 (a
+    repeated name binds its last position, as ``dict(zip(params, args))``
+    would); each ``let`` takes the next slot above those live at its
+    binding. Iterative, so deeply nested lets and sends need no host
+    recursion.
+    """
+    code: list[tuple] = []
+    emit = code.append
+    scope = dict(zip(params, range(len(params))))
+    nslots = len(params)
+    # Entries are (node, scope, depth) to lower, or (instruction, _, _) to
+    # emit as is once everything pushed after it has been lowered.
+    work: list[tuple] = [(body, scope, len(params))]
+    push = work.append
+    while work:
+        node, scope, depth = work.pop()
+        kind = type(node)
+        if kind is tuple:
+            emit(node)
+        elif kind is LVar:
+            slot = scope.get(node.name)
+            emit((UNBOUND, node.name, None) if slot is None
+                 else (LOAD, slot, None))
+        elif kind is LInt:
+            emit((CONST, IntVal(node.value), None))
+        elif kind is LSend or kind is LSelfSend or kind is LSuperSend:
+            op = (SEND if kind is LSend
+                  else SELF_SEND if kind is LSelfSend else SUPER_SEND)
+            push(((op, node.site, len(node.args)), None, 0))
+            for arg in reversed(node.args):
+                push((arg, scope, depth))
+            if op == SEND:
+                push((node.receiver, scope, depth))
+        elif kind is LSelf:
+            emit((SELF, None, None))
+        elif kind is LLet:
+            inner = dict(scope)
+            inner[node.var] = depth
+            if depth >= nslots:
+                nslots = depth + 1
+            push((node.body, inner, depth + 1))
+            push(((LET, depth, None), None, 0))
+            push((node.bound, scope, depth))
+        elif kind is LNil:
+            emit((CONST, NIL, None))
+        elif kind is LFieldGet:
+            emit((GET, node.field, None))
+        elif kind is LFieldSet:
+            push(((SET, node.field, None), None, 0))
+            push((node.value, scope, depth))
+        elif kind is LNew:
+            emit((NEW, node.class_name, None))
+        elif kind is LValue:
+            emit((CONST, node.value, None))
+        else:
+            raise TypeError(f"not a lowered expression: {node!r}")
+    emit(_RETURN)
+    # A plain tuple: this runs once per activated body, often for bodies
+    # that run only once, so construction cost matters.
+    return code, len(params), (None,) * (nslots - len(params))
+
+
+def _code_of(image: RuntimeImage, method: CompiledMethod | None) -> tuple:
+    """The memoised code of a method, or of main for None; lowered once."""
+    code = image.code_arrays.get(method)
+    if code is None:
+        code = (_lower_code(image.main) if method is None
+                else _lower_code(method.body, method.params))
+        image.code_arrays[method] = code
+    return code
+
+
 class _Stop(Exception):
     """Internal control flow for stuck states and fuel exhaustion."""
 
     def __init__(self, outcome):
         self.outcome = outcome
+
+
+def _stuck(reason) -> _Stop:
+    return _Stop(Errored(reason))
 
 
 @dataclass
@@ -202,7 +326,8 @@ class RunResult:
 class Interpreter:
     """One evaluation of an image's main expression.
 
-    Instances own their store, caches, and statistics; nothing is shared, so
+    Instances own their store, caches, and statistics; nothing is shared but
+    the image's memoised code arrays, which every run builds identically, so
     separate instances can run in parallel.
     """
 
@@ -215,33 +340,15 @@ class Interpreter:
         self.fuel = fuel
         self.shadow_lookup_check = shadow_lookup_check
         self.global_cache = GlobalCache()
-        self.site_caches: dict[int, object] = {}
+        # Per send site, indexed by site id: () while unfilled, a list of
+        # (class name, (method, defining class)) pairs, or MEGAMORPHIC.
+        self.site_caches: list = [()] * image.site_count
         self.records: dict[int, tuple[str, dict[str, Value]]] = {}
         self.next_oid = 1
         self.steps = 0
         self.distinct_keys: set[tuple[str, str]] = set()
         self.ic_hits = 0
         self.ic_fills = 0
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _tick(self) -> None:
-        if self.steps >= self.fuel:
-            raise _Stop(FuelExhausted())
-        self.steps += 1
-
-    def _stuck(self, reason: StuckReason):
-        raise _Stop(Errored(reason))
-
-    def _allocate(self, class_name: str) -> Oid:
-        icls = self.image.classes.get(class_name)
-        if icls is None:
-            self._stuck(UnknownClass(class_name))
-        self._tick()
-        oid = self.next_oid
-        self.next_oid += 1
-        self.records[oid] = (class_name, {f: NIL for f in icls.all_fields})
-        return Oid(oid)
 
     def class_of_oid(self, oid: int) -> str:
         return self.records[oid][0]
@@ -250,231 +357,222 @@ class Interpreter:
 
     def _lookup(self, class_name: str, sym: Symbol,
                 site: SendSite | None) -> tuple[CompiledMethod, str] | None:
-        """Inline cache, then global cache, then the chain walk.
+        """Global cache or chain walk, for a send the inline cache missed.
 
         ``site`` is None for super-sends: their start class is static, so
-        only the global cache applies.
+        only the global cache applies. An inline-cache hit skips this, and
+        the distinct-key count with it: the fill before the hit counted the
+        key already.
         """
         self.distinct_keys.add((class_name, sym.text))
-        found = None
-        filled_from_ic = False
-        if site is not None and self.inline_cache_on:
-            entry = self.site_caches.get(site.site_id)
-            if entry is MEGAMORPHIC:
-                pass
-            elif entry is not None:
-                for cached_class, cached in entry:
-                    if cached_class == class_name:
-                        self.ic_hits += 1
-                        found = cached
-                        filled_from_ic = True
-                        break
-        if found is None:
-            if self.global_cache_on:
-                found = cached_lookup(class_name, sym, self.global_cache,
-                                      self.image)
-            else:
-                found = default_lookup(class_name, sym, self.image)
+        if self.global_cache_on:
+            found = cached_lookup(class_name, sym, self.global_cache,
+                                  self.image)
+        else:
+            found = default_lookup(class_name, sym, self.image)
         if self.shadow_lookup_check:
-            shadow = default_lookup(class_name, sym, self.image)
-            if shadow != found:
-                raise AssertionError(
-                    f"cached lookup diverged for ({class_name}, {sym.text}): "
-                    f"{found} != {shadow}")
-        if (found is not None and site is not None and self.inline_cache_on
-                and not filled_from_ic):
+            self._check_shadow(class_name, sym, found)
+        if found is not None and site is not None and self.inline_cache_on:
             self._ic_fill(site, class_name, found)
         return found
 
+    def _check_shadow(self, class_name: str, sym: Symbol, found) -> None:
+        shadow = default_lookup(class_name, sym, self.image)
+        if shadow != found:
+            raise AssertionError(
+                f"cached lookup diverged for ({class_name}, {sym.text}): "
+                f"{found} != {shadow}")
+
     def _ic_fill(self, site: SendSite, class_name: str,
                  found: tuple[CompiledMethod, str]) -> None:
-        entry = self.site_caches.get(site.site_id)
+        entry = self.site_caches[site.site_id]
         if entry is MEGAMORPHIC:
             return
         self.ic_fills += 1
-        if entry is None:
+        if not entry:
             self.site_caches[site.site_id] = [(class_name, found)]
         elif len(entry) < INLINE_CACHE_LIMIT:
             entry.append((class_name, found))
         else:
             self.site_caches[site.site_id] = MEGAMORPHIC
 
-    # -- evaluation ---------------------------------------------------------------
-    #
-    # The evaluator runs on an explicit control stack so activation depth is
-    # bounded by fuel and memory, never by the host's recursion limit. Each
-    # control entry is either an expression to evaluate in some context or a
-    # pending combiner that consumes results from the value stack. A method
-    # activation just schedules its body; nothing stays behind on the control
-    # stack for it, so self-recursive loops run in constant space.
+    # -- execution ----------------------------------------------------------------
 
     def run(self) -> RunResult:
         if self.fuel <= 0:
             return RunResult(FuelExhausted(), 0, self._stats())
         try:
-            value = self._eval(self.image.main, {}, NIL, ROOT_CLASS)
-            return RunResult(Completed(value), self.steps, self._stats())
+            outcome = Completed(self._execute())
         except _Stop as stop:
-            return RunResult(stop.outcome, self.steps, self._stats())
+            outcome = stop.outcome
+        return RunResult(outcome, self.steps, self._stats())
 
-    def _eval(self, root: LExpr, env: dict[str, Value], owner: Value,
-              defining: str) -> Value:
-        control: list[tuple] = [("eval", root, env, owner, defining)]
-        values: list[Value] = []
-        while control:
-            op = control.pop()
-            tag = op[0]
-            if tag == "eval":
-                _, node, env, owner, defining = op
-                if isinstance(node, LNil):
-                    values.append(NIL)
-                elif isinstance(node, LInt):
-                    values.append(IntVal(node.value))
-                elif isinstance(node, LSelf):
-                    values.append(owner)
-                elif isinstance(node, LValue):
-                    values.append(node.value)  # type: ignore[arg-type]
-                elif isinstance(node, LVar):
-                    try:
-                        values.append(env[node.name])
-                    except KeyError:
-                        self._stuck(UnknownVariable(node.name))
-                elif isinstance(node, LNew):
-                    values.append(self._allocate(node.class_name))
-                elif isinstance(node, LFieldGet):
-                    values.append(self._field_read(owner, node.field))
-                elif isinstance(node, LFieldSet):
-                    control.append(("set", node.field, owner))
-                    control.append(("eval", node.value, env, owner, defining))
-                elif isinstance(node, LLet):
-                    control.append(("let", node.var, node.body, env, owner,
-                                    defining))
-                    control.append(("eval", node.bound, env, owner, defining))
-                elif isinstance(node, LSend):
-                    control.append(("send", node.site, len(node.args)))
-                    for a in reversed(node.args):
-                        control.append(("eval", a, env, owner, defining))
-                    control.append(("eval", node.receiver, env, owner, defining))
-                elif isinstance(node, LSelfSend):
-                    control.append(("self-send", node.site, len(node.args),
-                                    owner))
-                    for a in reversed(node.args):
-                        control.append(("eval", a, env, owner, defining))
-                elif isinstance(node, LSuperSend):
-                    control.append(("super-send", node.site, len(node.args),
-                                    owner, defining))
-                    for a in reversed(node.args):
-                        control.append(("eval", a, env, owner, defining))
-                else:
-                    raise TypeError(f"not a lowered expression: {node!r}")
-            elif tag == "let":
-                _, var, body, env, owner, defining = op
-                bound = values.pop()
-                self._tick()
-                env = dict(env)
-                env[var] = bound
-                control.append(("eval", body, env, owner, defining))
-            elif tag == "set":
-                _, field_name, owner = op
-                value = values[-1]  # a field write reduces to its value
-                self._field_write(owner, field_name, value)
-            elif tag == "send":
-                _, site, nargs = op
-                args = tuple(values[len(values) - nargs:])
-                del values[len(values) - nargs:]
-                receiver = values.pop()
-                self._dispatch(control, values, receiver, site, args)
-            elif tag == "self-send":
-                _, site, nargs, owner = op
-                args = tuple(values[len(values) - nargs:])
-                del values[len(values) - nargs:]
-                self._dispatch(control, values, owner, site, args)
-            else:  # super-send
-                _, site, nargs, owner, defining = op
-                args = tuple(values[len(values) - nargs:])
-                del values[len(values) - nargs:]
-                self._super_dispatch(control, values, owner, defining, site,
-                                     args)
-        assert len(values) == 1
-        return values[0]
+    def _execute(self) -> Value:
+        """Run main's code to its final RETURN; stuck states raise _Stop.
 
-    def _field_read(self, owner: Value, field_name: str) -> Value:
-        if not isinstance(owner, Oid):
-            self._stuck(UnknownField("<nil>", field_name))
-        class_name, fields = self.records[owner.oid]
-        if field_name not in fields:
-            self._stuck(UnknownField(class_name, field_name))
-        self._tick()
-        return fields[field_name]
+        The hot state lives in locals and is written back on the way out.
+        """
+        image = self.image
+        classes = image.classes
+        codes = image.code_arrays
+        records = self.records
+        site_caches = self.site_caches
+        inline_cache_on = self.inline_cache_on
+        shadow_lookup_check = self.shadow_lookup_check
+        lookup = self._lookup
+        fuel = self.fuel
+        steps = self.steps
+        ic_hits = self.ic_hits
+        next_oid = self.next_oid
 
-    def _field_write(self, owner: Value, field_name: str, value: Value) -> None:
-        if not isinstance(owner, Oid):
-            self._stuck(UnknownField("<nil>", field_name))
-        class_name, fields = self.records[owner.oid]
-        if field_name not in fields:
-            self._stuck(UnknownField(class_name, field_name))
-        self._tick()
-        fields[field_name] = value
-
-    def _dispatch(self, control: list, values: list, receiver: Value,
-                  site: SendSite, args: tuple[Value, ...]) -> None:
-        if isinstance(receiver, Nil):
-            self._stuck(NilReceiver(site.plain_text))
-        if isinstance(receiver, IntVal):
-            values.append(self._int_builtin(receiver, site.plain_text, args))
-            return
-        class_name = self.records[receiver.oid][0]
-        found = self._lookup(class_name, site.selector, site)
-        if found is None:
-            # Diagnostics always show the unmangled selector.
-            self._stuck(DoesNotUnderstand(class_name, site.plain_text))
-        self._activate(control, found, receiver, args, class_name,
-                       site.plain_text)
-
-    def _super_dispatch(self, control: list, values: list, receiver: Value,
-                        defining: str, site: SendSite,
-                        args: tuple[Value, ...]) -> None:
-        start = self.image.class_of(defining).superclass
-        if start is None:
-            self._stuck(DoesNotUnderstand(ROOT_CLASS, site.plain_text))
-        found = self._lookup(start, site.selector, None)
-        if found is None:
-            self._stuck(DoesNotUnderstand(start, site.plain_text))
-        self._activate(control, found, receiver, args, start, site.plain_text)
-
-    def _int_builtin(self, receiver: IntVal, selector: str,
-                     args: tuple[Value, ...]) -> Value:
-        # Integer receivers bypass both caches; '+' is the only primitive.
-        if selector != "+":
-            self._stuck(DoesNotUnderstand(INT_CLASS, selector))
-        if len(args) != 1:
-            self._stuck(ArityMismatch(INT_CLASS, "+", 1, len(args)))
-        arg = args[0]
-        if not isinstance(arg, IntVal):
-            self._stuck(PrimitiveFailure("+", "argument must be an integer"))
-        self._tick()
-        return IntVal(receiver.n + arg.n)
-
-    def _activate(self, control: list, found: tuple[CompiledMethod, str],
-                  receiver: Value, args: tuple[Value, ...], lookup_class: str,
-                  selector: str) -> None:
-        method, defining = found
-        if len(method.params) != len(args):
-            self._stuck(ArityMismatch(lookup_class, selector,
-                                      len(method.params), len(args)))
-        self._tick()
-        env = dict(zip(method.params, args))
-        control.append(("eval", method.body, env, receiver, defining))
+        code, _, pad = _code_of(image, None)
+        env: list = list(pad)
+        owner: Value = NIL
+        defining = ROOT_CLASS
+        pc = 0
+        stack: list[Value] = []
+        push = stack.append
+        pop = stack.pop
+        frames: list[tuple] = []
+        try:
+            while True:
+                op, a, b = code[pc]
+                pc += 1
+                if op == LOAD:
+                    push(env[a])
+                elif op == CONST:
+                    push(a)
+                elif op == RETURN:
+                    if not frames:
+                        assert len(stack) == 1
+                        return stack[0]
+                    code, pc, env, owner, defining = frames.pop()
+                elif op <= SUPER_SEND:  # SEND, SELF_SEND, SUPER_SEND
+                    # a is the site, b the argument count.
+                    if op == SUPER_SEND:
+                        receiver = owner
+                        lookup_class = image.class_of(defining).superclass
+                        if lookup_class is None:
+                            raise _stuck(DoesNotUnderstand(ROOT_CLASS,
+                                                           a.plain_text))
+                        found = lookup(lookup_class, a.selector, None)
+                        if found is None:
+                            raise _stuck(DoesNotUnderstand(lookup_class,
+                                                           a.plain_text))
+                    else:
+                        receiver = owner if op == SELF_SEND else stack[-1 - b]
+                        kind = receiver.__class__
+                        if kind is IntVal:
+                            # Integer receivers bypass both caches; '+' is
+                            # the only primitive.
+                            arg = stack[-1] if b == 1 else None
+                            if (a.plain_text != "+" or b != 1
+                                    or arg.__class__ is not IntVal):
+                                raise _int_failure(a.plain_text, b, arg)
+                            if steps >= fuel:
+                                raise _Stop(FuelExhausted())
+                            steps += 1
+                            pop()
+                            if op == SEND:
+                                stack[-1] = IntVal(receiver.n + arg.n)
+                            else:
+                                push(IntVal(receiver.n + arg.n))
+                            continue
+                        if kind is Nil:
+                            raise _stuck(NilReceiver(a.plain_text))
+                        lookup_class = records[receiver.oid][0]
+                        found = None
+                        if inline_cache_on:
+                            for cached_class, cached in site_caches[a.site_id]:
+                                if cached_class == lookup_class:
+                                    found = cached
+                                    break
+                        if found is not None:
+                            ic_hits += 1
+                            if shadow_lookup_check:
+                                self._check_shadow(lookup_class, a.selector,
+                                                   found)
+                        else:
+                            found = lookup(lookup_class, a.selector, a)
+                            if found is None:
+                                # Diagnostics show the unmangled selector.
+                                raise _stuck(DoesNotUnderstand(
+                                    lookup_class, a.plain_text))
+                    method, method_class = found
+                    callee = codes.get(method)
+                    if callee is None:
+                        callee = _code_of(image, method)
+                    callee_code, nparams, pad = callee
+                    if nparams != b:
+                        raise _stuck(ArityMismatch(lookup_class, a.plain_text,
+                                                   nparams, b))
+                    if steps >= fuel:
+                        raise _Stop(FuelExhausted())
+                    steps += 1
+                    if b:
+                        callee_env = stack[-b:]
+                        del stack[-b:]
+                        callee_env += pad
+                    else:
+                        callee_env = list(pad)
+                    if op == SEND:
+                        pop()
+                    if code[pc] is not _RETURN:
+                        frames.append((code, pc, env, owner, defining))
+                    code = callee_code
+                    pc = 0
+                    env = callee_env
+                    owner = receiver
+                    defining = method_class
+                elif op == SELF:
+                    push(owner)
+                elif op == LET:
+                    if steps >= fuel:
+                        raise _Stop(FuelExhausted())
+                    steps += 1
+                    env[a] = pop()
+                elif op == GET or op == SET:
+                    if owner.__class__ is not Oid:
+                        raise _stuck(UnknownField("<nil>", a))
+                    class_name, fields = records[owner.oid]
+                    if a not in fields:
+                        raise _stuck(UnknownField(class_name, a))
+                    if steps >= fuel:
+                        raise _Stop(FuelExhausted())
+                    steps += 1
+                    if op == GET:
+                        push(fields[a])
+                    else:
+                        # A field write reduces to its value.
+                        fields[a] = stack[-1]
+                elif op == NEW:
+                    icls = classes.get(a)
+                    if icls is None:
+                        raise _stuck(UnknownClass(a))
+                    if steps >= fuel:
+                        raise _Stop(FuelExhausted())
+                    steps += 1
+                    records[next_oid] = (a, dict.fromkeys(icls.all_fields,
+                                                          NIL))
+                    push(Oid(next_oid))
+                    next_oid += 1
+                else:  # UNBOUND
+                    raise _stuck(UnknownVariable(a))
+        finally:
+            self.steps = steps
+            self.ic_hits = ic_hits
+            self.next_oid = next_oid
 
     def _stats(self) -> CacheStats:
         mono = poly = mega = 0
-        for entry in self.site_caches.values():
-            if entry is MEGAMORPHIC:
+        for entry in self.site_caches:
+            if entry:
+                if len(entry) == 1:
+                    mono += 1
+                else:
+                    poly += 1
+            elif entry is MEGAMORPHIC:
                 mega += 1
-            elif len(entry) == 1:  # type: ignore[arg-type]
-                mono += 1
-            else:
-                poly += 1
         return CacheStats(
             probe_hits=tuple(self.global_cache.probe_hits),  # type: ignore[arg-type]
             misses=self.global_cache.misses,
@@ -486,6 +584,15 @@ class Interpreter:
             ic_polymorphic=poly,
             ic_megamorphic=mega,
         )
+
+
+def _int_failure(selector: str, nargs: int, arg: Value | None) -> _Stop:
+    """The stuck state of an integer receiver that is not a valid '+'."""
+    if selector != "+":
+        return _stuck(DoesNotUnderstand(INT_CLASS, selector))
+    if nargs != 1:
+        return _stuck(ArityMismatch(INT_CLASS, "+", 1, nargs))
+    return _stuck(PrimitiveFailure("+", "argument must be an integer"))
 
 
 def run_image(image: RuntimeImage, *, global_cache_on: bool = True,

@@ -28,7 +28,9 @@ class Oid(Value):
         return f"oid({self.oid})"
 
 
-@dataclass(frozen=True)
+# Slotted: the runtime's code arrays hold one per integer literal for as long
+# as the image lives.
+@dataclass(frozen=True, slots=True)
 class IntVal(Value):
     n: int
 

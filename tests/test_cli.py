@@ -123,7 +123,8 @@ def test_stats_json_schema(capsys):
     payload = json.loads(out)
     cache = payload["cache"]
     assert set(cache) == {"probe1", "probe2", "probe3", "misses",
-                          "distinctKeys", "ic"}
+                          "installs", "distinctKeys", "icHits", "icFills",
+                          "ic"}
     assert set(cache["ic"]) == {"mono", "poly", "mega"}
     assert payload["memory"]["totalEntries"] == 11
     assert "worstCaseRatios" in payload

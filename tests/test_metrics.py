@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from protolite.bench import (
     BenchConfig,
     bench,
+    bench_pair,
     deep_send_workload,
     polymorphic_workload,
     repeat_main,
@@ -132,6 +134,26 @@ def test_golden_programs_agree(programs_dir):
         assert result.agree, result.detail
 
 
+def test_step_mismatch_breaks_agreement(monkeypatch, programs_dir):
+    # Equal outcomes are not enough: the runtime must also take exactly the
+    # reference's number of steps.
+    import protolite.metrics as metrics
+
+    real_run_image = metrics.run_image
+
+    def one_step_more(image, **kwargs):
+        result = real_run_image(image, **kwargs)
+        return dataclasses.replace(result, steps=result.steps + 1)
+
+    monkeypatch.setattr(metrics, "run_image", one_step_more)
+    p = parse((programs_dir / "golden_sum.stl").read_text())
+    result = differential_run(p, program_id="golden_sum")
+    assert result.reference_outcome == result.runtime_outcome
+    assert result.runtime_steps == result.reference_steps + 1
+    assert not result.agree
+    assert "step mismatch" in result.detail
+
+
 def Completed_int(n):
     from protolite.values import IntVal
 
@@ -201,9 +223,9 @@ def test_bench_rejects_non_terminating_workload():
 
 def test_bench_reports_medians_and_overhead(two_level_program):
     program = repeat_main(two_level_program, 50)
-    baseline = bench(program, quick("baseline", mode=CompileMode.BASELINE))
-    measured = bench(program, quick("worst", mode=CompileMode.WORST_CASE),
-                     baseline=baseline)
+    baseline, measured = bench_pair(
+        program, quick("baseline", mode=CompileMode.BASELINE),
+        quick("worst", mode=CompileMode.WORST_CASE))
     assert len(baseline.samples) == 2 * (4 - 1)
     assert measured.median > 0
     assert measured.relative_overhead is not None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from protolite.compiler import CompileMode, compile_program
@@ -243,3 +245,50 @@ def test_install_into_worst_case_image_keeps_doubling():
     image2 = install_method(image, "A", MethodDef("n", (), SelfRef()))
     texts = {sym.text for sym in image2.classes["A"].dictionary}
     assert texts == {"m", "__m", "n", "__n"}
+
+
+# -- frames and tail sends -------------------------------------------------------
+
+CONFIGS = [dict(global_cache_on=g, inline_cache_on=i)
+           for g in (False, True) for i in (False, True)]
+LOOP_FUEL = 300_000
+# Tracing allocations slows a run about fifteenfold, so the peak is taken
+# over a shorter run. Were every send to keep its caller's frame, the peak
+# would pass 3 MB by this point.
+TRACED_LOOP_FUEL = 30_000
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("body", [
+    "self.loop(n + 1)",
+    "let m = n + 1 in self.loop(m)",
+])
+def test_tail_send_loops_run_in_constant_space(config, body):
+    # A send in tail position reuses its caller's frame, so an unbounded
+    # self-recursive loop is stopped by fuel alone, in a few KB.
+    image = compile_program(parse(f"""
+        class C extends Object {{ method loop(n) {{ {body} }} }}
+        main {{ (new C).loop(0) }}
+    """))
+    result = run_image(image, fuel=LOOP_FUEL, **config)
+    assert result.outcome == FuelExhausted()
+    assert result.steps == LOOP_FUEL
+    tracemalloc.start()
+    try:
+        result = run_image(image, fuel=TRACED_LOOP_FUEL, **config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.steps == TRACED_LOOP_FUEL
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_deep_non_tail_recursion_needs_no_host_recursion(config):
+    image = compile_program(parse("""
+        class C extends Object { method f(n) { self.f(n + 1) + 1 } }
+        main { (new C).f(0) }
+    """))
+    result = run_image(image, fuel=LOOP_FUEL, **config)
+    assert result.outcome == FuelExhausted()
+    assert result.steps == LOOP_FUEL
