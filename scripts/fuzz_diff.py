@@ -19,12 +19,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from protolite.generator import GeneratorConfig, generate_program
-from protolite.metrics import (
-    differential_run,
-    failing_source,
-    protected_free_three_way,
-)
+from protolite.metrics import differential_run, protected_free_three_way
 from protolite.outcomes import Errored
+from protolite.syntax import pretty_program
 
 
 def outcome_label(outcome) -> str:
@@ -53,7 +50,7 @@ def main() -> int:
         if not result.agree:
             failures += 1
             print(f"DISAGREEMENT seed={seed}: {result.detail}")
-            print(failing_source(generate_program(seed)))
+            print(pretty_program(generate_program(seed)))
 
     free_config = GeneratorConfig(allow_protected=False)
     for seed in range(args.protected_free):
@@ -64,7 +61,7 @@ def main() -> int:
                 and result.dictionaries_equal):
             failures += 1
             print(f"THREE-WAY DISAGREEMENT seed={seed}")
-            print(failing_source(program))
+            print(pretty_program(program))
 
     elapsed = time.perf_counter() - started
     total = args.seeds + args.protected_free

@@ -85,7 +85,7 @@ from .syntax import (
     pretty_expr,
     pretty_program,
 )
-from .validate import HierarchyIndex, Violation, hierarchy_relations, validate
+from .validate import HierarchyIndex, Violation, validate
 from .values import NIL, IntVal, Nil, Oid, Value
 
 __version__ = "0.1.0"

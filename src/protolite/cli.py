@@ -28,14 +28,13 @@ from .errors import LangError, ParseError, ProgramInvalidError
 from .metrics import (
     DIFF_FUEL,
     differential_run,
-    failing_source,
     measure_image,
     worst_case_ratios,
 )
-from .outcomes import Completed, Errored, outcome_to_json
+from .outcomes import DEFAULT_FUEL, Completed, Errored, outcome_to_json
 from .parser import parse
-from .runtime import DEFAULT_FUEL, Interpreter
-from .syntax import Program
+from .runtime import Interpreter
+from .syntax import Program, pretty_program
 from .validate import validate
 from .values import render_value
 
@@ -192,7 +191,7 @@ def cmd_diff(args) -> int:
         for pid, program, result in disagreements:
             print(f"disagreement on {pid}: {result.detail}", file=sys.stderr)
             print("--- offending program ---", file=sys.stderr)
-            print(failing_source(program), file=sys.stderr)
+            print(pretty_program(program), file=sys.stderr)
     return EXIT_OK if not disagreements else EXIT_RUNTIME
 
 
@@ -335,8 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as err:
-        raise err
     except LangError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -282,33 +282,29 @@ class RuntimeImage:
 # --- scope --------------------------------------------------------------------
 
 
-def rewrite_scope(program: Program) -> frozenset[str]:
+def rewrite_scope(idx: HierarchyIndex) -> frozenset[str]:
     """Classes that define a protected method, plus all their descendants."""
-    idx = HierarchyIndex(program)
-    definers = {c.name for c in program.classes
+    classes = idx.program.classes
+    definers = {c.name for c in classes
                 if any(m.visibility == PROTECTED for m in c.methods)}
-    if not definers:
-        return frozenset()
-    return frozenset(
-        c.name for c in program.classes
-        if any(d in idx.chain(c.name) for d in definers)
-    )
+    return frozenset(c.name for c in classes
+                     if not definers.isdisjoint(idx.chain(c.name)))
 
 
-def protection_roots(program: Program, scope: frozenset[str]) -> frozenset[str]:
+def protection_roots(idx: HierarchyIndex,
+                     scope: frozenset[str]) -> frozenset[str]:
     """Topmost in-scope class of each protected chain."""
-    idx = HierarchyIndex(program)
     return frozenset(
         name for name in scope if idx.superclass(name) not in scope
     )
 
 
-def _scope_for_mode(program: Program, mode: CompileMode) -> frozenset[str]:
+def _scope_for_mode(idx: HierarchyIndex, mode: CompileMode) -> frozenset[str]:
     if mode is CompileMode.BASELINE:
         return frozenset()
     if mode is CompileMode.WORST_CASE:
-        return frozenset(c.name for c in program.classes)
-    return rewrite_scope(program)
+        return frozenset(c.name for c in idx.program.classes)
+    return rewrite_scope(idx)
 
 
 # --- body lowering -------------------------------------------------------------
@@ -324,9 +320,6 @@ class _Lowerer:
         self.symbols = symbols
         self.next_site_id = next_site_id
         self.deferred: list[DeferredSite] = []
-        self.known_selectors = {
-            m.selector for c in idx.program.classes for m in c.methods
-        }
 
     def _site(self, kind: str, symbol: Symbol, plain: str) -> SendSite:
         site = SendSite(self.next_site_id, kind, symbol, plain)
@@ -347,25 +340,20 @@ class _Lowerer:
                 # carry no mangled entries, so the site must stay plain.
                 return plain
             return self.symbols.mangle(plain)
-        if kind == "self" and self._descendant_defines(enclosing, selector):
+        definers = self.idx.definers(selector)
+        if kind == "self" and any(
+                d != enclosing and enclosing in self.idx.chain(d)
+                for d in definers):
             # Unresolved here, but a subclass (necessarily in scope) answers
             # it -- possibly with a protected, mangled-only method that a
             # plain send could never see.
             return self.symbols.mangle(plain)
-        if selector not in self.known_selectors:
+        if not definers:
             # No class defines the selector: assume a public send and
             # remember the site for when such a method gets installed.
             self.deferred.append(
                 DeferredSite(enclosing, method_selector, selector))
         return plain
-
-    def _descendant_defines(self, class_name: str, selector: str) -> bool:
-        for cdef in self.idx.program.classes:
-            if cdef.name != class_name \
-                    and class_name in self.idx.chain(cdef.name) \
-                    and cdef.method_named(selector) is not None:
-                return True
-        return False
 
     def lower(self, e: Expr, enclosing: str | None, method_selector: str) -> LExpr:
         # Let chains nest along the body; peel them iteratively so workload
@@ -412,9 +400,6 @@ class _Lowerer:
             sym = self._tag_selector(e.selector, enclosing, "super",
                                      method_selector)
             return LSuperSend(self._site("super", sym, e.selector), args)
-        if isinstance(e, Let):
-            return LLet(e.var, self.lower(e.bound, enclosing, method_selector),
-                        self.lower(e.body, enclosing, method_selector))
         raise TypeError(f"not an expression: {e!r}")
 
     def _check_field(self, field_name: str, enclosing: str | None) -> None:
@@ -432,8 +417,7 @@ def rewrite_body(body: Expr, enclosing_class: str, program: Program,
     ``compile_program`` drives the same machinery across the whole program.
     """
     idx = HierarchyIndex(program)
-    scope = rewrite_scope(program)
-    lowerer = _Lowerer(idx, scope, symbols or SymbolTable(), 0)
+    lowerer = _Lowerer(idx, rewrite_scope(idx), symbols or SymbolTable(), 0)
     lowered = lowerer.lower(body, enclosing_class, method_selector)
     return lowered, tuple(lowerer.deferred)
 
@@ -465,11 +449,11 @@ def _install(dictionary: dict[Symbol, CompiledMethod], method: CompiledMethod,
 def compile_program(program: Program,
                     mode: CompileMode = CompileMode.NORMAL) -> RuntimeImage:
     """Validate, lower, and register every class of a program."""
-    violations = validate(program)
+    idx = HierarchyIndex(program)
+    violations = validate(program, idx)
     if violations:
         raise ProgramInvalidError(violations)
-    idx = HierarchyIndex(program)
-    scope = _scope_for_mode(program, mode)
+    scope = _scope_for_mode(idx, mode)
     symbols = SymbolTable()
     lowerer = _Lowerer(idx, scope, symbols, 0)
 
@@ -496,7 +480,7 @@ def compile_program(program: Program,
         main=main,
         symbols=symbols,
         rewrite_scope=scope,
-        protection_roots=protection_roots(program, scope),
+        protection_roots=protection_roots(idx, scope),
         deferred_sites=tuple(lowerer.deferred),
         site_count=lowerer.next_site_id,
     )
@@ -526,12 +510,12 @@ def install_method(image: RuntimeImage, class_name: str,
         for c in image.program.classes
     )
     new_program = replace(image.program, classes=new_classes)
-    violations = validate(new_program)
+    idx = HierarchyIndex(new_program)
+    violations = validate(new_program, idx)
     if violations:
         raise ProgramInvalidError(violations)
 
-    idx = HierarchyIndex(new_program)
-    new_scope = _scope_for_mode(new_program, image.mode)
+    new_scope = _scope_for_mode(idx, image.mode)
     symbols = image.symbols.copy()
     lowerer = _Lowerer(idx, new_scope, symbols, image.site_count)
 
@@ -596,7 +580,7 @@ def install_method(image: RuntimeImage, class_name: str,
         main=image.main,
         symbols=symbols,
         rewrite_scope=new_scope,
-        protection_roots=protection_roots(new_program, new_scope),
+        protection_roots=protection_roots(idx, new_scope),
         deferred_sites=deferred,
         site_count=lowerer.next_site_id,
     )

@@ -23,7 +23,7 @@ from .compiler import (
 from .outcomes import Outcome
 from .reference import eval_program
 from .runtime import RunResult, run_image
-from .syntax import Program, pretty_program
+from .syntax import Program
 
 ENTRY_BYTES = 16
 SYMBOL_HEADER_BYTES = 24
@@ -156,44 +156,12 @@ def differential_run(program: Program, fuel: int = DIFF_FUEL,
     )
 
 
-def body_fingerprint(node) -> tuple:
-    """Structural identity of a lowered body, independent of intern order."""
-    from . import compiler as c
-
-    if isinstance(node, c.LNil):
-        return ("nil",)
-    if isinstance(node, c.LInt):
-        return ("int", node.value)
-    if isinstance(node, c.LSelf):
-        return ("self",)
-    if isinstance(node, c.LVar):
-        return ("var", node.name)
-    if isinstance(node, c.LNew):
-        return ("new", node.class_name)
-    if isinstance(node, c.LValue):
-        return ("value", repr(node.value))
-    if isinstance(node, c.LFieldGet):
-        return ("get", node.field)
-    if isinstance(node, c.LFieldSet):
-        return ("set", node.field, body_fingerprint(node.value))
-    if isinstance(node, c.LSend):
-        return ("send", node.site.selector.text,
-                body_fingerprint(node.receiver),
-                tuple(body_fingerprint(a) for a in node.args))
-    if isinstance(node, c.LSelfSend):
-        return ("self-send", node.site.selector.text,
-                tuple(body_fingerprint(a) for a in node.args))
-    if isinstance(node, c.LSuperSend):
-        return ("super-send", node.site.selector.text,
-                tuple(body_fingerprint(a) for a in node.args))
-    if isinstance(node, c.LLet):
-        return ("let", node.var, body_fingerprint(node.bound),
-                body_fingerprint(node.body))
-    raise TypeError(f"not a lowered expression: {node!r}")
-
-
 def image_fingerprint(image: RuntimeImage) -> dict:
-    """Canonical structure of an image's dictionaries, for equality checks."""
+    """Canonical structure of an image's dictionaries, for equality checks.
+
+    Lowered bodies compare as they are: their equality ignores site ids and
+    the order in which selectors were interned.
+    """
     out: dict = {}
     for name in sorted(image.classes):
         icls = image.classes[name]
@@ -202,7 +170,7 @@ def image_fingerprint(image: RuntimeImage) -> dict:
             cm = icls.dictionary[sym]
             entries[sym.text] = (
                 cm.origin_class, cm.selector.text, cm.visibility,
-                cm.params, body_fingerprint(cm.body),
+                cm.params, cm.body,
             )
         out[name] = entries
     return out
@@ -237,11 +205,6 @@ def protected_free_three_way(program: Program,
     )
 
 
-def failing_source(program: Program) -> str:
-    """Source dump for reproducing a disagreement."""
-    return pretty_program(program)
-
-
 def run_all_configs(image: RuntimeImage, fuel: int = DIFF_FUEL) -> list[RunResult]:
     """One run per cache configuration, in a fixed order."""
     return [
@@ -256,9 +219,7 @@ __all__ = [
     "MemoryReport",
     "OverheadRatios",
     "ThreeWayResult",
-    "body_fingerprint",
     "differential_run",
-    "failing_source",
     "image_fingerprint",
     "images_equal",
     "measure_image",

@@ -11,6 +11,10 @@ from dataclasses import dataclass, asdict
 
 from .values import Value
 
+# Step budget of a run when the caller names none; ``metrics.DIFF_FUEL`` is the
+# smaller default of differential runs.
+DEFAULT_FUEL = 1_000_000
+
 
 class StuckReason:
     __slots__ = ()

@@ -25,6 +25,7 @@ are rejected inside the main expression, and identifiers with the reserved
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ParseError, ReservedSelectorError
@@ -356,8 +357,17 @@ def _resolve(raw: Program) -> Program:
 
 
 def parse(source: str) -> Program:
-    """Parse source text into a Program. Raises ParseError on malformed input."""
-    return _Parser(tokenize(source)).program()
+    """Parse source text into a Program. Raises ParseError on malformed input,
+    including input nested deeper than the recursive descent can follow."""
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.program()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError(
+            "expression nested too deeply: the nesting limit is the Python "
+            f"recursion limit ({sys.getrecursionlimit()} frames)",
+            tok.line, tok.col) from None
 
 
 def parse_file(path: str) -> Program:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from .errors import UnknownFieldError
 from .outcomes import (
+    DEFAULT_FUEL,
     ArityMismatch,
     Completed,
     DoesNotUnderstand,
@@ -64,8 +65,6 @@ from .syntax import (
 )
 from .validate import HierarchyIndex
 from .values import INT_CLASS, NIL, IntVal, Nil, Oid, Value
-
-DEFAULT_FUEL = 1_000_000
 
 
 # --- redexes ---------------------------------------------------------------

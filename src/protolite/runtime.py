@@ -59,6 +59,7 @@ from .compiler import (
     Symbol,
 )
 from .outcomes import (
+    DEFAULT_FUEL,
     ArityMismatch,
     Completed,
     DoesNotUnderstand,
@@ -72,8 +73,6 @@ from .outcomes import (
 )
 from .syntax import ROOT_CLASS
 from .values import INT_CLASS, NIL, IntVal, Nil, Oid, Value
-
-DEFAULT_FUEL = 1_000_000
 
 GLOBAL_CACHE_SIZE = 1024
 GLOBAL_CACHE_PROBES = 3

@@ -1,8 +1,8 @@
 """Static well-formedness checks and the class-hierarchy relation oracle.
 
 ``validate`` returns violations as data; callers decide whether to raise.
-Checks run in a fixed order and each violation names the rule, the class, and
-the offending member. The rules:
+Violations come in the rule order below and each names the rule, the class,
+and the offending member. The rules:
 
 * CLASSESONCE           -- class names unique; ``Object`` may not be redefined
 * FIELDONCEPERCLASS     -- no field declared twice in one class
@@ -20,7 +20,6 @@ the offending member. The rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import UnknownClassError
 from .syntax import PROTECTED, PUBLIC, ROOT_CLASS, ClassDef, MethodDef, Program
@@ -51,13 +50,6 @@ class Violation:
         return f"{self.rule}: class '{self.class_name}'{member}{detail}"
 
 
-def _first_defs(classes: tuple[ClassDef, ...]) -> dict[str, ClassDef]:
-    out: dict[str, ClassDef] = {}
-    for c in classes:
-        out.setdefault(c.name, c)
-    return out
-
-
 def _chain(by_name: dict[str, ClassDef], start: str) -> list[str]:
     """Ancestor chain from ``start`` upward, cycle- and gap-tolerant."""
     chain: list[str] = []
@@ -75,61 +67,65 @@ def _chain(by_name: dict[str, ClassDef], start: str) -> list[str]:
     return chain
 
 
-def validate(program: Program) -> list[Violation]:
-    """Check every rule; an empty report means the program is valid."""
-    violations: list[Violation] = []
-    classes = program.classes
-    by_name = _first_defs(classes)
+def validate(program: Program,
+             idx: HierarchyIndex | None = None) -> list[Violation]:
+    """Check every rule; an empty report means the program is valid.
 
-    # CLASSESONCE: one violation per duplicate pair, plus Object redefinition.
-    names = [c.name for c in classes]
-    for (i, a), (j, b) in combinations(enumerate(names), 2):
-        if a == b:
+    ``idx`` is the caller's index over ``program``; one is built when omitted.
+    """
+    if idx is None:
+        idx = HierarchyIndex(program)
+    by_name = idx.by_name
+    violations: list[Violation] = []
+
+    # CLASSESONCE: one violation per duplicate pair in position order, plus
+    # Object redefinition.
+    positions: dict[str, list[int]] = {}
+    for pos, c in enumerate(program.classes, start=1):
+        positions.setdefault(c.name, []).append(pos)
+    for pos, c in enumerate(program.classes, start=1):
+        later = positions[c.name]
+        del later[0]  # ``pos`` itself
+        for other in later:
             violations.append(Violation(
-                "CLASSESONCE", a,
-                detail=f"declared at positions {i + 1} and {j + 1}"))
-    for c in classes:
+                "CLASSESONCE", c.name,
+                detail=f"declared at positions {pos} and {other}"))
+    for c in program.classes:
         if c.name == ROOT_CLASS:
             violations.append(Violation(
                 "CLASSESONCE", ROOT_CLASS, detail="redefines the built-in root class"))
 
-    for c in classes:
+    # Every other rule looks at one class and its ancestor chain; the sort at
+    # the end groups violations by rule, keeping class order within a rule.
+    for c in program.classes:
         seen_fields: set[str] = set()
         for f in c.fields:
             if f in seen_fields:
                 violations.append(Violation("FIELDONCEPERCLASS", c.name, f))
             seen_fields.add(f)
 
-    for c in classes:
-        inherited: set[str] = set()
-        for anc in _chain(by_name, c.name)[1:]:
-            anc_def = by_name.get(anc)
-            if anc_def is not None:
-                inherited.update(anc_def.fields)
-        for f in c.fields:
-            if f in inherited:
-                violations.append(Violation(
-                    "FIELDSUNIQUELYDEFINED", c.name, f,
-                    detail="field is already defined in a superclass"))
-
-    for c in classes:
         seen_methods: set[str] = set()
         for m in c.methods:
             if m.selector in seen_methods:
                 violations.append(Violation("METHODONCEPERCLASS", c.name, m.selector))
             seen_methods.add(m.selector)
 
-    defined = set(by_name) | {ROOT_CLASS}
-    for c in classes:
-        if c.superclass not in defined:
+        if c.superclass != ROOT_CLASS and c.superclass not in by_name:
             violations.append(Violation(
                 "COMPLETECLASSES", c.name,
                 detail=f"extends undefined class '{c.superclass}'"))
 
-    # A chain ending in a class whose superclass is already on that chain is
-    # cyclic; a class sits on the cycle iff its own walk wraps back to it.
-    for c in classes:
-        chain = _chain(by_name, c.name)
+        chain = idx.chain(c.name)
+        ancestors = [by_name[anc] for anc in chain[1:] if anc in by_name]
+        inherited = {f for anc_def in ancestors for f in anc_def.fields}
+        for f in c.fields:
+            if f in inherited:
+                violations.append(Violation(
+                    "FIELDSUNIQUELYDEFINED", c.name, f,
+                    detail="field is already defined in a superclass"))
+
+        # A chain ending in a class whose superclass is already on that chain
+        # is cyclic; a class sits on the cycle iff its walk wraps back to it.
         last_def = by_name.get(chain[-1])
         if chain[-1] != ROOT_CLASS and last_def is not None \
                 and last_def.superclass == c.name:
@@ -137,13 +133,9 @@ def validate(program: Program) -> list[Violation]:
                 "WELLFOUNDEDCLASSES", c.name,
                 detail="class is part of an inheritance cycle"))
 
-    # Arity and visibility of overrides, walking each class's ancestor chain.
-    for c in classes:
+        # Arity and visibility of overrides.
         for m in c.methods:
-            for anc in _chain(by_name, c.name)[1:]:
-                anc_def = by_name.get(anc)
-                if anc_def is None:
-                    continue
+            for anc_def in ancestors:
                 overridden = anc_def.method_named(m.selector)
                 if overridden is None:
                     continue
@@ -151,21 +143,12 @@ def validate(program: Program) -> list[Violation]:
                     violations.append(Violation(
                         "CLASSMETHODSOK", c.name, m.selector,
                         detail=(f"arity {len(m.params)} does not match arity "
-                                f"{len(overridden.params)} in '{anc}'")))
-
-    for c in classes:
-        for m in c.methods:
-            if m.visibility != PROTECTED:
-                continue
-            for anc in _chain(by_name, c.name)[1:]:
-                anc_def = by_name.get(anc)
-                if anc_def is None:
-                    continue
-                overridden = anc_def.method_named(m.selector)
-                if overridden is not None and overridden.visibility == PUBLIC:
+                                f"{len(overridden.params)} in '{anc_def.name}'")))
+                if m.visibility == PROTECTED and overridden.visibility == PUBLIC:
                     violations.append(Violation(
                         "OVERRIDINGPUBLICMETHOD", c.name, m.selector,
-                        detail=f"narrows public method inherited from '{anc}'"))
+                        detail=("narrows public method inherited from "
+                                f"'{anc_def.name}'")))
 
     # OVERRIDINGPROTECTEDMETHOD: any override of a protected method is public
     # or protected, so no violation is possible with two visibility levels.
@@ -176,48 +159,54 @@ def validate(program: Program) -> list[Violation]:
 
 
 class HierarchyIndex:
-    """Relation oracle over a validated program.
+    """Relation oracle over a program, built once per compile or install and
+    shared by ``validate``, the rewrite scope, protection roots and lowering.
 
-    Answers subclass queries, method definitions per visibility, transitive
-    field sets, and closest-definition lookups. Unknown class names raise
+    Answers subclass queries, method definitions per visibility, the classes
+    defining a selector, transitive field sets, and closest-definition
+    lookups. Building it tolerates what ``validate`` reports (duplicate names,
+    unknown superclasses, cycles). Unknown class names raise
     UnknownClassError.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        self._by_name: dict[str, ClassDef] = {}
+        # First definition per class name; later duplicates are CLASSESONCE
+        # violations.
+        self.by_name: dict[str, ClassDef] = {}
+        definers: dict[str, list[str]] = {}
         for c in program.classes:
-            self._by_name.setdefault(c.name, c)
+            self.by_name.setdefault(c.name, c)
+            for m in c.methods:
+                definers.setdefault(m.selector, []).append(c.name)
+        self._definers = {sel: tuple(names) for sel, names in definers.items()}
         self._chains: dict[str, tuple[str, ...]] = {
             ROOT_CLASS: (ROOT_CLASS,)
         }
         for c in program.classes:
-            self._chains[c.name] = tuple(_chain(self._by_name, c.name))
+            self._chains[c.name] = tuple(_chain(self.by_name, c.name))
         self._fields: dict[str, tuple[str, ...]] = {}
         for name, chain in self._chains.items():
             fields: list[str] = []
             for anc in reversed(chain):
-                anc_def = self._by_name.get(anc)
+                anc_def = self.by_name.get(anc)
                 if anc_def is not None:
                     fields.extend(anc_def.fields)
             self._fields[name] = tuple(fields)
 
     def _require(self, name: str) -> None:
-        if name != ROOT_CLASS and name not in self._by_name:
+        if name != ROOT_CLASS and name not in self.by_name:
             raise UnknownClassError(f"unknown class '{name}'")
-
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.program.classes)
 
     def class_def(self, name: str) -> ClassDef | None:
         self._require(name)
-        return self._by_name.get(name)
+        return self.by_name.get(name)
 
     def superclass(self, name: str) -> str | None:
         self._require(name)
         if name == ROOT_CLASS:
             return None
-        return self._by_name[name].superclass
+        return self.by_name[name].superclass
 
     def chain(self, name: str) -> tuple[str, ...]:
         """Ancestor chain from ``name`` up to and including Object."""
@@ -227,7 +216,7 @@ class HierarchyIndex:
     def direct_subclass(self, name: str, parent: str) -> bool:
         self._require(name)
         self._require(parent)
-        return name != ROOT_CLASS and self._by_name[name].superclass == parent
+        return name != ROOT_CLASS and self.by_name[name].superclass == parent
 
     def subclass_of(self, name: str, ancestor: str) -> bool:
         """Reflexive-transitive closure of direct_subclass."""
@@ -249,6 +238,10 @@ class HierarchyIndex:
         m = cdef.method_named(selector)
         return m is not None and m.visibility == PROTECTED
 
+    def definers(self, selector: str) -> tuple[str, ...]:
+        """Classes defining ``selector`` at any visibility, in program order."""
+        return self._definers.get(selector, ())
+
     def fields_of(self, name: str) -> tuple[str, ...]:
         """All fields of a class including inherited ones, root-first."""
         self._require(name)
@@ -258,7 +251,7 @@ class HierarchyIndex:
         """First definition of ``selector`` on the chain, any visibility."""
         self._require(name)
         for anc in self._chains[name]:
-            anc_def = self._by_name.get(anc)
+            anc_def = self.by_name.get(anc)
             if anc_def is not None:
                 m = anc_def.method_named(selector)
                 if m is not None:
@@ -269,13 +262,10 @@ class HierarchyIndex:
         """First public definition on the chain; protected ones are skipped."""
         self._require(name)
         for anc in self._chains[name]:
-            anc_def = self._by_name.get(anc)
+            anc_def = self.by_name.get(anc)
             if anc_def is not None:
                 m = anc_def.method_named(selector)
                 if m is not None and m.visibility == PUBLIC:
                     return anc, m
         return None
 
-
-def hierarchy_relations(program: Program) -> HierarchyIndex:
-    return HierarchyIndex(program)

@@ -172,3 +172,19 @@ def test_parse_error_exits_2(capsys, tmp_path):
         run_cli(capsys, "run", str(path))
     assert exc.value.code == 2
     assert "broken.stl:1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("main_expr", [
+    "(" * 300 + "1" + ")" * 300,
+    " + ".join(["1"] * 1200),
+    "".join(f"let x{i} = {i} in " for i in range(1200)) + "x0",
+], ids=["parentheses", "plus-chain", "nested-lets"])
+def test_deep_input_exits_2_without_traceback(capsys, tmp_path, main_expr):
+    path = tmp_path / "deep.stl"
+    path.write_text(f"main {{ {main_expr} }}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nesting limit" in err
+    assert "Traceback" not in err

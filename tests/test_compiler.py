@@ -20,8 +20,10 @@ from protolite.errors import (
 from protolite.metrics import image_fingerprint, images_equal
 from protolite.outcomes import Completed
 from protolite.parser import parse
+from protolite.reference import eval_program
 from protolite.runtime import run_image
 from protolite.syntax import MethodDef, Send, SelfRef
+from protolite.validate import HierarchyIndex
 from protolite.values import IntVal
 
 
@@ -56,7 +58,7 @@ def test_mangle_twice_is_an_error():
 
 
 def test_scope_is_definers_plus_descendants(two_level_program):
-    assert rewrite_scope(two_level_program) == {"A", "B"}
+    assert rewrite_scope(HierarchyIndex(two_level_program)) == {"A", "B"}
 
 
 def test_scope_empty_without_protected():
@@ -65,14 +67,15 @@ def test_scope_empty_without_protected():
         class B extends A { method n() { nil } }
         main { nil }
     """)
-    assert rewrite_scope(p) == frozenset()
+    assert rewrite_scope(HierarchyIndex(p)) == frozenset()
 
 
 def test_scope_excludes_public_only_ancestors(programs_dir):
     p = parse((programs_dir / "hierarchy_split.stl").read_text())
-    scope = rewrite_scope(p)
+    idx = HierarchyIndex(p)
+    scope = rewrite_scope(idx)
     assert scope == {"Mid", "Leaf"}
-    assert protection_roots(p, scope) == {"Mid"}
+    assert protection_roots(idx, scope) == {"Mid"}
 
 
 # -- body rewriting -----------------------------------------------------------------
@@ -110,22 +113,35 @@ def test_rewrite_defers_unknown_selector(programs_dir):
     assert deferred[0].selector == "unknown"
 
 
-def test_rewrite_mangles_subclass_only_protected_selector():
+@pytest.mark.parametrize("classes, receiver, site", [
     # The selector resolves nowhere upward but a subclass answers it with a
     # protected method; a plain site could never reach that.
-    p = parse("""
-        class A extends Object {
-          protected method seed() { 1 }
-          method go() { self.later() }
-        }
-        class B extends A { protected method later() { 2 } }
-        main { (new B).go() }
+    ("class B extends A { protected method later() { 2 } }",
+     "B", "self.__later()"),
+    # The answering subclass may sit further down than a direct child.
+    ("class B extends A { }"
+     " class C extends B { protected method later() { 2 } }",
+     "C", "self.__later()"),
+    # A definer outside A's subtree can never answer the site, so it stays
+    # plain; a class does define the selector, so it is not deferred either.
+    ("class D extends Object { protected method later() { 2 } }",
+     "A", "self.later()"),
+], ids=["child", "grandchild", "non-descendant"])
+def test_rewrite_mangles_subclass_only_protected_selector(classes, receiver,
+                                                          site):
+    p = parse(f"""
+        class A extends Object {{
+          protected method seed() {{ 1 }}
+          method go() {{ self.later() }}
+        }}
+        {classes}
+        main {{ (new {receiver}).go() }}
     """)
     a = p.class_named("A")
     lowered, deferred = rewrite_body(a.method_named("go").body, "A", p, "go")
-    assert pretty_lowered(lowered) == "self.__later()"
+    assert pretty_lowered(lowered) == site
     assert deferred == ()
-    assert run_image(compile_program(p)).outcome == Completed(IntVal(2))
+    assert run_image(compile_program(p)).outcome == eval_program(p).outcome
 
 
 # -- whole-program compilation ---------------------------------------------------------

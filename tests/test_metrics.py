@@ -106,12 +106,13 @@ def test_generator_programs_validate():
 def test_generator_zero_protected_setting():
     config = GeneratorConfig(allow_protected=False)
     from protolite.compiler import rewrite_scope
+    from protolite.validate import HierarchyIndex
 
     for seed in range(50):
         p = generate_program(seed, config)
         assert not any(m.visibility == PROTECTED
                        for c in p.classes for m in c.methods)
-        assert rewrite_scope(p) == frozenset()
+        assert rewrite_scope(HierarchyIndex(p)) == frozenset()
 
 
 def test_generator_respects_depth_bound():

@@ -106,7 +106,7 @@ def test_self_send_subsumes_object_send_visibility(seed):
 def test_scope_minimality_no_stray_mangling(seed):
     program = generate_program(seed)
     image = compile_program(program)
-    scope = rewrite_scope(program)
+    scope = rewrite_scope(HierarchyIndex(program))
     for name, icls in image.classes.items():
         if name in scope:
             continue

@@ -3,7 +3,7 @@ import pytest
 from protolite.errors import UnknownClassError
 from protolite.parser import parse
 from protolite.syntax import ClassDef, NilLit, Program
-from protolite.validate import hierarchy_relations, validate
+from protolite.validate import HierarchyIndex, validate
 
 
 def rules(program):
@@ -24,7 +24,13 @@ def test_duplicate_classes_reported_per_pair():
         classes=tuple(ClassDef("A", "Object") for _ in range(3)),
         main=NilLit(),
     )
-    assert rules(p) == ["CLASSESONCE"] * 3
+    report = validate(p)
+    assert [v.rule for v in report] == ["CLASSESONCE"] * 3
+    assert [v.detail for v in report] == [
+        "declared at positions 1 and 2",
+        "declared at positions 1 and 3",
+        "declared at positions 2 and 3",
+    ]
 
 
 def test_object_cannot_be_redefined():
@@ -130,7 +136,7 @@ def test_report_is_declaration_order_independent():
 
 
 def test_subclass_of_is_reflexive(two_level_program):
-    rel = hierarchy_relations(two_level_program)
+    rel = HierarchyIndex(two_level_program)
     assert rel.subclass_of("B", "B")
 
 
@@ -140,14 +146,14 @@ def test_subclass_of_is_transitive():
         class B extends A { }
         main { nil }
     """)
-    rel = hierarchy_relations(p)
+    rel = HierarchyIndex(p)
     assert rel.subclass_of("B", "Object")
     assert rel.direct_subclass("B", "A")
     assert not rel.direct_subclass("B", "Object")
 
 
 def test_defines_protected(two_level_program):
-    rel = hierarchy_relations(two_level_program)
+    rel = HierarchyIndex(two_level_program)
     assert rel.defines_protected("B", "protectedMethod")
     assert not rel.defines_public("B", "protectedMethod")
     assert rel.defines_public("A", "callProtected")
@@ -159,13 +165,13 @@ def test_fields_of_is_transitive():
         class B extends A { fields: b1; }
         main { nil }
     """)
-    rel = hierarchy_relations(p)
+    rel = HierarchyIndex(p)
     assert rel.fields_of("B") == ("a1", "a2", "b1")
     assert rel.fields_of("A") == ("a1", "a2")
 
 
 def test_unknown_class_raises(two_level_program):
-    rel = hierarchy_relations(two_level_program)
+    rel = HierarchyIndex(two_level_program)
     with pytest.raises(UnknownClassError):
         rel.subclass_of("Nope", "A")
     with pytest.raises(UnknownClassError):
@@ -174,7 +180,7 @@ def test_unknown_class_raises(two_level_program):
 
 def test_protected_never_below_public_on_any_chain(two_level_program):
     # Direct exhaustive restatement of the narrowing guarantee.
-    rel = hierarchy_relations(two_level_program)
+    rel = HierarchyIndex(two_level_program)
     selectors = {m.selector for c in two_level_program.classes for m in c.methods}
     for c in two_level_program.classes:
         for sel in selectors:
@@ -186,7 +192,7 @@ def test_protected_never_below_public_on_any_chain(two_level_program):
 
 
 def test_method_named_and_closest_def(two_level_program):
-    rel = hierarchy_relations(two_level_program)
+    rel = HierarchyIndex(two_level_program)
     found = rel.closest_def("B", "callProtected")
     assert found is not None and found[0] == "A"
     assert rel.closest_def("B", "protectedMethod")[0] == "B"
