@@ -123,6 +123,9 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # Start token of each method, in source order, so that a body too
+        # deep for the resolve walk is reported where it is defined.
+        self.method_starts: list[Token] = []
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -155,13 +158,13 @@ class _Parser:
         classes: list[ClassDef] = []
         while self.peek().kind == "class":
             classes.append(self.classdef())
-        self.expect("main", "'main' block or class definition")
+        main_start = self.expect("main", "'main' block or class definition")
         self.expect("{")
         main = self.expr(allow_super=False)
         self.expect("}")
         self.expect("eof", "end of input after main block")
         raw = Program(tuple(classes), main)
-        return _resolve(raw)
+        return _resolve(raw, self.method_starts, main_start)
 
     def classdef(self) -> ClassDef:
         start = self.expect("class")
@@ -186,6 +189,7 @@ class _Parser:
     def methoddef(self) -> MethodDef:
         visibility = PUBLIC
         start = self.peek()
+        self.method_starts.append(start)
         if self.peek().kind == "protected":
             self.advance()
             visibility = PROTECTED
@@ -314,7 +318,15 @@ def _visible_fields(classes: tuple[ClassDef, ...]) -> dict[str, frozenset[str]]:
     return result
 
 
-def _resolve(raw: Program) -> Program:
+def _too_deep(at: Token) -> ParseError:
+    return ParseError(
+        "expression nested too deeply: RecursionError at the nesting limit, "
+        f"the Python recursion limit of {sys.getrecursionlimit()} frames",
+        at.line, at.col)
+
+
+def _resolve(raw: Program, method_starts: list[Token],
+             main_start: Token) -> Program:
     fields_by_class = _visible_fields(raw.classes)
 
     def resolve(node, fields: frozenset[str], bound: frozenset[str]) -> Expr:
@@ -342,17 +354,30 @@ def _resolve(raw: Program) -> Program:
                        resolve(node.body, fields, bound | {node.var}))
         return node  # literals, self, new
 
+    def resolve_body(body, fields: frozenset[str], bound: frozenset[str],
+                     start: Token) -> Expr:
+        # The descent reads a '+' chain in a loop, but the chain is a
+        # left-nested tree, so a body the parser read can still be too deep
+        # for this walk. By now the parser stands at the end of input; report
+        # the method or main block that holds the body instead.
+        try:
+            return resolve(body, fields, bound)
+        except RecursionError:
+            raise _too_deep(start) from None
+
+    starts = iter(method_starts)
     classes = []
     for c in raw.classes:
         fields = fields_by_class[c.name]
         methods = tuple(
             MethodDef(m.selector, m.params,
-                      resolve(m.body, fields, frozenset(m.params)),
+                      resolve_body(m.body, fields, frozenset(m.params),
+                                   next(starts)),
                       m.visibility, line=m.line)
             for m in c.methods
         )
         classes.append(ClassDef(c.name, c.superclass, c.fields, methods, line=c.line))
-    main = resolve(raw.main, frozenset(), frozenset())
+    main = resolve_body(raw.main, frozenset(), frozenset(), main_start)
     return Program(tuple(classes), main)
 
 
@@ -363,11 +388,7 @@ def parse(source: str) -> Program:
     try:
         return parser.program()
     except RecursionError:
-        tok = parser.peek()
-        raise ParseError(
-            "expression nested too deeply: the nesting limit is the Python "
-            f"recursion limit ({sys.getrecursionlimit()} frames)",
-            tok.line, tok.col) from None
+        raise _too_deep(parser.peek()) from None
 
 
 def parse_file(path: str) -> Program:

@@ -18,7 +18,7 @@ from protolite.errors import (
     UnknownClassError,
 )
 from protolite.metrics import image_fingerprint, images_equal
-from protolite.outcomes import Completed
+from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.runtime import run_image
@@ -113,22 +113,22 @@ def test_rewrite_defers_unknown_selector(programs_dir):
     assert deferred[0].selector == "unknown"
 
 
-@pytest.mark.parametrize("classes, receiver, site", [
+@pytest.mark.parametrize("classes, receiver, site, outcome", [
     # The selector resolves nowhere upward but a subclass answers it with a
     # protected method; a plain site could never reach that.
     ("class B extends A { protected method later() { 2 } }",
-     "B", "self.__later()"),
+     "B", "self.__later()", Completed(IntVal(2))),
     # The answering subclass may sit further down than a direct child.
     ("class B extends A { }"
      " class C extends B { protected method later() { 2 } }",
-     "C", "self.__later()"),
+     "C", "self.__later()", Completed(IntVal(2))),
     # A definer outside A's subtree can never answer the site, so it stays
     # plain; a class does define the selector, so it is not deferred either.
     ("class D extends Object { protected method later() { 2 } }",
-     "A", "self.later()"),
+     "A", "self.later()", Errored(DoesNotUnderstand("A", "later"))),
 ], ids=["child", "grandchild", "non-descendant"])
 def test_rewrite_mangles_subclass_only_protected_selector(classes, receiver,
-                                                          site):
+                                                          site, outcome):
     p = parse(f"""
         class A extends Object {{
           protected method seed() {{ 1 }}
@@ -141,7 +141,8 @@ def test_rewrite_mangles_subclass_only_protected_selector(classes, receiver,
     lowered, deferred = rewrite_body(a.method_named("go").body, "A", p, "go")
     assert pretty_lowered(lowered) == site
     assert deferred == ()
-    assert run_image(compile_program(p)).outcome == eval_program(p).outcome
+    assert run_image(compile_program(p)).outcome == outcome
+    assert eval_program(p).outcome == outcome
 
 
 # -- whole-program compilation ---------------------------------------------------------

@@ -152,3 +152,37 @@ def test_duplicate_definitions_parse_but_do_not_crash():
         main { nil }
     """)
     assert len(p.classes) == 2
+
+
+def test_too_deep_parentheses_point_into_the_nesting():
+    # The descent itself overflows, so the position is where it gave up,
+    # inside the parentheses on line 3.
+    deep = "(" * 400 + "1" + ")" * 400
+    with pytest.raises(ParseError) as err:
+        parse(f"class A extends Object {{ }}\n\nmain {{ {deep} }}\n")
+    assert "RecursionError" in str(err.value)
+    assert "nesting limit" in str(err.value)
+    assert err.value.line == 3 and err.value.col > len("main { ")
+
+
+def test_too_deep_plus_chain_points_at_its_method():
+    # A '+' chain is read in a loop and overflows only in name resolution,
+    # after the whole input is read; the error names the method holding it,
+    # not the end of input.
+    chain = " + ".join(["1"] * 1200)
+    source = ("class A extends Object {\n"
+              "  method ok() { 1 }\n"
+              f"  protected method deep() {{ {chain} }}\n"
+              "}\n"
+              "main { nil }\n")
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert "RecursionError" in str(err.value)
+    assert (err.value.line, err.value.col) == (3, 3)
+
+
+def test_too_deep_main_points_at_main():
+    chain = " + ".join(["1"] * 1200)
+    with pytest.raises(ParseError) as err:
+        parse(f"class A extends Object {{ method ok() {{ 1 }} }}\n main {{ {chain} }}")
+    assert (err.value.line, err.value.col) == (2, 2)
