@@ -29,7 +29,6 @@ from .compiler import (
     desugar_dump,
     install_method,
     protection_roots,
-    rewrite_body,
     rewrite_scope,
 )
 from .errors import (

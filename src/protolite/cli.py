@@ -48,7 +48,7 @@ def _read_program(path: str) -> Program:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     try:
@@ -56,15 +56,6 @@ def _read_program(path: str) -> Program:
     except ParseError as err:
         print(f"{path}:{err}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-
-
-def _validated(program: Program) -> Program:
-    violations = validate(program)
-    if violations:
-        for v in violations:
-            print(str(v), file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-    return program
 
 
 def _mode(args) -> CompileMode:
@@ -100,12 +91,7 @@ def _run_interpreter(args, image):
 
 
 def cmd_run(args) -> int:
-    program = _validated(_read_program(args.file))
-    try:
-        image = compile_program(program, _mode(args))
-    except ProgramInvalidError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    image = compile_program(_read_program(args.file), _mode(args))
     interp, result = _run_interpreter(args, image)
     if args.json:
         payload = outcome_to_json(result.outcome)
@@ -143,8 +129,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_desugar(args) -> int:
-    program = _validated(_read_program(args.file))
-    image = compile_program(program, _mode(args))
+    image = compile_program(_read_program(args.file), _mode(args))
     print(desugar_dump(image), end="")
     return EXIT_OK
 
@@ -163,7 +148,7 @@ def cmd_diff(args) -> int:
             return EXIT_INVALID
         programs = ((str(s), generate_program(s)) for s in seeds)
     elif args.file:
-        programs = [(args.file, _validated(_read_program(args.file)))]
+        programs = [(args.file, _read_program(args.file))]
     else:
         print("error: give a file or --seeds", file=sys.stderr)
         return EXIT_INVALID
@@ -196,7 +181,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    program = _validated(_read_program(args.file))
+    program = _read_program(args.file)
     if args.repeat > 1:
         program = repeat_main(program, args.repeat)
     common = dict(
@@ -231,7 +216,7 @@ def _print_bench(report: BenchReport) -> None:
 
 
 def cmd_stats(args) -> int:
-    program = _validated(_read_program(args.file))
+    program = _read_program(args.file)
     image = compile_program(program, _mode(args))
     _, result = _run_interpreter(args, image)
     stats = result.stats
@@ -334,6 +319,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ProgramInvalidError as err:
+        # compile_program validates; its refusal prints one violation per
+        # line, as ``check`` does.
+        for v in err.violations:
+            print(str(v), file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
     except LangError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -54,6 +54,7 @@ from .syntax import (
     SuperSend,
     ValueLit,
     Var,
+    pretty_expr,
     self_and_super_selectors,
 )
 from .validate import HierarchyIndex, validate
@@ -119,54 +120,15 @@ class SymbolTable:
         table._by_text = dict(self._by_text)
         return table
 
-    def __len__(self) -> int:
-        return len(self._by_text)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._by_text
-
 
 # --- lowered bodies ----------------------------------------------------------
-
-
-class LExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class LNil(LExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class LInt(LExpr):
-    value: int
-
-
-@dataclass(frozen=True)
-class LSelf(LExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class LVar(LExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class LNew(LExpr):
-    class_name: str
-
-
-@dataclass(frozen=True)
-class LFieldGet(LExpr):
-    field: str
-
-
-@dataclass(frozen=True)
-class LFieldSet(LExpr):
-    field: str
-    value: LExpr
+#
+# A lowered body is the source expression tree with its sends replaced: every
+# other node is shared with the source as it is. Each send node below is the
+# syntax send it stands for, carrying its SendSite; its ``selector`` is the
+# text the site dispatches through (mangled for a rewritten self/super site),
+# so ``pretty_expr`` prints lowered bodies too. Equality is by value, and site
+# ids do not count.
 
 
 @dataclass(frozen=True)
@@ -179,7 +141,6 @@ class SendSite:
     """
 
     site_id: int = field(compare=False)
-    kind: str  # 'object' | 'self' | 'super'
     selector: Symbol
     plain_text: str
 
@@ -189,34 +150,22 @@ class SendSite:
 
 
 @dataclass(frozen=True)
-class LSend(LExpr):
-    receiver: LExpr
-    site: SendSite
-    args: tuple[LExpr, ...]
+class SiteSend(Send):
+    """An object send; its receiver is lowered, its selector never mangled."""
+
+    site: SendSite = field(kw_only=True)
 
 
 @dataclass(frozen=True)
-class LSelfSend(LExpr):
-    site: SendSite
-    args: tuple[LExpr, ...]
+class SelfSiteSend(Send):
+    """A send to ``self``; the receiver stays the source's ``SelfRef``."""
+
+    site: SendSite = field(kw_only=True)
 
 
 @dataclass(frozen=True)
-class LSuperSend(LExpr):
-    site: SendSite
-    args: tuple[LExpr, ...]
-
-
-@dataclass(frozen=True)
-class LLet(LExpr):
-    var: str
-    bound: LExpr
-    body: LExpr
-
-
-@dataclass(frozen=True)
-class LValue(LExpr):
-    value: object
+class SuperSiteSend(SuperSend):
+    site: SendSite = field(kw_only=True)
 
 
 @dataclass(eq=False, frozen=True)
@@ -228,7 +177,7 @@ class CompiledMethod:
     selector: Symbol  # plain form
     visibility: str
     params: tuple[str, ...]
-    body: LExpr
+    body: Expr
 
 
 @dataclass(frozen=True)
@@ -261,7 +210,7 @@ class RuntimeImage:
     program: Program
     mode: CompileMode
     classes: dict[str, ImageClass]
-    main: LExpr
+    main: Expr
     symbols: SymbolTable
     rewrite_scope: frozenset[str]
     protection_roots: frozenset[str]
@@ -321,16 +270,19 @@ class _Lowerer:
         self.next_site_id = next_site_id
         self.deferred: list[DeferredSite] = []
 
-    def _site(self, kind: str, symbol: Symbol, plain: str) -> SendSite:
-        site = SendSite(self.next_site_id, kind, symbol, plain)
+    def _site(self, symbol: Symbol, plain: str) -> SendSite:
+        site = SendSite(self.next_site_id, symbol, plain)
         self.next_site_id += 1
         return site
 
     def _tag_selector(self, selector: str, enclosing: str | None,
                       kind: str, method_selector: str) -> Symbol:
-        """Mangled symbol when the rewrite applies to this site, else plain."""
+        """Mangled symbol when the rewrite applies to this site, else plain.
+
+        ``kind`` is 'self' or 'super'; object sends are never rewritten.
+        """
         plain = self.symbols.intern(selector)
-        if enclosing is None or enclosing not in self.scope or kind == "object":
+        if enclosing is None or enclosing not in self.scope:
             return plain
         start = enclosing if kind == "self" else self.idx.superclass(enclosing)
         found = self.idx.closest_def(start, selector) if start else None
@@ -355,7 +307,8 @@ class _Lowerer:
                 DeferredSite(enclosing, method_selector, selector))
         return plain
 
-    def lower(self, e: Expr, enclosing: str | None, method_selector: str) -> LExpr:
+    def lower(self, e: Expr, enclosing: str | None, method_selector: str) -> Expr:
+        """The source tree with its sends replaced; other nodes are shared."""
         # Let chains nest along the body; peel them iteratively so workload
         # mains replicated a few hundred times lower without deep recursion.
         if isinstance(e, Let):
@@ -366,60 +319,38 @@ class _Lowerer:
                 e = e.body
             lowered = self.lower(e, enclosing, method_selector)
             for var, bound in reversed(bindings):
-                lowered = LLet(var, bound, lowered)
+                lowered = Let(var, bound, lowered)
             return lowered
-        if isinstance(e, NilLit):
-            return LNil()
-        if isinstance(e, IntLit):
-            return LInt(e.value)
-        if isinstance(e, SelfRef):
-            return LSelf()
-        if isinstance(e, Var):
-            return LVar(e.name)
-        if isinstance(e, New):
-            return LNew(e.class_name)
-        if isinstance(e, ValueLit):
-            return LValue(e.value)
+        if isinstance(e, (NilLit, IntLit, SelfRef, Var, New, ValueLit)):
+            return e
         if isinstance(e, FieldGet):
             self._check_field(e.field, enclosing)
-            return LFieldGet(e.field)
+            return e
         if isinstance(e, FieldSet):
             self._check_field(e.field, enclosing)
-            return LFieldSet(e.field, self.lower(e.value, enclosing, method_selector))
+            return FieldSet(e.field, self.lower(e.value, enclosing, method_selector))
         if isinstance(e, Send):
             args = tuple(self.lower(a, enclosing, method_selector) for a in e.args)
             if isinstance(e.receiver, SelfRef):
                 sym = self._tag_selector(e.selector, enclosing, "self",
                                          method_selector)
-                return LSelfSend(self._site("self", sym, e.selector), args)
+                return SelfSiteSend(e.receiver, sym.text, args,
+                                    site=self._site(sym, e.selector))
             recv = self.lower(e.receiver, enclosing, method_selector)
             sym = self.symbols.intern(e.selector)
-            return LSend(recv, self._site("object", sym, e.selector), args)
+            return SiteSend(recv, e.selector, args,
+                            site=self._site(sym, e.selector))
         if isinstance(e, SuperSend):
             args = tuple(self.lower(a, enclosing, method_selector) for a in e.args)
             sym = self._tag_selector(e.selector, enclosing, "super",
                                      method_selector)
-            return LSuperSend(self._site("super", sym, e.selector), args)
+            return SuperSiteSend(sym.text, args, site=self._site(sym, e.selector))
         raise TypeError(f"not an expression: {e!r}")
 
     def _check_field(self, field_name: str, enclosing: str | None) -> None:
         fields = self.idx.fields_of(enclosing) if enclosing else ()
         if field_name not in fields:
             raise UnknownFieldError(enclosing or ROOT_CLASS, field_name)
-
-
-def rewrite_body(body: Expr, enclosing_class: str, program: Program,
-                 method_selector: str = "",
-                 symbols: SymbolTable | None = None,
-                 ) -> tuple[LExpr, tuple[DeferredSite, ...]]:
-    """Lower one method body of an in-scope class; mainly a test surface.
-
-    ``compile_program`` drives the same machinery across the whole program.
-    """
-    idx = HierarchyIndex(program)
-    lowerer = _Lowerer(idx, rewrite_scope(idx), symbols or SymbolTable(), 0)
-    lowered = lowerer.lower(body, enclosing_class, method_selector)
-    return lowered, tuple(lowerer.deferred)
 
 
 # --- whole-program compilation ---------------------------------------------------
@@ -589,45 +520,6 @@ def install_method(image: RuntimeImage, class_name: str,
 # --- textual image dump -------------------------------------------------------------
 
 
-def pretty_lowered(e: LExpr) -> str:
-    """Render a lowered body; rewritten sites show their mangled selector."""
-    def go(node: LExpr, prec: int) -> str:
-        if isinstance(node, LNil):
-            return "nil"
-        if isinstance(node, LInt):
-            return str(node.value)
-        if isinstance(node, LSelf):
-            return "self"
-        if isinstance(node, (LVar, LFieldGet)):
-            return node.name if isinstance(node, LVar) else node.field
-        if isinstance(node, LValue):
-            return repr(node.value)
-        if isinstance(node, LNew):
-            s = f"new {node.class_name}"
-            return f"({s})" if prec >= 1 else s
-        if isinstance(node, LFieldSet):
-            s = f"{node.field} := {go(node.value, 0)}"
-            return f"({s})" if prec > 0 else s
-        if isinstance(node, LSend):
-            if node.site.selector.text == "+" and len(node.args) == 1:
-                s = f"{go(node.receiver, 1)} + {go(node.args[0], 2)}"
-                return f"({s})" if prec > 1 else s
-            args = ", ".join(go(a, 0) for a in node.args)
-            return f"{go(node.receiver, 2)}.{node.site.selector.text}({args})"
-        if isinstance(node, LSelfSend):
-            args = ", ".join(go(a, 0) for a in node.args)
-            return f"self.{node.site.selector.text}({args})"
-        if isinstance(node, LSuperSend):
-            args = ", ".join(go(a, 0) for a in node.args)
-            return f"super.{node.site.selector.text}({args})"
-        if isinstance(node, LLet):
-            s = f"let {node.var} = {go(node.bound, 0)} in {go(node.body, 0)}"
-            return f"({s})" if prec > 0 else s
-        raise TypeError(f"not a lowered expression: {node!r}")
-
-    return go(e, 0)
-
-
 def desugar_dump(image: RuntimeImage) -> str:
     """Deterministic textual dump of dictionaries and lowered bodies."""
     out: list[str] = []
@@ -652,8 +544,8 @@ def desugar_dump(image: RuntimeImage) -> str:
             seen.add(id(cm))
             params = ", ".join(cm.params)
             out.append(f"  body {cm.selector.text}({params}) [{cm.visibility}]: "
-                       f"{pretty_lowered(cm.body)}")
-    out.append(f"main: {pretty_lowered(image.main)}")
+                       f"{pretty_expr(cm.body)}")
+    out.append(f"main: {pretty_expr(image.main)}")
     scope = ", ".join(sorted(image.rewrite_scope)) or "(none)"
     roots = ", ".join(sorted(image.protection_roots)) or "(none)"
     out.append(f"rewrite scope: {scope}")

@@ -132,10 +132,11 @@ def differential_run(program: Program, fuel: int = DIFF_FUEL,
     asserting that every cached resolution matches the plain chain walk.
     Mangled selectors never leak into runtime error reasons, and both sides
     account steps event for event, so the two agree when their outcomes are
-    equal and so are their step counts.
+    equal and so are their step counts. The compile comes first, so an
+    invalid program raises ProgramInvalidError before either side runs.
     """
-    ref = eval_program(program, fuel)
     image = compile_program(program)
+    ref = eval_program(program, fuel)
     run = run_image(image, fuel=fuel, shadow_lookup_check=True)
     detail = ""
     if ref.outcome != run.outcome:

@@ -39,7 +39,6 @@ from .outcomes import (
     EvalResult,
     FuelExhausted,
     NilReceiver,
-    Outcome,
     PrimitiveFailure,
     StuckReason,
     UnknownClass,
@@ -509,6 +508,3 @@ def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
         steps += 1
         focus = result
 
-
-def outcome_of(program: Program, fuel: int = DEFAULT_FUEL) -> Outcome:
-    return eval_program(program, fuel).outcome

@@ -41,21 +41,11 @@ from dataclasses import dataclass, field
 
 from .compiler import (
     CompiledMethod,
-    LExpr,
-    LFieldGet,
-    LFieldSet,
-    LInt,
-    LLet,
-    LNew,
-    LNil,
-    LSelf,
-    LSelfSend,
-    LSend,
-    LSuperSend,
-    LValue,
-    LVar,
     RuntimeImage,
+    SelfSiteSend,
     SendSite,
+    SiteSend,
+    SuperSiteSend,
     Symbol,
 )
 from .outcomes import (
@@ -71,7 +61,19 @@ from .outcomes import (
     UnknownField,
     UnknownVariable,
 )
-from .syntax import ROOT_CLASS
+from .syntax import (
+    ROOT_CLASS,
+    Expr,
+    FieldGet,
+    FieldSet,
+    IntLit,
+    Let,
+    New,
+    NilLit,
+    SelfRef,
+    ValueLit,
+    Var,
+)
 from .values import INT_CLASS, NIL, IntVal, Nil, Oid, Value
 
 GLOBAL_CACHE_SIZE = 1024
@@ -227,7 +229,7 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 _RETURN = (RETURN, None, None)
 
 
-def _lower_code(body: LExpr, params: tuple[str, ...] = ()) -> tuple:
+def _lower_code(body: Expr, params: tuple[str, ...] = ()) -> tuple:
     """Lower a body to ``(instructions, parameter count, let padding)``.
 
     The padding is a tuple of one None per let slot; an activation's
@@ -251,23 +253,23 @@ def _lower_code(body: LExpr, params: tuple[str, ...] = ()) -> tuple:
         kind = type(node)
         if kind is tuple:
             emit(node)
-        elif kind is LVar:
+        elif kind is Var:
             slot = scope.get(node.name)
             emit((UNBOUND, node.name, None) if slot is None
                  else (LOAD, slot, None))
-        elif kind is LInt:
+        elif kind is IntLit:
             emit((CONST, IntVal(node.value), None))
-        elif kind is LSend or kind is LSelfSend or kind is LSuperSend:
-            op = (SEND if kind is LSend
-                  else SELF_SEND if kind is LSelfSend else SUPER_SEND)
+        elif kind is SiteSend or kind is SelfSiteSend or kind is SuperSiteSend:
+            op = (SEND if kind is SiteSend
+                  else SELF_SEND if kind is SelfSiteSend else SUPER_SEND)
             push(((op, node.site, len(node.args)), None, 0))
             for arg in reversed(node.args):
                 push((arg, scope, depth))
             if op == SEND:
                 push((node.receiver, scope, depth))
-        elif kind is LSelf:
+        elif kind is SelfRef:
             emit((SELF, None, None))
-        elif kind is LLet:
+        elif kind is Let:
             inner = dict(scope)
             inner[node.var] = depth
             if depth >= nslots:
@@ -275,16 +277,16 @@ def _lower_code(body: LExpr, params: tuple[str, ...] = ()) -> tuple:
             push((node.body, inner, depth + 1))
             push(((LET, depth, None), None, 0))
             push((node.bound, scope, depth))
-        elif kind is LNil:
+        elif kind is NilLit:
             emit((CONST, NIL, None))
-        elif kind is LFieldGet:
+        elif kind is FieldGet:
             emit((GET, node.field, None))
-        elif kind is LFieldSet:
+        elif kind is FieldSet:
             push(((SET, node.field, None), None, 0))
             push((node.value, scope, depth))
-        elif kind is LNew:
+        elif kind is New:
             emit((NEW, node.class_name, None))
-        elif kind is LValue:
+        elif kind is ValueLit:
             emit((CONST, node.value, None))
         else:
             raise TypeError(f"not a lowered expression: {node!r}")

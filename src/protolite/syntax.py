@@ -208,20 +208,6 @@ def pretty_program(p: Program) -> str:
     return "\n".join(out) + "\n"
 
 
-def expr_contains_super(e: Expr) -> bool:
-    if isinstance(e, SuperSend):
-        return True
-    if isinstance(e, FieldSet):
-        return expr_contains_super(e.value)
-    if isinstance(e, Send):
-        return expr_contains_super(e.receiver) or any(
-            expr_contains_super(a) for a in e.args
-        )
-    if isinstance(e, Let):
-        return expr_contains_super(e.bound) or expr_contains_super(e.body)
-    return False
-
-
 def self_and_super_selectors(e: Expr) -> set[str]:
     """Selectors sent through self or super anywhere in an expression."""
     found: set[str] = set()

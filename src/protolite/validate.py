@@ -162,8 +162,8 @@ class HierarchyIndex:
     """Relation oracle over a program, built once per compile or install and
     shared by ``validate``, the rewrite scope, protection roots and lowering.
 
-    Answers subclass queries, method definitions per visibility, the classes
-    defining a selector, transitive field sets, and closest-definition
+    Answers superclass and ancestor-chain queries, the classes defining a
+    selector, transitive field sets, and closest-definition and public
     lookups. Building it tolerates what ``validate`` reports (duplicate names,
     unknown superclasses, cycles). Unknown class names raise
     UnknownClassError.
@@ -198,10 +198,6 @@ class HierarchyIndex:
         if name != ROOT_CLASS and name not in self.by_name:
             raise UnknownClassError(f"unknown class '{name}'")
 
-    def class_def(self, name: str) -> ClassDef | None:
-        self._require(name)
-        return self.by_name.get(name)
-
     def superclass(self, name: str) -> str | None:
         self._require(name)
         if name == ROOT_CLASS:
@@ -212,31 +208,6 @@ class HierarchyIndex:
         """Ancestor chain from ``name`` up to and including Object."""
         self._require(name)
         return self._chains[name]
-
-    def direct_subclass(self, name: str, parent: str) -> bool:
-        self._require(name)
-        self._require(parent)
-        return name != ROOT_CLASS and self.by_name[name].superclass == parent
-
-    def subclass_of(self, name: str, ancestor: str) -> bool:
-        """Reflexive-transitive closure of direct_subclass."""
-        self._require(name)
-        self._require(ancestor)
-        return ancestor in self._chains[name]
-
-    def defines_public(self, name: str, selector: str) -> bool:
-        cdef = self.class_def(name)
-        if cdef is None:
-            return False
-        m = cdef.method_named(selector)
-        return m is not None and m.visibility == PUBLIC
-
-    def defines_protected(self, name: str, selector: str) -> bool:
-        cdef = self.class_def(name)
-        if cdef is None:
-            return False
-        m = cdef.method_named(selector)
-        return m is not None and m.visibility == PROTECTED
 
     def definers(self, selector: str) -> tuple[str, ...]:
         """Classes defining ``selector`` at any visibility, in program order."""

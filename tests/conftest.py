@@ -22,3 +22,10 @@ def two_level_program():
 
 def program_path(name: str) -> str:
     return str(PROGRAMS / name)
+
+
+def visibility(rel, class_name, selector):
+    """Visibility of a class's own definition of ``selector``, or None."""
+    cdef = rel.by_name.get(class_name)
+    m = cdef.method_named(selector) if cdef is not None else None
+    return m.visibility if m is not None else None

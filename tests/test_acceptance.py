@@ -16,7 +16,6 @@ from protolite.compiler import (
     compile_program,
     desugar_dump,
     install_method,
-    pretty_lowered,
 )
 from protolite.errors import ProgramInvalidError
 from protolite.generator import GeneratorConfig, generate_program
@@ -29,7 +28,7 @@ from protolite.metrics import (
 from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.runtime import probe_index, run_image
-from protolite.syntax import MethodDef, Send, SelfRef
+from protolite.syntax import MethodDef, Send, SelfRef, pretty_expr
 from protolite.validate import validate
 from protolite.values import IntVal
 
@@ -285,7 +284,7 @@ def test_criterion_8_propagation_check(programs_dir):
     # the middle class's self-send to the root-only method stays plain
     helper = image.classes["Mid"].dictionary[
         image.symbols.intern("__protectedHelper")]
-    assert pretty_lowered(helper.body) == "self.rootOnly()"
+    assert pretty_expr(helper.body) == "self.rootOnly()"
     dump = desugar_dump(image)
     assert "body protectedHelper() [protected]: self.rootOnly()" in dump
     # and the leaf's public override is what that plain send finds
@@ -302,7 +301,7 @@ def test_criterion_9_deferred_site(programs_dir):
     assert [(d.class_name, d.selector) for d in image.deferred_sites] == \
         [("Box", "unknown")]
     body = image.classes["Box"].dictionary[image.symbols.intern("anyMethod")].body
-    assert pretty_lowered(body) == "self.unknown()"
+    assert pretty_expr(body) == "self.unknown()"
     before = run_image(image)
     assert before.outcome == Errored(DoesNotUnderstand("Box", "unknown"))
 
@@ -313,7 +312,7 @@ def test_criterion_9_deferred_site(programs_dir):
     assert image2.deferred_sites == ()
     body2 = image2.classes["Box"].dictionary[
         image2.symbols.intern("anyMethod")].body
-    assert pretty_lowered(body2) == "self.__unknown()"
+    assert pretty_expr(body2) == "self.__unknown()"
     after = run_image(image2)
     assert after.outcome == Completed(IntVal(5))
     report(9, "deferred site compiled plain, mangled after install, "

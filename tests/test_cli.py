@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from protolite import cli, compiler
 from protolite.cli import main
-from tests.conftest import program_path
+from tests.conftest import PROGRAMS, program_path
 
 
 def run_cli(capsys, *argv):
@@ -188,3 +193,95 @@ def test_deep_input_exits_2_without_traceback(capsys, tmp_path, main_expr):
     err = capsys.readouterr().err
     assert "nesting limit" in err
     assert "Traceback" not in err
+
+
+def test_non_utf8_source_exits_3(capsys, tmp_path):
+    path = tmp_path / "latin1.stl"
+    path.write_bytes(b"main { 1 }\xff")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "run", str(path))
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "cannot read" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, validates", [
+    (["run"], 1),
+    (["check"], 1),
+    (["desugar"], 1),
+    (["diff"], 1),
+    # One compile per mode: the run's, then worst_case_ratios' two.
+    (["stats"], 3),
+    # The baseline's compile and the measured mode's.
+    (["bench", "--invocations", "1", "--iterations", "1", "--warmup", "0"],
+     2),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_each_command_validates_once_per_compile(capsys, monkeypatch, argv,
+                                                 validates):
+    calls = []
+
+    def counting(program, idx=None, _validate=compiler.validate):
+        calls.append(program)
+        return _validate(program, idx)
+
+    monkeypatch.setattr(compiler, "validate", counting)
+    monkeypatch.setattr(cli, "validate", counting)
+    code, _, _ = run_cli(capsys, argv[0], program_path("golden_sum.stl"),
+                         *argv[1:])
+    assert code == 0
+    assert len(calls) == validates
+
+
+def test_invalid_diff_file_fails_before_evaluating(capsys, monkeypatch):
+    def no_eval(*args, **kwargs):
+        raise AssertionError("evaluated an invalid program")
+
+    monkeypatch.setattr("protolite.metrics.eval_program", no_eval)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "diff", program_path("narrowing_rejected.stl"))
+    assert exc.value.code == 2
+    assert "OVERRIDINGPUBLICMETHOD" in capsys.readouterr().err
+
+
+# -- exit codes on arbitrary input ----------------------------------------------
+
+GOLDEN_SOURCES = sorted(p.read_bytes() for p in PROGRAMS.glob("*.stl"))
+
+TOKENS = [b"class", b"A", b"B", b"extends", b"Object", b"{", b"}", b"fields:",
+          b"f", b";", b"method", b"protected", b"m", b"(", b")", b",", b"x",
+          b"main", b"self", b"super", b".", b"+", b"new", b"let", b"=", b"in",
+          b":=", b"nil", b"0", b"7", b"__m", b"\n"]
+
+
+def _splice(source: bytes, at: int, cut: int, insert: bytes) -> bytes:
+    at %= len(source) + 1
+    return source[:at] + insert + source[at + cut:]
+
+
+# Raw bytes, token soup that sometimes parses, and golden programs with a
+# stretch of bytes replaced, which mostly parse and often validate.
+SOURCES = st.one_of(
+    st.binary(max_size=120),
+    st.lists(st.sampled_from(TOKENS), max_size=40).map(b" ".join),
+    st.builds(_splice, st.sampled_from(GOLDEN_SOURCES), st.integers(0, 2000),
+              st.integers(0, 12), st.binary(max_size=12)),
+)
+
+
+@given(SOURCES)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_any_bytes_exit_with_a_documented_code(tmp_path_factory, source):
+    path = tmp_path_factory.mktemp("cli") / "input.stl"
+    path.write_bytes(source)
+    for argv in (["run", "--fuel", "20000"], ["check"], ["desugar"], ["diff"],
+                 ["stats", "--fuel", "20000"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([argv[0], str(path), *argv[1:]])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, source, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -6,9 +6,7 @@ from protolite.compiler import (
     compile_program,
     desugar_dump,
     install_method,
-    pretty_lowered,
     protection_roots,
-    rewrite_body,
     rewrite_scope,
 )
 from protolite.errors import (
@@ -17,18 +15,30 @@ from protolite.errors import (
     ReservedSelectorError,
     UnknownClassError,
 )
+from protolite.generator import generate_program
 from protolite.metrics import image_fingerprint, images_equal
 from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.runtime import run_image
-from protolite.syntax import MethodDef, Send, SelfRef
+from protolite.syntax import MethodDef, Send, SelfRef, pretty_expr
 from protolite.validate import HierarchyIndex
 from protolite.values import IntVal
 
 
 def entry_texts(image, class_name):
     return {sym.text for sym in image.classes[class_name].dictionary}
+
+
+def lowered(image, class_name, selector):
+    """Printed compiled body of a class's own method, plus its deferred
+    sites."""
+    cm = next(cm for cm in image.classes[class_name].dictionary.values()
+              if cm.selector.text == selector)
+    deferred = tuple(d for d in image.deferred_sites
+                     if (d.class_name, d.method_selector)
+                     == (class_name, selector))
+    return pretty_expr(cm.body), deferred
 
 
 # -- mangle -------------------------------------------------------------------
@@ -82,33 +92,23 @@ def test_scope_excludes_public_only_ancestors(programs_dir):
 
 
 def test_rewrite_mangles_resolvable_self_and_super(two_level_program):
-    b = two_level_program.class_named("B")
-    sum_body = b.method_named("sum").body
-    lowered, deferred = rewrite_body(sum_body, "B", two_level_program, "sum")
-    assert pretty_lowered(lowered) == \
-        "self.__callProtected() + (new B).callProtected()"
-    assert deferred == ()
-
-    pis_body = b.method_named("publicInSubclass").body
-    lowered, _ = rewrite_body(pis_body, "B", two_level_program, "publicInSubclass")
-    assert pretty_lowered(lowered) == "super.__publicInSubclass()"
+    image = compile_program(two_level_program)
+    assert lowered(image, "B", "sum") == \
+        ("self.__callProtected() + (new B).callProtected()", ())
+    assert lowered(image, "B", "publicInSubclass") == \
+        ("super.__publicInSubclass()", ())
 
 
 def test_rewrite_keeps_ancestor_only_resolution_plain(programs_dir):
     p = parse((programs_dir / "hierarchy_split.stl").read_text())
-    mid = p.class_named("Mid")
-    body = mid.method_named("protectedHelper").body
-    lowered, deferred = rewrite_body(body, "Mid", p, "protectedHelper")
-    assert pretty_lowered(lowered) == "self.rootOnly()"
-    assert deferred == ()
+    assert lowered(compile_program(p), "Mid", "protectedHelper") == \
+        ("self.rootOnly()", ())
 
 
 def test_rewrite_defers_unknown_selector(programs_dir):
     p = parse((programs_dir / "late_install.stl").read_text())
-    box = p.class_named("Box")
-    body = box.method_named("anyMethod").body
-    lowered, deferred = rewrite_body(body, "Box", p, "anyMethod")
-    assert pretty_lowered(lowered) == "self.unknown()"
+    body, deferred = lowered(compile_program(p), "Box", "anyMethod")
+    assert body == "self.unknown()"
     assert len(deferred) == 1
     assert deferred[0].selector == "unknown"
 
@@ -137,11 +137,9 @@ def test_rewrite_mangles_subclass_only_protected_selector(classes, receiver,
         {classes}
         main {{ (new {receiver}).go() }}
     """)
-    a = p.class_named("A")
-    lowered, deferred = rewrite_body(a.method_named("go").body, "A", p, "go")
-    assert pretty_lowered(lowered) == site
-    assert deferred == ()
-    assert run_image(compile_program(p)).outcome == outcome
+    image = compile_program(p)
+    assert lowered(image, "A", "go") == (site, ())
+    assert run_image(image).outcome == outcome
     assert eval_program(p).outcome == outcome
 
 
@@ -223,7 +221,7 @@ def test_worst_case_doubles_everything():
     image = compile_program(p, CompileMode.WORST_CASE)
     assert entry_texts(image, "A") == {"m", "__m", "n", "__n"}
     body = image.classes["A"].dictionary[image.symbols.intern("n")].body
-    assert pretty_lowered(body) == "self.__m()"
+    assert pretty_expr(body) == "self.__m()"
 
 
 # -- incremental installation ------------------------------------------------------------
@@ -258,7 +256,7 @@ def test_install_first_protected_recompiles_descendants():
     assert {"helper", "__helper"} <= entry_texts(image2, "Low")
     # go's self-send now resolves in scope and is mangled.
     body = image2.classes["Top"].dictionary[image2.symbols.intern("go")].body
-    assert pretty_lowered(body) == "self.__helper()"
+    assert pretty_expr(body) == "self.__helper()"
     assert run_image(image2).outcome == Completed(IntVal(5))
 
 
@@ -299,14 +297,14 @@ def test_deferred_site_retagged_on_install(programs_dir):
     image = compile_program(p)
     assert [d.selector for d in image.deferred_sites] == ["unknown"]
     body = image.classes["Box"].dictionary[image.symbols.intern("anyMethod")].body
-    assert pretty_lowered(body) == "self.unknown()"
+    assert pretty_expr(body) == "self.unknown()"
 
     unknown = MethodDef("unknown", (), Send(SelfRef(), "seed", ()),
                         visibility="protected")
     image2 = install_method(image, "Box", unknown)
     assert image2.deferred_sites == ()
     body2 = image2.classes["Box"].dictionary[image2.symbols.intern("anyMethod")].body
-    assert pretty_lowered(body2) == "self.__unknown()"
+    assert pretty_expr(body2) == "self.__unknown()"
     assert run_image(image2).outcome == Completed(IntVal(5))
 
 
@@ -334,6 +332,21 @@ def test_incremental_equals_batch(two_level_program):
         for class_name, mdef in order:
             image = install_method(image, class_name, mdef)
         assert image_fingerprint(image) == batch
+
+
+def test_lowered_bodies_print_as_their_source():
+    # Without mangling, lowering changes no selector, so a compiled body
+    # prints exactly as the source body it came from -- `self + e` included.
+    for seed in range(200):
+        program = generate_program(seed)
+        image = compile_program(program, CompileMode.BASELINE)
+        for cdef in program.classes:
+            for mdef in cdef.methods:
+                cm = image.classes[cdef.name].dictionary[
+                    image.symbols.intern(mdef.selector)]
+                assert pretty_expr(cm.body) == pretty_expr(mdef.body), \
+                    (seed, cdef.name, mdef.selector)
+        assert pretty_expr(image.main) == pretty_expr(program.main), seed
 
 
 def test_desugar_dump_shape(two_level_program):

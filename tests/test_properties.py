@@ -14,8 +14,18 @@ from protolite.metrics import (
 )
 from protolite.parser import parse
 from protolite.reference import eval_program
-from protolite.syntax import PUBLIC, pretty_program
+from protolite.syntax import (
+    PROTECTED,
+    PUBLIC,
+    FieldSet,
+    Let,
+    Send,
+    SuperSend,
+    pretty_program,
+)
 from protolite.validate import HierarchyIndex, validate
+
+from tests.conftest import visibility
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -209,20 +219,19 @@ def test_incremental_install_converges(seed):
 
 
 def _lowered_sites(node):
-    from protolite import compiler as c
-
-    if isinstance(node, (c.LSend,)):
+    """Send sites of a lowered body: its sends carry them."""
+    if isinstance(node, Send):
         yield node.site
         yield from _lowered_sites(node.receiver)
         for a in node.args:
             yield from _lowered_sites(a)
-    elif isinstance(node, (c.LSelfSend, c.LSuperSend)):
+    elif isinstance(node, SuperSend):
         yield node.site
         for a in node.args:
             yield from _lowered_sites(a)
-    elif isinstance(node, c.LFieldSet):
+    elif isinstance(node, FieldSet):
         yield from _lowered_sites(node.value)
-    elif isinstance(node, c.LLet):
+    elif isinstance(node, Let):
         yield from _lowered_sites(node.bound)
         yield from _lowered_sites(node.body)
 
@@ -267,6 +276,6 @@ def test_protected_never_sits_below_public(seed):
         chain = idx.chain(c.name)
         for m in c.methods:
             for i, lower in enumerate(chain):
-                if idx.defines_protected(lower, m.selector):
+                if visibility(idx, lower, m.selector) == PROTECTED:
                     for upper in chain[i + 1:]:
-                        assert not idx.defines_public(upper, m.selector)
+                        assert visibility(idx, upper, m.selector) != PUBLIC

@@ -2,8 +2,10 @@ import pytest
 
 from protolite.errors import UnknownClassError
 from protolite.parser import parse
-from protolite.syntax import ClassDef, NilLit, Program
+from protolite.syntax import PROTECTED, PUBLIC, ClassDef, NilLit, Program
 from protolite.validate import HierarchyIndex, validate
+
+from tests.conftest import visibility
 
 
 def rules(program):
@@ -137,7 +139,7 @@ def test_report_is_declaration_order_independent():
 
 def test_subclass_of_is_reflexive(two_level_program):
     rel = HierarchyIndex(two_level_program)
-    assert rel.subclass_of("B", "B")
+    assert rel.chain("B")[0] == "B"
 
 
 def test_subclass_of_is_transitive():
@@ -147,16 +149,15 @@ def test_subclass_of_is_transitive():
         main { nil }
     """)
     rel = HierarchyIndex(p)
-    assert rel.subclass_of("B", "Object")
-    assert rel.direct_subclass("B", "A")
-    assert not rel.direct_subclass("B", "Object")
+    assert rel.chain("B") == ("B", "A", "Object")
+    assert rel.by_name["B"].superclass == "A"
 
 
 def test_defines_protected(two_level_program):
     rel = HierarchyIndex(two_level_program)
-    assert rel.defines_protected("B", "protectedMethod")
-    assert not rel.defines_public("B", "protectedMethod")
-    assert rel.defines_public("A", "callProtected")
+    assert visibility(rel, "B", "protectedMethod") == PROTECTED
+    assert visibility(rel, "A", "callProtected") == PUBLIC
+    assert visibility(rel, "A", "sum") is None
 
 
 def test_fields_of_is_transitive():
@@ -173,7 +174,7 @@ def test_fields_of_is_transitive():
 def test_unknown_class_raises(two_level_program):
     rel = HierarchyIndex(two_level_program)
     with pytest.raises(UnknownClassError):
-        rel.subclass_of("Nope", "A")
+        rel.chain("Nope")
     with pytest.raises(UnknownClassError):
         rel.fields_of("Nope")
 
@@ -186,9 +187,9 @@ def test_protected_never_below_public_on_any_chain(two_level_program):
         for sel in selectors:
             chain = rel.chain(c.name)
             for i, lower in enumerate(chain):
-                if rel.defines_protected(lower, sel):
+                if visibility(rel, lower, sel) == PROTECTED:
                     for upper in chain[i + 1:]:
-                        assert not rel.defines_public(upper, sel)
+                        assert visibility(rel, upper, sel) != PUBLIC
 
 
 def test_method_named_and_closest_def(two_level_program):
