@@ -66,7 +66,7 @@ from .outcomes import (
     UnknownVariable,
 )
 from .parser import parse, parse_file
-from .reference import eval_program, step, substitute, translate
+from .reference import eval_program, step, translate
 from .runtime import (
     CacheStats,
     GlobalCache,

@@ -52,7 +52,6 @@ from .syntax import (
     SelfRef,
     Send,
     SuperSend,
-    ValueLit,
     Var,
     pretty_expr,
     self_and_super_selectors,
@@ -216,6 +215,10 @@ class RuntimeImage:
     protection_roots: frozenset[str]
     deferred_sites: tuple[DeferredSite, ...]
     site_count: int
+    # The index the image was compiled from, for callers that need the same
+    # relations over ``program`` (the reference evaluator). Not part of
+    # equality.
+    idx: HierarchyIndex = field(repr=False, compare=False)
     # The runtime's code arrays, lowered lazily from the bodies above: keyed
     # by CompiledMethod (identity), with None for main. Not part of equality.
     code_arrays: dict = field(default_factory=dict, init=False, repr=False,
@@ -321,7 +324,7 @@ class _Lowerer:
             for var, bound in reversed(bindings):
                 lowered = Let(var, bound, lowered)
             return lowered
-        if isinstance(e, (NilLit, IntLit, SelfRef, Var, New, ValueLit)):
+        if isinstance(e, (NilLit, IntLit, SelfRef, Var, New)):
             return e
         if isinstance(e, FieldGet):
             self._check_field(e.field, enclosing)
@@ -414,6 +417,7 @@ def compile_program(program: Program,
         protection_roots=protection_roots(idx, scope),
         deferred_sites=tuple(lowerer.deferred),
         site_count=lowerer.next_site_id,
+        idx=idx,
     )
 
 
@@ -514,6 +518,7 @@ def install_method(image: RuntimeImage, class_name: str,
         protection_roots=protection_roots(idx, new_scope),
         deferred_sites=deferred,
         site_count=lowerer.next_site_id,
+        idx=idx,
     )
 
 

@@ -13,11 +13,14 @@ one reduction at the leftmost reducible position:
 * a self-send activates the closest definition on the receiver's dynamic
   chain regardless of visibility
 * a super-send starts that walk at the superclass of the annotated class
-* ``let`` substitutes the bound value into its body
+* ``let`` puts the bound value in place of its variable in the body
 
-Method activation substitutes arguments for parameters in the source body and
-re-annotates it with the receiver and the class where the method was found.
-A redex with no applicable rule is *stuck* and reports a structured reason.
+Method activation fills a template. A method body is translated once per run
+for the class where it was found, with the receiver left as an owner hole and
+the parameters left as variables; each activation fills the hole with the
+receiver and the parameters with the argument values in one pass (``_fill``,
+which also reduces ``let``). A redex with no applicable rule is *stuck* and
+reports a structured reason.
 
 Evaluation positions follow a fixed order: field-write right-hand side, then
 send receiver, then arguments left to right, then let bindings. The step
@@ -59,7 +62,6 @@ from .syntax import (
     SelfRef,
     Send,
     SuperSend,
-    ValueLit,
     Var,
 )
 from .validate import HierarchyIndex
@@ -70,45 +72,54 @@ from .values import INT_CLASS, NIL, IntVal, Nil, Oid, Value
 
 
 class Redex:
+    """A program being reduced.
+
+    Redexes are never changed after they are built: a method template is
+    shared by every activation of its method, and a step builds new nodes
+    along the path it rewrites. They are slotted dataclasses, not frozen
+    ones, because a frozen dataclass is about three times as slow to build
+    and the evaluator builds several per reduction.
+    """
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RVal(Redex):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RNew(Redex):
     class_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RVar(Redex):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RFieldGet(Redex):
     owner: Value
     field: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RFieldSet(Redex):
     owner: Value
     field: str
     rhs: Redex
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RObjectSend(Redex):
     receiver: Redex
     selector: str
     args: tuple[Redex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RSelfSend(Redex):
     owner: Value
     defining_class: str
@@ -116,7 +127,7 @@ class RSelfSend(Redex):
     args: tuple[Redex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RSuperSend(Redex):
     owner: Value
     defining_class: str
@@ -124,7 +135,7 @@ class RSuperSend(Redex):
     args: tuple[Redex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RLet(Redex):
     var: str
     bound: Redex
@@ -134,6 +145,10 @@ class RLet(Redex):
 @dataclass(frozen=True)
 class Stuck:
     reason: StuckReason
+
+
+# The receiver's place in a method template, until ``_fill`` puts it there.
+_OWNER_HOLE = object()
 
 
 @dataclass
@@ -162,7 +177,7 @@ class Store:
         return self.records[oid]
 
 
-# --- translation and substitution -------------------------------------------
+# --- translation and filling --------------------------------------------------
 
 
 def translate(e: Expr, owner: Value, defining_class: str,
@@ -171,11 +186,10 @@ def translate(e: Expr, owner: Value, defining_class: str,
 
     ``self`` becomes the owner value, field accesses attach the owner, super
     sends attach (owner, defining class), and sends whose receiver is
-    syntactically ``self`` become self-send redexes. Raises UnknownFieldError
-    for a field not visible from the defining class.
+    syntactically ``self`` become self-send redexes. ``owner`` may be
+    ``_OWNER_HOLE``, which makes the result a template for ``_fill``. Raises
+    UnknownFieldError for a field not visible from the defining class.
     """
-    if isinstance(e, ValueLit):
-        return RVal(e.value)
     if isinstance(e, NilLit):
         return RVal(NIL)
     if isinstance(e, IntLit):
@@ -210,122 +224,108 @@ def translate(e: Expr, owner: Value, defining_class: str,
     raise TypeError(f"not an expression: {e!r}")
 
 
-def substitute(e: Expr, v: Value, x: str) -> Expr:
-    """Replace free occurrences of variable ``x`` with the value ``v``.
+def _fill(r: Redex, owner: Value | None, env: dict[str, Value]) -> Redex:
+    """Fill a redex in one pass: ``_OWNER_HOLE`` becomes ``owner`` and each
+    variable bound in ``env`` becomes its value.
 
-    A ``let`` that rebinds ``x`` shadows it: the binding expression is
-    substituted, the body is left untouched. Field names are unaffected.
+    A ``let`` that rebinds a name shadows it: its bound expression is filled
+    with the name, its body without. Activation passes the receiver and the
+    parameters; reducing ``let`` passes no owner (None) and one binding.
     """
-    if isinstance(e, Var):
-        return ValueLit(v) if e.name == x else e
-    if isinstance(e, (New, SelfRef, NilLit, IntLit, FieldGet, ValueLit)):
-        return e
-    if isinstance(e, FieldSet):
-        return FieldSet(e.field, substitute(e.value, v, x))
-    if isinstance(e, Send):
-        return Send(substitute(e.receiver, v, x), e.selector,
-                    tuple(substitute(a, v, x) for a in e.args))
-    if isinstance(e, SuperSend):
-        return SuperSend(e.selector, tuple(substitute(a, v, x) for a in e.args))
-    if isinstance(e, Let):
-        bound = substitute(e.bound, v, x)
-        if e.var == x:
-            return Let(e.var, bound, e.body)
-        return Let(e.var, bound, substitute(e.body, v, x))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _subst_redex(r: Redex, v: Value, x: str) -> Redex:
-    """Substitution lifted to redexes, for reducing ``let``."""
-    if isinstance(r, RVar):
-        return RVal(v) if r.name == x else r
-    if isinstance(r, (RVal, RNew, RFieldGet)):
+    t = type(r)
+    if t is RVal:
+        return RVal(owner) if r.value is _OWNER_HOLE else r
+    if t is RVar:
+        return RVal(env[r.name]) if r.name in env else r
+    if t is RObjectSend:
+        return RObjectSend(_fill(r.receiver, owner, env), r.selector,
+                           tuple([_fill(a, owner, env) for a in r.args]))
+    if t is RSelfSend or t is RSuperSend:
+        return t(owner if r.owner is _OWNER_HOLE else r.owner,
+                 r.defining_class, r.selector,
+                 tuple([_fill(a, owner, env) for a in r.args]))
+    if t is RLet:
+        bound = _fill(r.bound, owner, env)
+        if r.var in env:
+            env = {k: v for k, v in env.items() if k != r.var}
+        return RLet(r.var, bound, _fill(r.body, owner, env))
+    if t is RFieldGet:
+        return RFieldGet(owner, r.field) if r.owner is _OWNER_HOLE else r
+    if t is RFieldSet:
+        return RFieldSet(owner if r.owner is _OWNER_HOLE else r.owner, r.field,
+                         _fill(r.rhs, owner, env))
+    if t is RNew:
         return r
-    if isinstance(r, RFieldSet):
-        return RFieldSet(r.owner, r.field, _subst_redex(r.rhs, v, x))
-    if isinstance(r, RObjectSend):
-        return RObjectSend(_subst_redex(r.receiver, v, x), r.selector,
-                           tuple(_subst_redex(a, v, x) for a in r.args))
-    if isinstance(r, RSelfSend):
-        return RSelfSend(r.owner, r.defining_class, r.selector,
-                         tuple(_subst_redex(a, v, x) for a in r.args))
-    if isinstance(r, RSuperSend):
-        return RSuperSend(r.owner, r.defining_class, r.selector,
-                          tuple(_subst_redex(a, v, x) for a in r.args))
-    if isinstance(r, RLet):
-        bound = _subst_redex(r.bound, v, x)
-        if r.var == x:
-            return RLet(r.var, bound, r.body)
-        return RLet(r.var, bound, _subst_redex(r.body, v, x))
     raise TypeError(f"not a redex: {r!r}")
 
 
 # --- one reduction step ------------------------------------------------------
 
 
-def _next_hole(node: Redex):
-    """Evaluation-order slot of the first unevaluated child, or None."""
-    if isinstance(node, RFieldSet):
-        if not isinstance(node.rhs, RVal):
-            return ("rhs", None)
-    elif isinstance(node, RObjectSend):
-        if not isinstance(node.receiver, RVal):
-            return ("receiver", None)
-        for i, a in enumerate(node.args):
-            if not isinstance(a, RVal):
-                return ("args", i)
-    elif isinstance(node, (RSelfSend, RSuperSend)):
-        for i, a in enumerate(node.args):
-            if not isinstance(a, RVal):
-                return ("args", i)
-    elif isinstance(node, RLet):
-        if not isinstance(node.bound, RVal):
-            return ("bound", None)
+def _next_hole(node: Redex) -> tuple[int, Redex] | None:
+    """The first unevaluated child in evaluation order, or None.
+
+    Returns ``(slot, child)``: slot -1 is the field-write right-hand side,
+    the send receiver or the let binding; slot i >= 0 is argument i.
+    """
+    t = type(node)
+    if t is RObjectSend:
+        if type(node.receiver) is not RVal:
+            return -1, node.receiver
+    elif t is RFieldSet:
+        return None if type(node.rhs) is RVal else (-1, node.rhs)
+    elif t is RLet:
+        return None if type(node.bound) is RVal else (-1, node.bound)
+    elif t is not RSelfSend and t is not RSuperSend:
+        return None
+    for i, a in enumerate(node.args):
+        if type(a) is not RVal:
+            return i, a
     return None
 
 
-def _get_slot(node: Redex, slot) -> Redex:
-    name, i = slot
-    child = getattr(node, name)
-    return child[i] if i is not None else child
-
-
-def _set_slot(node: Redex, slot, child: Redex) -> Redex:
-    name, i = slot
-    if isinstance(node, RFieldSet):
-        return RFieldSet(node.owner, node.field, child)
-    if isinstance(node, RObjectSend):
-        if name == "receiver":
-            return RObjectSend(child, node.selector, node.args)
+def _set_slot(node: Redex, slot: int, child: Redex) -> Redex:
+    t = type(node)
+    if slot >= 0:
         args = node.args
-        return RObjectSend(node.receiver, node.selector,
-                           args[:i] + (child,) + args[i + 1:])
-    if isinstance(node, RSelfSend):
-        args = node.args
-        return RSelfSend(node.owner, node.defining_class, node.selector,
-                         args[:i] + (child,) + args[i + 1:])
-    if isinstance(node, RSuperSend):
-        args = node.args
-        return RSuperSend(node.owner, node.defining_class, node.selector,
-                          args[:i] + (child,) + args[i + 1:])
-    if isinstance(node, RLet):
+        args = args[:slot] + (child,) + args[slot + 1:]
+        if t is RObjectSend:
+            return RObjectSend(node.receiver, node.selector, args)
+        return t(node.owner, node.defining_class, node.selector, args)
+    if t is RObjectSend:
+        return RObjectSend(child, node.selector, node.args)
+    if t is RLet:
         return RLet(node.var, child, node.body)
+    if t is RFieldSet:
+        return RFieldSet(node.owner, node.field, child)
     raise TypeError(f"no slot {slot} on {node!r}")
 
 
 def _activate(mdef: MethodDef, found_class: str, receiver: Value,
               args: tuple[Value, ...], idx: HierarchyIndex,
-              lookup_class: str, selector: str) -> Redex | Stuck:
-    if len(mdef.params) != len(args):
+              lookup_class: str, selector: str,
+              templates: dict) -> Redex | Stuck:
+    """Fill the template of ``mdef`` as found in ``found_class``.
+
+    ``templates`` maps (found class, selector) to the translated body, or to
+    the Stuck of a field the body may not name; the key is unique because the
+    index's lookups return a class's first definition of a selector.
+    """
+    params = mdef.params
+    if len(params) != len(args):
         return Stuck(ArityMismatch(lookup_class, selector,
-                                   len(mdef.params), len(args)))
-    body = mdef.body
-    for param, value in zip(mdef.params, args):
-        body = substitute(body, value, param)
-    try:
-        return translate(body, receiver, found_class, idx)
-    except UnknownFieldError as err:
-        return Stuck(UnknownField(err.class_name, err.field))
+                                   len(params), len(args)))
+    key = (found_class, selector)
+    template = templates.get(key)
+    if template is None:
+        try:
+            template = translate(mdef.body, _OWNER_HOLE, found_class, idx)
+        except UnknownFieldError as err:
+            template = Stuck(UnknownField(err.class_name, err.field))
+        templates[key] = template
+    if type(template) is Stuck:
+        return template
+    return _fill(template, receiver, dict(zip(params, args)))
 
 
 def _int_builtin(selector: str, args: tuple[Value, ...],
@@ -340,62 +340,53 @@ def _int_builtin(selector: str, args: tuple[Value, ...],
     return RVal(IntVal(receiver.n + arg.n))
 
 
-def _reduce(node: Redex, store: Store, idx: HierarchyIndex) -> Redex | Stuck:
-    if isinstance(node, RNew):
-        try:
-            fields = idx.fields_of(node.class_name)
-        except Exception:
-            return Stuck(UnknownClass(node.class_name))
-        return RVal(Oid(store.allocate(node.class_name, fields)))
-    if isinstance(node, RVar):
-        return Stuck(UnknownVariable(node.name))
-    if isinstance(node, RFieldGet):
-        if not isinstance(node.owner, Oid):
+def _reduce(node: Redex, store: Store, idx: HierarchyIndex,
+            templates: dict) -> Redex | Stuck:
+    t = type(node)
+    if t is RObjectSend or t is RSelfSend:
+        object_send = t is RObjectSend
+        receiver = (node.receiver.value  # type: ignore[union-attr]
+                    if object_send else node.owner)
+        args = tuple([a.value for a in node.args])  # type: ignore[union-attr]
+        rt = type(receiver)
+        if rt is Nil:
+            return Stuck(NilReceiver(node.selector))
+        if rt is IntVal:
+            return _int_builtin(node.selector, args, receiver)
+        cls = store[receiver.oid].class_name
+        lookup = idx.public_lookup if object_send else idx.closest_def
+        found = lookup(cls, node.selector)
+        if found is None:
+            return Stuck(DoesNotUnderstand(cls, node.selector))
+        found_class, mdef = found
+        return _activate(mdef, found_class, receiver, args, idx, cls,
+                         node.selector, templates)
+    if t is RLet:
+        return _fill(node.body, None,
+                     {node.var: node.bound.value})  # type: ignore[union-attr]
+    if t is RFieldGet:
+        if type(node.owner) is not Oid:
             return Stuck(UnknownField("<nil>", node.field))
         record = store[node.owner.oid]
         if node.field not in record.fields:
             return Stuck(UnknownField(record.class_name, node.field))
         return RVal(record.fields[node.field])
-    if isinstance(node, RFieldSet):
-        assert isinstance(node.rhs, RVal)
-        if not isinstance(node.owner, Oid):
+    if t is RFieldSet:
+        if type(node.owner) is not Oid:
             return Stuck(UnknownField("<nil>", node.field))
         record = store[node.owner.oid]
         if node.field not in record.fields:
             return Stuck(UnknownField(record.class_name, node.field))
-        record.fields[node.field] = node.rhs.value
+        record.fields[node.field] = node.rhs.value  # type: ignore[union-attr]
         return node.rhs
-    if isinstance(node, RObjectSend):
-        assert isinstance(node.receiver, RVal)
-        receiver = node.receiver.value
-        args = tuple(a.value for a in node.args)  # type: ignore[union-attr]
-        if isinstance(receiver, Nil):
-            return Stuck(NilReceiver(node.selector))
-        if isinstance(receiver, IntVal):
-            return _int_builtin(node.selector, args, receiver)
-        cls = store[receiver.oid].class_name
-        found = idx.public_lookup(cls, node.selector)
-        if found is None:
-            return Stuck(DoesNotUnderstand(cls, node.selector))
-        found_class, mdef = found
-        return _activate(mdef, found_class, receiver, args, idx, cls,
-                         node.selector)
-    if isinstance(node, RSelfSend):
-        receiver = node.owner
-        args = tuple(a.value for a in node.args)  # type: ignore[union-attr]
-        if isinstance(receiver, Nil):
-            return Stuck(NilReceiver(node.selector))
-        if isinstance(receiver, IntVal):
-            return _int_builtin(node.selector, args, receiver)
-        cls = store[receiver.oid].class_name
-        found = idx.closest_def(cls, node.selector)
-        if found is None:
-            return Stuck(DoesNotUnderstand(cls, node.selector))
-        found_class, mdef = found
-        return _activate(mdef, found_class, receiver, args, idx, cls,
-                         node.selector)
-    if isinstance(node, RSuperSend):
-        args = tuple(a.value for a in node.args)  # type: ignore[union-attr]
+    if t is RNew:
+        try:
+            fields = idx.fields_of(node.class_name)
+        except Exception:
+            return Stuck(UnknownClass(node.class_name))
+        return RVal(Oid(store.allocate(node.class_name, fields)))
+    if t is RSuperSend:
+        args = tuple([a.value for a in node.args])  # type: ignore[union-attr]
         start = idx.superclass(node.defining_class)
         if start is None:
             return Stuck(DoesNotUnderstand(ROOT_CLASS, node.selector))
@@ -404,10 +395,9 @@ def _reduce(node: Redex, store: Store, idx: HierarchyIndex) -> Redex | Stuck:
             return Stuck(DoesNotUnderstand(start, node.selector))
         found_class, mdef = found
         return _activate(mdef, found_class, node.owner, args, idx, start,
-                         node.selector)
-    if isinstance(node, RLet):
-        assert isinstance(node.bound, RVal)
-        return _subst_redex(node.body, node.bound.value, node.var)
+                         node.selector, templates)
+    if t is RVar:
+        return Stuck(UnknownVariable(node.name))
     raise TypeError(f"not a reducible redex: {node!r}")
 
 
@@ -417,20 +407,22 @@ def step(redex: Redex, store: Store,
 
     Returns the new redex and store, a ``Stuck`` describing why no rule
     applies, or ``None`` when the redex is already a value (normal form).
-    The store is updated in place and returned for convenience.
+    The store is updated in place and returned for convenience. An
+    activation translates the method body afresh; only ``eval_program``'s
+    loop keeps templates across steps.
     """
-    if isinstance(redex, RVal):
+    if type(redex) is RVal:
         return None
-    path: list[tuple[Redex, tuple]] = []
+    path: list[tuple[Redex, int]] = []
     node = redex
     while True:
-        slot = _next_hole(node)
-        if slot is None:
+        hole = _next_hole(node)
+        if hole is None:
             break
-        path.append((node, slot))
-        node = _get_slot(node, slot)
-    result = _reduce(node, store, idx)
-    if isinstance(result, Stuck):
+        path.append((node, hole[0]))
+        node = hole[1]
+    result = _reduce(node, store, idx, {})
+    if type(result) is Stuck:
         return result
     for parent, slot in reversed(path):
         result = _set_slot(parent, slot, result)
@@ -443,11 +435,13 @@ def eval_program(program: Program, fuel: int = DEFAULT_FUEL,
     """Run a validated program's main expression to an outcome.
 
     Never raises: translation failures, stuck states, and fuel exhaustion all
-    come back as outcome variants. ``on_step`` is an optional callback
-    ``(redex, store)`` invoked after every reduction, for instrumentation;
-    with a callback installed every intermediate redex is materialised by
-    composing ``step``. Without one, the loop keeps the decomposition path
-    between reductions instead of re-walking the whole redex, which performs
+    come back as outcome variants. ``idx`` is the caller's index over
+    ``program``; one is built when omitted. ``on_step`` is an optional
+    callback ``(redex, store)`` invoked after every reduction, for
+    instrumentation; with a callback installed every intermediate redex is
+    materialised by composing ``step``. Without one, the loop keeps the
+    decomposition path between reductions instead of re-walking the whole
+    redex, and each method's template between activations, which performs
     the exact same reductions in the exact same order.
     """
     if idx is None:
@@ -463,12 +457,12 @@ def eval_program(program: Program, fuel: int = DEFAULT_FUEL,
     if on_step is None:
         return _eval_loop(redex, store, idx, fuel)
     while True:
-        if isinstance(redex, RVal):
+        if type(redex) is RVal:
             return EvalResult(Completed(redex.value), steps)
         if steps >= fuel:
             return EvalResult(FuelExhausted(), steps)
         result = step(redex, store, idx)
-        if isinstance(result, Stuck):
+        if type(result) is Stuck:
             return EvalResult(Errored(result.reason), steps)
         assert result is not None
         redex, store = result
@@ -482,19 +476,21 @@ def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
 
     Instead of rebuilding the whole redex after each reduction and descending
     again from the root, the enclosing nodes wait on ``frames``; when the
-    focused subterm becomes a value it is plugged one level up. The sequence
-    of ``_reduce`` calls -- and therefore the step count, the store, and the
+    focused subterm becomes a value it is plugged one level up. Method
+    templates live in ``templates`` for this run only. The sequence of
+    ``_reduce`` calls -- and therefore the step count, the store, and the
     outcome -- is identical to iterating ``step`` from the root.
     """
-    frames: list[tuple[Redex, tuple]] = []
+    templates: dict = {}
+    frames: list[tuple[Redex, int]] = []
     steps = 0
     while True:
-        slot = _next_hole(focus)
-        if slot is not None:
-            frames.append((focus, slot))
-            focus = _get_slot(focus, slot)
+        hole = _next_hole(focus)
+        if hole is not None:
+            frames.append((focus, hole[0]))
+            focus = hole[1]
             continue
-        if isinstance(focus, RVal):
+        if type(focus) is RVal:
             if not frames:
                 return EvalResult(Completed(focus.value), steps)
             parent, slot = frames.pop()
@@ -502,9 +498,8 @@ def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
             continue
         if steps >= fuel:
             return EvalResult(FuelExhausted(), steps)
-        result = _reduce(focus, store, idx)
-        if isinstance(result, Stuck):
+        result = _reduce(focus, store, idx, templates)
+        if type(result) is Stuck:
             return EvalResult(Errored(result.reason), steps)
         steps += 1
         focus = result
-

@@ -71,7 +71,6 @@ from .syntax import (
     New,
     NilLit,
     SelfRef,
-    ValueLit,
     Var,
 )
 from .values import INT_CLASS, NIL, IntVal, Nil, Oid, Value
@@ -286,8 +285,6 @@ def _lower_code(body: Expr, params: tuple[str, ...] = ()) -> tuple:
             push((node.value, scope, depth))
         elif kind is New:
             emit((NEW, node.class_name, None))
-        elif kind is ValueLit:
-            emit((CONST, node.value, None))
         else:
             raise TypeError(f"not a lowered expression: {node!r}")
     emit(_RETURN)
@@ -336,11 +333,11 @@ class Interpreter:
                  inline_cache_on: bool = True, fuel: int = DEFAULT_FUEL,
                  shadow_lookup_check: bool = False):
         self.image = image
-        self.global_cache_on = global_cache_on
         self.inline_cache_on = inline_cache_on
         self.fuel = fuel
         self.shadow_lookup_check = shadow_lookup_check
-        self.global_cache = GlobalCache()
+        # None when the global cache is off, so such a run builds no table.
+        self.global_cache = GlobalCache() if global_cache_on else None
         # Per send site, indexed by site id: () while unfilled, a list of
         # (class name, (method, defining class)) pairs, or MEGAMORPHIC.
         self.site_caches: list = [()] * image.site_count
@@ -366,7 +363,7 @@ class Interpreter:
         key already.
         """
         self.distinct_keys.add((class_name, sym.text))
-        if self.global_cache_on:
+        if self.global_cache is not None:
             found = cached_lookup(class_name, sym, self.global_cache,
                                   self.image)
         else:
@@ -574,10 +571,13 @@ class Interpreter:
                     poly += 1
             elif entry is MEGAMORPHIC:
                 mega += 1
+        gc = self.global_cache
+        # With the global cache off, its counters keep CacheStats' zeros.
+        gc_counts = {} if gc is None else {
+            "probe_hits": tuple(gc.probe_hits), "misses": gc.misses,
+            "installs": gc.installs}
         return CacheStats(
-            probe_hits=tuple(self.global_cache.probe_hits),  # type: ignore[arg-type]
-            misses=self.global_cache.misses,
-            installs=self.global_cache.installs,
+            **gc_counts,
             ic_hits=self.ic_hits,
             ic_fills=self.ic_fills,
             distinct_keys=len(self.distinct_keys),

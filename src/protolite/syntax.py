@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .values import Value
-
 MANGLE_PREFIX = "__"
 ROOT_CLASS = "Object"
 
@@ -82,16 +80,6 @@ class Let(Expr):
     var: str
     bound: Expr
     body: Expr
-
-
-@dataclass(frozen=True)
-class ValueLit(Expr):
-    """A run-time value injected into an expression by parameter substitution.
-
-    Never produced by the parser; appears only while a program is running.
-    """
-
-    value: Value
 
 
 @dataclass(frozen=True)
@@ -165,8 +153,6 @@ def pretty_expr(e: Expr, prec: int = _PREC_EXPR) -> str:
         return "nil"
     if isinstance(e, IntLit):
         return str(e.value)
-    if isinstance(e, ValueLit):
-        return repr(e.value)
     if isinstance(e, FieldSet):
         s = f"{e.field} := {pretty_expr(e.value, _PREC_EXPR)}"
         return f"({s})" if prec > _PREC_EXPR else s

@@ -8,6 +8,7 @@ and the offending member. The rules:
 * FIELDONCEPERCLASS     -- no field declared twice in one class
 * FIELDSUNIQUELYDEFINED -- a field may not be redeclared in a subclass
 * METHODONCEPERCLASS    -- one method per selector per class, any visibility
+* PARAMSONCEPERMETHOD   -- no parameter name declared twice in one method
 * COMPLETECLASSES       -- every named superclass is defined
 * WELLFOUNDEDCLASSES    -- the inheritance relation has no cycles
 * CLASSMETHODSOK        -- overriding preserves arity
@@ -29,6 +30,7 @@ RULE_ORDER = (
     "FIELDONCEPERCLASS",
     "FIELDSUNIQUELYDEFINED",
     "METHODONCEPERCLASS",
+    "PARAMSONCEPERMETHOD",
     "COMPLETECLASSES",
     "WELLFOUNDEDCLASSES",
     "CLASSMETHODSOK",
@@ -109,6 +111,12 @@ def validate(program: Program,
             if m.selector in seen_methods:
                 violations.append(Violation("METHODONCEPERCLASS", c.name, m.selector))
             seen_methods.add(m.selector)
+            if len(set(m.params)) < len(m.params):
+                for param in sorted({p for p in m.params
+                                     if m.params.count(p) > 1}):
+                    violations.append(Violation(
+                        "PARAMSONCEPERMETHOD", c.name, m.selector,
+                        detail=f"parameter '{param}' declared twice"))
 
         if c.superclass != ROOT_CLASS and c.superclass not in by_name:
             violations.append(Violation(
@@ -160,7 +168,8 @@ def validate(program: Program,
 
 class HierarchyIndex:
     """Relation oracle over a program, built once per compile or install and
-    shared by ``validate``, the rewrite scope, protection roots and lowering.
+    shared by ``validate``, the rewrite scope, protection roots and lowering;
+    the image keeps it for the reference evaluator.
 
     Answers superclass and ancestor-chain queries, the classes defining a
     selector, transitive field sets, and closest-definition and public

@@ -84,6 +84,21 @@ def test_check_ok_and_violations(capsys):
     assert "OVERRIDINGPUBLICMETHOD" in out
 
 
+def test_duplicate_parameters_exit_2(capsys, tmp_path):
+    # A repeated parameter name is ambiguous, so validation rejects the
+    # program before either evaluator runs.
+    path = tmp_path / "dup.stl"
+    path.write_text("class A extends Object { method f(x, x) { x } }\n"
+                    "main { (new A).f(1, 2) }\n")
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert "PARAMSONCEPERMETHOD" in out
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "diff", str(path))
+    assert exc.value.code == 2
+    assert "PARAMSONCEPERMETHOD" in capsys.readouterr().err
+
+
 def test_desugar_golden_fragments(capsys):
     code, out, _ = run_cli(capsys, "desugar", program_path("golden_sum.stl"))
     assert code == 0

@@ -21,7 +21,7 @@ from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.runtime import run_image
-from protolite.syntax import MethodDef, Send, SelfRef, pretty_expr
+from protolite.syntax import MethodDef, Send, SelfRef, Var, pretty_expr
 from protolite.validate import HierarchyIndex
 from protolite.values import IntVal
 
@@ -290,6 +290,13 @@ def test_install_rejects_duplicates_and_reserved(two_level_program):
         install_method(image, "B", MethodDef("__x", (), SelfRef()))
     with pytest.raises(UnknownClassError):
         install_method(image, "Ghost", MethodDef("m", (), SelfRef()))
+
+
+def test_install_rejects_duplicate_parameters(two_level_program):
+    image = compile_program(two_level_program)
+    with pytest.raises(ProgramInvalidError) as err:
+        install_method(image, "A", MethodDef("f", ("x", "x"), Var("x")))
+    assert [v.rule for v in err.value.violations] == ["PARAMSONCEPERMETHOD"]
 
 
 def test_deferred_site_retagged_on_install(programs_dir):

@@ -155,6 +155,23 @@ def test_step_mismatch_breaks_agreement(monkeypatch, programs_dir):
     assert "step mismatch" in result.detail
 
 
+def test_differential_run_builds_one_hierarchy_index(monkeypatch,
+                                                     two_level_program):
+    # The reference evaluator reuses the index the image was compiled from.
+    from protolite.validate import HierarchyIndex
+
+    builds = []
+    real_init = HierarchyIndex.__init__
+
+    def counting_init(self, program):
+        builds.append(program)
+        real_init(self, program)
+
+    monkeypatch.setattr(HierarchyIndex, "__init__", counting_init)
+    assert differential_run(two_level_program).agree
+    assert builds == [two_level_program]
+
+
 def Completed_int(n):
     from protolite.values import IntVal
 

@@ -1,6 +1,7 @@
 import pytest
 
 from protolite.errors import UnknownFieldError
+from protolite.generator import generate_program
 from protolite.outcomes import (
     ArityMismatch,
     Completed,
@@ -13,6 +14,7 @@ from protolite.outcomes import (
 )
 from protolite.parser import parse
 from protolite.reference import (
+    RFieldGet,
     RFieldSet,
     RLet,
     RNew,
@@ -23,22 +25,20 @@ from protolite.reference import (
     RVar,
     Store,
     Stuck,
+    _fill,
+    _reduce,
     eval_program,
     step,
-    substitute,
     translate,
 )
 from protolite.syntax import (
     FieldGet,
     FieldSet,
     IntLit,
-    Let,
     NilLit,
     Send,
     SelfRef,
     SuperSend,
-    ValueLit,
-    Var,
 )
 from protolite.validate import HierarchyIndex
 from protolite.values import NIL, IntVal, Oid
@@ -83,33 +83,34 @@ def test_translate_distinguishes_send_kinds(idx):
     assert sup == RSuperSend(Oid(1), "B", "m", (RVal(IntVal(1)),))
 
 
-# -- substitution ---------------------------------------------------------------
+# -- filling ------------------------------------------------------------------------
 
 
-def test_substitute_hits_matching_variable():
-    assert substitute(Var("x"), IntVal(7), "x") == ValueLit(IntVal(7))
-    assert substitute(Var("y"), IntVal(7), "x") == Var("y")
+def test_fill_hits_matching_variable():
+    assert _fill(RVar("x"), None, {"x": IntVal(7)}) == RVal(IntVal(7))
+    assert _fill(RVar("y"), None, {"x": IntVal(7)}) == RVar("y")
 
 
-def test_substitute_shadowed_let_body_untouched():
-    e = Let("x", Var("x"), Var("x"))
-    out = substitute(e, NIL, "x")
-    assert out == Let("x", ValueLit(NIL), Var("x"))
+def test_fill_shadowed_let_body_untouched():
+    r = RLet("x", RVar("x"), RVar("x"))
+    assert _fill(r, None, {"x": NIL}) == RLet("x", RVal(NIL), RVar("x"))
 
 
-def test_substitute_unshadowed_let():
-    e = Let("y", Var("x"), Var("x"))
-    assert substitute(e, NIL, "x") == Let("y", ValueLit(NIL), ValueLit(NIL))
+def test_fill_unshadowed_let():
+    r = RLet("y", RVar("x"), RVar("x"))
+    assert _fill(r, None, {"x": NIL}) == RLet("y", RVal(NIL), RVal(NIL))
 
 
-def test_substitute_constants_unchanged():
-    assert substitute(NilLit(), NIL, "x") == NilLit()
-    assert substitute(FieldGet("f"), NIL, "f") == FieldGet("f")
+def test_fill_constants_unchanged():
+    assert _fill(RVal(NIL), None, {"x": NIL}) == RVal(NIL)
+    assert _fill(RFieldGet(Oid(1), "f"), None, {"f": NIL}) == \
+        RFieldGet(Oid(1), "f")
 
 
-def test_substitute_super_args():
-    e = SuperSend("m", (Var("x"),))
-    assert substitute(e, IntVal(3), "x") == SuperSend("m", (ValueLit(IntVal(3)),))
+def test_fill_super_args():
+    r = RSuperSend(Oid(1), "B", "m", (RVar("x"),))
+    assert _fill(r, None, {"x": IntVal(3)}) == \
+        RSuperSend(Oid(1), "B", "m", (RVal(IntVal(3)),))
 
 
 # -- single steps -----------------------------------------------------------------
@@ -291,12 +292,139 @@ def test_store_shape_invariant_along_a_run():
     assert isinstance(result.outcome, Completed)
 
 
+# ``step`` decomposes from the root each time, so a run costs steps x redex
+# depth; at DIFF_FUEL (3000) the 200 seeds take about 90 s, at 500 about 2 s,
+# with 36 of the runs still ending out of fuel.
+ON_STEP_CORPUS_FUEL = 500
+
+
+def test_on_step_path_matches_fast_path_on_generated_corpus():
+    # With a callback every activation is translated afresh by ``step``;
+    # without one, the loop fills each method's template. Both must perform
+    # the same reductions.
+    for seed in range(200):
+        program = generate_program(seed)
+        fast = eval_program(program, ON_STEP_CORPUS_FUEL)
+        slow = eval_program(program, ON_STEP_CORPUS_FUEL,
+                            on_step=lambda r, s: None)
+        assert (slow.outcome, slow.steps) == (fast.outcome, fast.steps), seed
+
+
 def test_on_step_path_matches_fast_path(two_level_program):
     seen = []
     slow = eval_program(two_level_program, on_step=lambda r, s: seen.append(1))
     fast = eval_program(two_level_program)
     assert slow == fast
     assert len(seen) == fast.steps
+
+
+# -- method templates -------------------------------------------------------------
+
+
+def test_each_method_is_translated_once_per_run(monkeypatch):
+    from protolite import reference
+
+    translated = []
+    depth = [0]  # translate recurses through the patched name
+    real_translate = reference.translate
+
+    def counting(e, owner, defining_class, idx):
+        if depth[0] == 0 and owner is reference._OWNER_HOLE:
+            translated.append(defining_class)
+        depth[0] += 1
+        try:
+            return real_translate(e, owner, defining_class, idx)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(reference, "translate", counting)
+    p = parse("""
+        class C extends Object { method inc(n) { n + 1 } }
+        main { let c = new C in c.inc(c.inc(c.inc(0))) }
+    """)
+    assert eval_program(p).outcome == Completed(IntVal(3))
+    assert translated == ["C"]
+    assert eval_program(p).outcome == Completed(IntVal(3))
+    assert translated == ["C", "C"]  # templates live for one run only
+
+
+def test_inherited_template_uses_each_receivers_own_fields():
+    assert outcome("""
+        class A extends Object {
+          fields: f;
+          method set(v) { f := v }
+          method get() { f }
+        }
+        class B extends A { }
+        main {
+          let a = new A in let b = new B in
+          let ignored = a.set(1) in let ignored2 = b.set(20) in
+          a.get() + b.get() + a.get()
+        }
+    """) == Completed(IntVal(22))
+
+
+def test_let_rebinding_a_parameter_shadows_it():
+    # The shadowed body still gets its owner: it reads the receiver's field.
+    assert outcome("""
+        class C extends Object {
+          fields: f;
+          method m(x) { let y = x in let x = (f := x + 10) in f + (x + y) }
+        }
+        main { (new C).m(5) }
+    """) == Completed(IntVal(35))
+
+
+def test_recursive_activations_keep_their_own_arguments():
+    # Node.sum is activated twice from one template while the outer
+    # activation's ``n`` is still pending.
+    assert outcome("""
+        class End extends Object { method sum(n) { n } }
+        class Node extends Object {
+          fields: next;
+          method link(x) { let ignored = (next := x) in self }
+          method sum(n) { n + (n + next.sum(n + 10)) }
+        }
+        main { (new Node).link((new Node).link(new End)).sum(1) }
+    """) == Completed(IntVal(1 + 1 + 11 + 11 + 21))
+
+
+def _bad_field_program(params):
+    from protolite.syntax import ClassDef, MethodDef, New, Program
+
+    cdef = ClassDef("C", "Object", (), (MethodDef("m", params, FieldGet("zz")),))
+    return Program((cdef,), Send(New("C"), "m", ()))
+
+
+def test_unknown_field_template_is_stuck_on_every_activation():
+    from protolite.outcomes import UnknownField as UF
+
+    program = _bad_field_program(())
+    cidx = HierarchyIndex(program)
+    store = Store()
+    send = RObjectSend(RVal(Oid(store.allocate("C", ()))), "m", ())
+    templates = {}
+    first = _reduce(send, store, cidx, templates)
+    second = _reduce(send, store, cidx, templates)
+    assert first == second == Stuck(UF("C", "zz"))
+    assert templates == {("C", "m"): Stuck(UF("C", "zz"))}
+
+
+def test_arity_mismatch_wins_over_unknown_field():
+    from protolite.outcomes import UnknownField as UF
+
+    program = _bad_field_program(("x",))
+    assert eval_program(program).outcome == \
+        Errored(ArityMismatch("C", "m", 1, 0))
+    cidx = HierarchyIndex(program)
+    store = Store()
+    receiver = RVal(Oid(store.allocate("C", ())))
+    templates = {}
+    right = RObjectSend(receiver, "m", (RVal(NIL),))
+    assert _reduce(right, store, cidx, templates) == Stuck(UF("C", "zz"))
+    wrong = RObjectSend(receiver, "m", ())
+    assert _reduce(wrong, store, cidx, templates) == \
+        Stuck(ArityMismatch("C", "m", 1, 0))
 
 
 def test_new_of_undefined_class_is_stuck():

@@ -68,6 +68,17 @@ def test_duplicate_method_in_class():
     assert rules(p) == ["METHODONCEPERCLASS"]
 
 
+def test_duplicate_parameter_in_method():
+    p = parse("""
+        class A extends Object { method f(x, y, x) { x } }
+        main { (new A).f(1, 2, 3) }
+    """)
+    report = validate(p)
+    assert [v.rule for v in report] == ["PARAMSONCEPERMETHOD"]
+    assert (report[0].class_name, report[0].member, report[0].detail) == \
+        ("A", "f", "parameter 'x' declared twice")
+
+
 def test_undefined_superclass():
     p = parse("class A extends Ghost { } main { nil }")
     assert rules(p) == ["COMPLETECLASSES"]
