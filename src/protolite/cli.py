@@ -7,7 +7,8 @@ Commands::
     protolite desugar <file>   dump compiled dictionaries and bodies
     protolite diff --seeds A..B | <file>   differential reference-vs-runtime
     protolite bench <file>     timed runs against the mangling-free baseline
-    protolite stats <file>     cache counters, probe percentages, memory report
+    protolite stats <file>     phase times, cache counters, probe percentages,
+                               memory report
 
 Exit codes: 0 success, 1 runtime error (including fuel exhaustion), 2 parse or
 validation failure (argparse usage errors also exit 2), 3 I/O failure. The
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .bench import BenchConfig, BenchReport, bench_pair, repeat_main
 from .compiler import CompileMode, compile_program, desugar_dump
@@ -44,18 +46,25 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 
-def _read_program(path: str) -> Program:
+def _read_source(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+
+
+def _parse_source(path: str, source: str) -> Program:
     try:
         return parse(source)
     except ParseError as err:
         print(f"{path}:{err}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+
+
+def _read_program(path: str) -> Program:
+    return _parse_source(path, _read_source(path))
 
 
 def _mode(args) -> CompileMode:
@@ -216,9 +225,15 @@ def _print_bench(report: BenchReport) -> None:
 
 
 def cmd_stats(args) -> int:
-    program = _read_program(args.file)
-    image = compile_program(program, _mode(args))
+    source = _read_source(args.file)
+    t0 = time.perf_counter()
+    program = _parse_source(args.file, source)
+    t1 = time.perf_counter()
+    image = compile_program(program, _mode(args))  # validates, then compiles
+    t2 = time.perf_counter()
     _, result = _run_interpreter(args, image)
+    t3 = time.perf_counter()
+    phases = {"parse": t1 - t0, "compile": t2 - t1, "run": t3 - t2}
     stats = result.stats
     memory = measure_image(image)
     ratios = worst_case_ratios(program)
@@ -229,8 +244,11 @@ def cmd_stats(args) -> int:
             "worstCaseRatios": ratios.to_json(),
             "outcome": outcome_to_json(result.outcome),
             "steps": result.steps,
+            "phases": phases,
         }))
         return EXIT_OK
+    print("phases: " + ", ".join(f"{name} {seconds * 1e3:.3f} ms"
+                                 for name, seconds in phases.items()))
     total = stats.consultations
     print(f"global cache consultations: {total}")
     for i, hits in enumerate(stats.probe_hits, start=1):

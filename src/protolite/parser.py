@@ -14,6 +14,12 @@ Grammar (whitespace-insensitive, ``//`` line comments)::
                | 'let' NAME '=' expr 'in' expr
                | 'super' '.' NAME '(' args? ')'
 
+The whole source is scanned in one ``findall`` pass into two parallel lists,
+token kinds and token texts, each ending in two ``eof`` sentinels; the
+recursive descent indexes them and builds no per-token object. Tokens carry no
+position: a ``ParseError``'s line and column are computed when it is raised, by
+scanning the source again up to the offending token's index.
+
 Bare identifiers resolve lexically: let-bound variables and method parameters
 shadow fields; otherwise a name declared by the enclosing class or an ancestor
 reads that field, and anything else is a free variable. ``name := e`` always
@@ -24,9 +30,12 @@ are rejected inside the main expression, and identifiers with the reserved
 
 from __future__ import annotations
 
+import operator
 import re
+import string
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ParseError, ReservedSelectorError
 from .syntax import (
@@ -49,248 +58,229 @@ from .syntax import (
     Var,
 )
 
-_KEYWORDS = {
+_KEYWORDS = (
     "class", "extends", "fields", "method", "protected", "main",
     "new", "nil", "self", "let", "in", "super",
-}
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<assign>:=)
-  | (?P<punct>[{}().,;:+=])
-    """,
-    re.VERBOSE,
 )
+_PUNCTUATION = ("{", "}", "(", ")", ".", ",", ";", ":", "+", "=", ":=")
+
+# A keyword or punctuation token's kind is its text. Any other token is an
+# identifier, an integer, or a character the language does not have.
+_KINDS = {text: text for text in _KEYWORDS + _PUNCTUATION}
+_IDENT_START = frozenset(string.ascii_letters + "_")
+
+# Whitespace and comments match with the group left empty; every other match
+# is one token. The last alternative takes any single character, so the scan
+# never skips one: punctuation, and characters outside the language.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]+|//[^\n]*|(\d+|[A-Za-z_][A-Za-z0-9_]*|:=|.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'int' | 'ident' | keyword text | punctuation text | 'eof'
-    text: str
-    line: int
-    col: int
+def _position(source: str, index: int) -> tuple[int, int]:
+    """Line and column of token ``index``, or of the end of input when the
+    index is past the last token."""
+    starts = (m.start(1) for m in _TOKEN_RE.finditer(source) if m.lastindex)
+    offset = next(islice(starts, index, None), len(source))
+    line = source.count("\n", 0, offset) + 1
+    return line, offset - source.rfind("\n", 0, offset)
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup not in ("ws", "comment"):
-            if m.lastgroup == "int":
-                tokens.append(Token("int", text, line, col))
-            elif m.lastgroup == "ident":
-                kind = text if text in _KEYWORDS else "ident"
-                tokens.append(Token(kind, text, line, col))
-            else:
-                tokens.append(Token(text, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _tokenize(source: str) -> tuple[list[str], list[str]]:
+    """Token kinds and texts, each followed by two ``eof`` sentinels."""
+    texts = [text for text in _TOKEN_RE.findall(source) if text]
+    kind = _KINDS.get
+    kinds = [kind(text) or ("ident" if text[0] in _IDENT_START
+                            else "int" if text[0].isdecimal() else None)
+             for text in texts]
+    if None in kinds:
+        index = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[index]!r}",
+                         *_position(source, index))
+    kinds += ("eof", "eof")
+    texts += ("", "")
+    return kinds, texts
+
+
+def _found(text: str) -> str:
+    return repr(text or "end of input")
 
 
 # Raw nodes produced before identifier resolution.
 @dataclass(frozen=True)
 class _RawIdent:
     name: str
-    line: int
-    col: int
 
 
 @dataclass(frozen=True)
 class _RawAssign:
     name: str
     value: object
-    line: int
-    col: int
+    index: int  # of the target's token, for the resolve-time error
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds, self.texts = _tokenize(source)
         self.pos = 0
-        # Start token of each method, in source order, so that a body too
-        # deep for the resolve walk is reported where it is defined.
-        self.method_starts: list[Token] = []
+        # Token index of each method's start, in source order, so that a body
+        # too deep for the resolve walk is reported where it is defined.
+        self.method_starts: list[int] = []
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def error(self, message: str, index: int | None = None,
+              error: type[ParseError] = ParseError) -> ParseError:
+        return error(message, *_position(
+            self.source, self.pos if index is None else index))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str, what: str | None = None) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
             wanted = what or f"'{kind}'"
-            raise ParseError(f"expected {wanted}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.advance()
+            raise self.error(f"expected {wanted}, found {_found(self.texts[pos])}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def name(self, what: str) -> Token:
-        tok = self.expect("ident", what)
-        if tok.text.startswith(MANGLE_PREFIX):
-            raise ReservedSelectorError(
-                f"identifier {tok.text!r} uses the reserved '{MANGLE_PREFIX}' prefix",
-                tok.line, tok.col)
-        return tok
+    def name(self, what: str) -> str:
+        text = self.expect("ident", what)
+        if text.startswith(MANGLE_PREFIX):
+            raise self.error(
+                f"identifier {text!r} uses the reserved '{MANGLE_PREFIX}' prefix",
+                self.pos - 1, ReservedSelectorError)
+        return text
 
     # -- declarations ------------------------------------------------------
 
     def program(self) -> Program:
         classes: list[ClassDef] = []
-        while self.peek().kind == "class":
+        while self.kinds[self.pos] == "class":
             classes.append(self.classdef())
-        main_start = self.expect("main", "'main' block or class definition")
+        main_start = self.pos
+        self.expect("main", "'main' block or class definition")
         self.expect("{")
         main = self.expr(allow_super=False)
         self.expect("}")
         self.expect("eof", "end of input after main block")
         raw = Program(tuple(classes), main)
-        return _resolve(raw, self.method_starts, main_start)
+        return _resolve(raw, self.method_starts, main_start, self.source)
 
     def classdef(self) -> ClassDef:
-        start = self.expect("class")
+        self.expect("class")
         cname = self.name("class name")
         self.expect("extends")
         sname = self.name("superclass name")
         self.expect("{")
         fields: list[str] = []
-        if self.peek().kind == "fields":
-            self.advance()
+        if self.kinds[self.pos] == "fields":
+            self.pos += 1
             self.expect(":")
-            while self.peek().kind == "ident":
-                fields.append(self.name("field name").text)
+            while self.kinds[self.pos] == "ident":
+                fields.append(self.name("field name"))
             self.expect(";")
         methods: list[MethodDef] = []
-        while self.peek().kind in ("method", "protected"):
+        while self.kinds[self.pos] in ("method", "protected"):
             methods.append(self.methoddef())
         self.expect("}")
-        return ClassDef(cname.text, sname.text, tuple(fields), tuple(methods),
-                        line=start.line)
+        return ClassDef(cname, sname, tuple(fields), tuple(methods))
 
     def methoddef(self) -> MethodDef:
         visibility = PUBLIC
-        start = self.peek()
-        self.method_starts.append(start)
-        if self.peek().kind == "protected":
-            self.advance()
+        self.method_starts.append(self.pos)
+        if self.kinds[self.pos] == "protected":
+            self.pos += 1
             visibility = PROTECTED
         self.expect("method")
         sel = self.name("method selector")
         self.expect("(")
         params: list[str] = []
-        if self.peek().kind == "ident":
-            params.append(self.name("parameter name").text)
-            while self.peek().kind == ",":
-                self.advance()
-                params.append(self.name("parameter name").text)
+        if self.kinds[self.pos] == "ident":
+            params.append(self.name("parameter name"))
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
+                params.append(self.name("parameter name"))
         self.expect(")")
         self.expect("{")
         body = self.expr(allow_super=True)
         self.expect("}")
-        return MethodDef(sel.text, tuple(params), body, visibility, line=start.line)
+        return MethodDef(sel, tuple(params), body, visibility)
 
     # -- expressions ---------------------------------------------------------
 
     def expr(self, allow_super: bool):
-        tok = self.peek()
-        if tok.kind == "ident" and self.peek(1).kind == ":=":
-            self.name("field name")
-            self.advance()  # ':='
+        pos = self.pos
+        if self.kinds[pos] == "ident" and self.kinds[pos + 1] == ":=":
+            target = self.name("field name")
+            self.pos += 1  # ':='
             value = self.expr(allow_super)
-            return _RawAssign(tok.text, value, tok.line, tok.col)
+            return _RawAssign(target, value, pos)
         return self.sum(allow_super)
 
     def sum(self, allow_super: bool):
         node = self.postfix(allow_super)
-        while self.peek().kind == "+":
-            self.advance()
+        kinds = self.kinds
+        while kinds[self.pos] == "+":
+            self.pos += 1
             rhs = self.postfix(allow_super)
             node = Send(node, "+", (rhs,))
         return node
 
     def postfix(self, allow_super: bool):
         node = self.primary(allow_super)
-        while self.peek().kind == ".":
-            self.advance()
+        kinds = self.kinds
+        while kinds[self.pos] == ".":
+            self.pos += 1
             sel = self.name("selector")
             self.expect("(")
             args = self.args(allow_super)
             self.expect(")")
-            node = Send(node, sel.text, tuple(args))
+            node = Send(node, sel, args)
         return node
 
-    def args(self, allow_super: bool) -> list:
-        args: list = []
-        if self.peek().kind != ")":
+    def args(self, allow_super: bool) -> tuple:
+        if self.kinds[self.pos] == ")":
+            return ()
+        args = [self.expr(allow_super)]
+        while self.kinds[self.pos] == ",":
+            self.pos += 1
             args.append(self.expr(allow_super))
-            while self.peek().kind == ",":
-                self.advance()
-                args.append(self.expr(allow_super))
-        return args
+        return tuple(args)
 
     def primary(self, allow_super: bool):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return IntLit(int(tok.text))
-        if tok.kind == "nil":
-            self.advance()
-            return NilLit()
-        if tok.kind == "self":
-            self.advance()
+        pos = self.pos
+        kind = self.kinds[pos]
+        self.pos = pos + 1
+        if kind == "ident":
+            return _RawIdent(self.texts[pos])
+        if kind == "int":
+            return IntLit(int(self.texts[pos]))
+        if kind == "self":
             return SelfRef()
-        if tok.kind == "new":
-            self.advance()
-            cname = self.name("class name")
-            return New(cname.text)
-        if tok.kind == "super":
-            if not allow_super:
-                raise ParseError("super send is not allowed in the main expression",
-                                 tok.line, tok.col)
-            self.advance()
-            self.expect(".")
-            sel = self.name("selector")
-            self.expect("(")
-            args = self.args(allow_super)
+        if kind == "nil":
+            return NilLit()
+        if kind == "new":
+            return New(self.name("class name"))
+        if kind == "(":
+            inner = self.expr(allow_super)
             self.expect(")")
-            return SuperSend(sel.text, tuple(args))
-        if tok.kind == "let":
-            self.advance()
+            return inner
+        if kind == "let":
             var = self.name("variable name")
             self.expect("=")
             bound = self.expr(allow_super)
             self.expect("in")
             body = self.expr(allow_super)
-            return Let(var.text, bound, body)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr(allow_super)
+            return Let(var, bound, body)
+        if kind == "super":
+            if not allow_super:
+                raise self.error("super send is not allowed in the main expression",
+                                 pos)
+            self.expect(".")
+            sel = self.name("selector")
+            self.expect("(")
+            args = self.args(allow_super)
             self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            self.advance()
-            return _RawIdent(tok.text, tok.line, tok.col)
-        raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+            return SuperSend(sel, args)
+        raise self.error(f"expected an expression, found {_found(self.texts[pos])}",
+                         pos)
 
 
 # -- identifier resolution ---------------------------------------------------
@@ -318,44 +308,59 @@ def _visible_fields(classes: tuple[ClassDef, ...]) -> dict[str, frozenset[str]]:
     return result
 
 
-def _too_deep(at: Token) -> ParseError:
-    return ParseError(
-        "expression nested too deeply: RecursionError at the nesting limit, "
-        f"the Python recursion limit of {sys.getrecursionlimit()} frames",
-        at.line, at.col)
+def _too_deep() -> str:
+    return ("expression nested too deeply: RecursionError at the nesting limit, "
+            f"the Python recursion limit of {sys.getrecursionlimit()} frames")
 
 
-def _resolve(raw: Program, method_starts: list[Token],
-             main_start: Token) -> Program:
+def _resolve(raw: Program, method_starts: list[int], main_start: int,
+             source: str) -> Program:
+    """Resolve bare identifiers and assignments. A node whose children all
+    come back unchanged is returned as it is, not rebuilt.
+
+    Errors are positioned from ``source``, not from the token lists: the
+    walk's closures form a reference cycle, and lists they held would outlive
+    the parse until the next garbage collection."""
     fields_by_class = _visible_fields(raw.classes)
 
+    def resolve_all(nodes: tuple, fields: frozenset[str],
+                    bound: frozenset[str]) -> tuple:
+        resolved = tuple(resolve(n, fields, bound) for n in nodes)
+        return nodes if all(map(operator.is_, resolved, nodes)) else resolved
+
     def resolve(node, fields: frozenset[str], bound: frozenset[str]) -> Expr:
-        if isinstance(node, _RawIdent):
+        kind = type(node)
+        if kind is _RawIdent:
             if node.name in bound:
                 return Var(node.name)
             if node.name in fields:
                 return FieldGet(node.name)
             return Var(node.name)
-        if isinstance(node, _RawAssign):
+        if kind is Send:
+            receiver = resolve(node.receiver, fields, bound)
+            args = resolve_all(node.args, fields, bound)
+            if receiver is node.receiver and args is node.args:
+                return node
+            return Send(receiver, node.selector, args)
+        if kind is _RawAssign:
             if node.name not in fields:
                 raise ParseError(
                     f"assignment target {node.name!r} is not a visible field",
-                    node.line, node.col)
+                    *_position(source, node.index))
             return FieldSet(node.name, resolve(node.value, fields, bound))
-        if isinstance(node, Send):
-            return Send(resolve(node.receiver, fields, bound), node.selector,
-                        tuple(resolve(a, fields, bound) for a in node.args))
-        if isinstance(node, SuperSend):
-            return SuperSend(node.selector,
-                             tuple(resolve(a, fields, bound) for a in node.args))
-        if isinstance(node, Let):
+        if kind is Let:
             bound_expr = resolve(node.bound, fields, bound)
-            return Let(node.var, bound_expr,
-                       resolve(node.body, fields, bound | {node.var}))
+            body = resolve(node.body, fields, bound | {node.var})
+            if bound_expr is node.bound and body is node.body:
+                return node
+            return Let(node.var, bound_expr, body)
+        if kind is SuperSend:
+            args = resolve_all(node.args, fields, bound)
+            return node if args is node.args else SuperSend(node.selector, args)
         return node  # literals, self, new
 
     def resolve_body(body, fields: frozenset[str], bound: frozenset[str],
-                     start: Token) -> Expr:
+                     start: int) -> Expr:
         # The descent reads a '+' chain in a loop, but the chain is a
         # left-nested tree, so a body the parser read can still be too deep
         # for this walk. By now the parser stands at the end of input; report
@@ -363,7 +368,7 @@ def _resolve(raw: Program, method_starts: list[Token],
         try:
             return resolve(body, fields, bound)
         except RecursionError:
-            raise _too_deep(start) from None
+            raise ParseError(_too_deep(), *_position(source, start)) from None
 
     starts = iter(method_starts)
     classes = []
@@ -373,10 +378,10 @@ def _resolve(raw: Program, method_starts: list[Token],
             MethodDef(m.selector, m.params,
                       resolve_body(m.body, fields, frozenset(m.params),
                                    next(starts)),
-                      m.visibility, line=m.line)
+                      m.visibility)
             for m in c.methods
         )
-        classes.append(ClassDef(c.name, c.superclass, c.fields, methods, line=c.line))
+        classes.append(ClassDef(c.name, c.superclass, c.fields, methods))
     main = resolve_body(raw.main, frozenset(), frozenset(), main_start)
     return Program(tuple(classes), main)
 
@@ -384,11 +389,11 @@ def _resolve(raw: Program, method_starts: list[Token],
 def parse(source: str) -> Program:
     """Parse source text into a Program. Raises ParseError on malformed input,
     including input nested deeper than the recursive descent can follow."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     try:
         return parser.program()
     except RecursionError:
-        raise _too_deep(parser.peek()) from None
+        raise parser.error(_too_deep()) from None
 
 
 def parse_file(path: str) -> Program:

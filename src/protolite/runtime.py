@@ -83,10 +83,13 @@ _HASH_A = 0x9E3779B1
 _HASH_B = 0x85EBCA77
 
 
+def _probe_base(class_id: int, symbol_id: int) -> int:
+    return ((class_id * _HASH_A) ^ (symbol_id * _HASH_B)) & 0xFFFFFFFF
+
+
 def probe_index(class_id: int, symbol_id: int, probe: int) -> int:
     """Slot inspected at the given probe (0-based) for a lookup key."""
-    h0 = ((class_id * _HASH_A) ^ (symbol_id * _HASH_B)) & 0xFFFFFFFF
-    return (h0 + probe) % GLOBAL_CACHE_SIZE
+    return (_probe_base(class_id, symbol_id) + probe) % GLOBAL_CACHE_SIZE
 
 
 @dataclass
@@ -95,7 +98,8 @@ class GlobalCache:
 
     A consultation checks up to three slots; on a triple miss the result of
     the slow lookup is installed at the first free probed slot, or evicts the
-    first one when all three are taken.
+    first one when all three are taken. Slot keys compare selectors by
+    identity: an image interns one Symbol per selector text.
     """
 
     slots: list = field(
@@ -105,9 +109,11 @@ class GlobalCache:
     installs: int = 0
 
     def consult(self, class_id: int, sym: Symbol, class_name: str):
+        base = _probe_base(class_id, sym.id)
+        slots = self.slots
         for probe in range(GLOBAL_CACHE_PROBES):
-            slot = self.slots[probe_index(class_id, sym.id, probe)]
-            if slot is not None and slot[0] == class_name and slot[1] == sym:
+            slot = slots[(base + probe) % GLOBAL_CACHE_SIZE]
+            if slot is not None and slot[1] is sym and slot[0] == class_name:
                 self.probe_hits[probe] += 1
                 return slot[2], slot[3]
         self.misses += 1

@@ -11,7 +11,7 @@ mangling and are rejected in source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MANGLE_PREFIX = "__"
 ROOT_CLASS = "Object"
@@ -88,7 +88,6 @@ class MethodDef:
     params: tuple[str, ...]
     body: Expr
     visibility: str = PUBLIC
-    line: int = field(default=0, compare=False, repr=False)
 
     @property
     def is_protected(self) -> bool:
@@ -101,7 +100,6 @@ class ClassDef:
     superclass: str
     fields: tuple[str, ...] = ()
     methods: tuple[MethodDef, ...] = ()
-    line: int = field(default=0, compare=False, repr=False)
 
     @property
     def public_methods(self) -> tuple[MethodDef, ...]:

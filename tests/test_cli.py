@@ -134,6 +134,7 @@ def test_stats_output(capsys):
     assert "probe 3 hits:" in out
     assert "misses:" in out
     assert "worst-case ratios" in out
+    assert out.startswith("phases: parse ")
 
 
 def test_stats_json_schema(capsys):
@@ -148,6 +149,15 @@ def test_stats_json_schema(capsys):
     assert set(cache["ic"]) == {"mono", "poly", "mega"}
     assert payload["memory"]["totalEntries"] == 11
     assert "worstCaseRatios" in payload
+
+
+def test_stats_json_reports_phase_times(capsys):
+    code, out, _ = run_cli(capsys, "stats", "--json",
+                           program_path("golden_sum.stl"))
+    assert code == 0
+    phases = json.loads(out)["phases"]
+    assert set(phases) == {"parse", "compile", "run"}
+    assert all(isinstance(s, float) and s >= 0 for s in phases.values())
 
 
 def test_bench_command_smoke(capsys):

@@ -64,6 +64,131 @@ def test_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+# Every ParseError position below was recorded before the tokenizer and parser
+# were rewritten to scan in one pass and compute positions only on error.
+_PINNED_ERRORS = [
+    # Only ASCII letters start an identifier; '²' is str.isdigit but not \d.
+    ("e-acute", "main { é }",
+     ParseError, "unexpected character 'é'", 1, 8),
+    ("superscript-two", "main { 1 + ² }",
+     ParseError, "unexpected character '²'", 1, 12),
+    # '٣' is \d, so it lexes as an integer, but not as part of an identifier.
+    ("arabic-digit-after-identifier", "main { x٣ }",
+     ParseError, "expected '}', found '٣'", 1, 9),
+    ("nul-after-crlf", "main {\r\n\x00 }",
+     ParseError, "unexpected character '\\x00'", 2, 1),
+    ("at-after-crlf",
+     "class A extends Object {\r\n  method m() { 1 }\r\n@ }\r\nmain { nil }",
+     ParseError, "unexpected character '@'", 3, 1),
+    ("nul-after-tab", "main {\t\x00 }",
+     ParseError, "unexpected character '\\x00'", 1, 8),
+    ("at-after-tab", "main {\n\t\t@ }",
+     ParseError, "unexpected character '@'", 2, 3),
+    ("cr-alone-is-a-column", "main {\r@ }",
+     ParseError, "unexpected character '@'", 1, 8),
+    ("vertical-tab", "main {\x0b1 }",
+     ParseError, "unexpected character '\\x0b'", 1, 7),
+    ("no-break-space", "main { 1\xa0}",
+     ParseError, "unexpected character '\\xa0'", 1, 9),
+    ("slash-alone", "main { 1 / 2 }",
+     ParseError, "unexpected character '/'", 1, 10),
+    # The whole input is scanned before the grammar is checked.
+    ("bad-char-after-a-parse-error", "main { ) @",
+     ParseError, "unexpected character '@'", 1, 10),
+    ("comment-at-eof-no-newline", "class A extends Object { } // no main",
+     ParseError,
+     "expected 'main' block or class definition, found 'end of input'", 1, 38),
+    ("comment-inside-main-at-eof", "main { 1 // unterminated",
+     ParseError, "expected '}', found 'end of input'", 1, 25),
+    ("empty-input", "",
+     ParseError,
+     "expected 'main' block or class definition, found 'end of input'", 1, 1),
+    ("whitespace-only", "  \n\t\r\n  ",
+     ParseError,
+     "expected 'main' block or class definition, found 'end of input'", 3, 3),
+    ("eof-in-class-header", "class A",
+     ParseError, "expected 'extends', found 'end of input'", 1, 8),
+    ("eof-in-class-body", "class A extends Object {\n  fields: x;\n",
+     ParseError, "expected '}', found 'end of input'", 3, 1),
+    ("eof-in-params", "class A extends Object { method m(x,",
+     ParseError, "expected parameter name, found 'end of input'", 1, 37),
+    ("eof-after-main-brace", "main {",
+     ParseError, "expected an expression, found 'end of input'", 1, 7),
+    ("eof-in-let", "main { let x = 1 in",
+     ParseError, "expected an expression, found 'end of input'", 1, 20),
+    ("eof-in-args", "main { (new A).m(1, ",
+     ParseError, "expected an expression, found 'end of input'", 1, 21),
+    ("eof-after-super", "class A extends Object { method m() { super",
+     ParseError, "expected '.', found 'end of input'", 1, 44),
+    ("junk-after-main", "main { 1 }\nmain { 2 }",
+     ParseError, "expected end of input after main block, found 'main'", 2, 1),
+    ("colon-for-assign",
+     "class A extends Object { fields: f; method m() { f : 1 } } main { nil }",
+     ParseError, "expected '}', found ':'", 1, 52),
+    ("spaced-colon-equals",
+     "class A extends Object { fields: f; method m() { f : = 1 } } main { nil }",
+     ParseError, "expected '}', found ':'", 1, 52),
+    ("assign-for-fields-colon",
+     "class A extends Object { fields := f; } main { nil }",
+     ParseError, "expected ':', found ':='", 1, 33),
+    ("assign-for-let-equals", "main { let x := 1 in x }",
+     ParseError, "expected '=', found ':='", 1, 14),
+    ("expression-expected", "main { + 1 }",
+     ParseError, "expected an expression, found '+'", 1, 8),
+    ("reserved-method-selector",
+     "class A extends Object { method __m() { nil } } main { nil }",
+     ReservedSelectorError, "identifier '__m' uses the reserved '__' prefix",
+     1, 33),
+    ("reserved-field", "class A extends Object { fields: f __g; } main { nil }",
+     ReservedSelectorError, "identifier '__g' uses the reserved '__' prefix",
+     1, 36),
+    ("reserved-parameter",
+     "class A extends Object { method m(a, __x) { nil } } main { nil }",
+     ReservedSelectorError, "identifier '__x' uses the reserved '__' prefix",
+     1, 38),
+    ("reserved-let-variable", "main {\n  let __y = nil in nil }",
+     ReservedSelectorError, "identifier '__y' uses the reserved '__' prefix",
+     2, 7),
+    ("reserved-send-selector",
+     "class A extends Object { method m() { self.__m() } } main { nil }",
+     ReservedSelectorError, "identifier '__m' uses the reserved '__' prefix",
+     1, 44),
+    ("reserved-assign-target",
+     "class A extends Object { method m() { __f := 1 } } main { nil }",
+     ReservedSelectorError, "identifier '__f' uses the reserved '__' prefix",
+     1, 39),
+    ("reserved-class-name", "class __A extends Object { } main { nil }",
+     ReservedSelectorError, "identifier '__A' uses the reserved '__' prefix",
+     1, 7),
+    # Raised while resolving names, after the whole input is read.
+    ("assign-to-non-field",
+     "class A extends Object {\n  fields: f;\n  method m(g) { f := g := 1 }\n}\n"
+     "main { nil }",
+     ParseError, "assignment target 'g' is not a visible field", 3, 22),
+    ("assign-in-main", "main { 1 + (\n   g := nil) }",
+     ParseError, "assignment target 'g' is not a visible field", 2, 4),
+    ("super-in-main",
+     "class A extends Object { }\nmain { let a = new A in\n  super.m() }",
+     ParseError, "super send is not allowed in the main expression", 3, 3),
+]
+
+
+@pytest.mark.parametrize("source, error, message, line, col",
+                         [case[1:] for case in _PINNED_ERRORS],
+                         ids=[case[0] for case in _PINNED_ERRORS])
+def test_parse_error_positions_are_pinned(source, error, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert type(err.value) is error
+    assert (err.value.message, err.value.line, err.value.col) == (
+        message, line, col)
+
+
+def test_unicode_decimal_digits_lex_as_integers():
+    assert parse("main { ٣ }").main == IntLit(3)
+    assert parse("main { ٣4 + 1 }").main == Send(IntLit(34), "+", (IntLit(1),))
+
+
 def test_field_reads_resolve_against_hierarchy():
     p = parse("""
         class A extends Object { fields: f; }
@@ -163,6 +288,24 @@ def test_too_deep_parentheses_point_into_the_nesting():
     assert "RecursionError" in str(err.value)
     assert "nesting limit" in str(err.value)
     assert err.value.line == 3 and err.value.col > len("main { ")
+
+
+@pytest.mark.parametrize("body, spine, length", [
+    ("(" * 200 + "1" + ")" * 200, "receiver", 0),
+    ("let x = 1 in " * 200 + "x", "body", 200),
+    (" + ".join(["1"] * 900), "receiver", 899),
+], ids=["parentheses", "nested-lets", "plus-chain"])
+def test_documented_nesting_depths_parse(body, spine, length):
+    # The README promises these depths under the default recursion limit.
+    # The trees are walked in a loop: comparing them would recurse as deep.
+    program = parse(f"class A extends Object {{ method m() {{ {body} }} }}\n"
+                    f"main {{ {body} }}")
+    for node in (program.classes[0].methods[0].body, program.main):
+        depth = 0
+        while hasattr(node, spine):
+            node = getattr(node, spine)
+            depth += 1
+        assert depth == length
 
 
 def test_too_deep_plus_chain_points_at_its_method():

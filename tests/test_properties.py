@@ -1,5 +1,8 @@
 """Property-based checks over generated programs."""
 
+import random
+import re
+
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
@@ -46,6 +49,28 @@ def test_generated_programs_always_validate(seed):
 def test_parse_pretty_round_trip(seed):
     program = generate_program(seed)
     assert parse(pretty_program(program)) == program
+
+
+# Token separators for re-laying out printed source: whitespace runs, CRLF and
+# line comments, which may hold characters the language does not have.
+_SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", " \t\r\n ", "// note\n",
+               "\t// é @ ² ٣ /\r\n", "//\n")
+_WORD = re.compile(r"[A-Za-z0-9_]")
+
+
+@given(seeds, seeds)
+@relaxed
+def test_layout_does_not_change_the_parse(seed, layout_seed):
+    program = generate_program(seed)
+    tokens = re.findall(r":=|[A-Za-z0-9_]+|\S", pretty_program(program))
+    rng = random.Random(layout_seed)
+    out = [rng.choice(_SEPARATORS)]
+    for left, right in zip(tokens, tokens[1:] + [""]):
+        out.append(left)
+        may_glue = not (_WORD.match(left[-1]) and right and _WORD.match(right[0]))
+        out.append("" if may_glue and rng.random() < 0.3
+                   else rng.choice(_SEPARATORS))
+    assert parse("".join(out)) == program
 
 
 @given(seeds)
