@@ -17,11 +17,14 @@ so the runtime needs only one visibility-blind lookup:
 * Object-send sites are never rewritten, so they can only ever find plain
   entries -- which is exactly the public-only lookup.
 
-``install_method`` grows an image incrementally: the first protected method
-of a class pulls the class and its descendants into the scope (recompiling
-them), and every install re-examines in-scope sites that mention the new
-selector. Images are never mutated; installs return a new image and leave the
-old one valid.
+``install_method`` grows an image incrementally, doing only the work the new
+method touches. It derives the new index from the parent image's, checks only
+the classes the method can make invalid, and keeps the parent's scope unless
+the first protected method of a class pulls the class and its descendants in
+(recompiling them). It then re-examines the in-scope sites that mention the
+new selector in the target's subtree and ancestors, and the deferred ones.
+Images are never mutated; installs return a new image and leave the old one
+valid.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .syntax import (
     pretty_expr,
     self_and_super_selectors,
 )
-from .validate import HierarchyIndex, validate
+from .validate import HierarchyIndex, validate, validate_install
 
 
 class CompileMode(enum.Enum):
@@ -429,49 +432,65 @@ def install_method(image: RuntimeImage, class_name: str,
     """Install one method into an existing image, returning a new image.
 
     Rejects anything that would invalidate the program (duplicate selector,
-    narrowing an inherited public method, reserved prefix). The first
+    narrowing an inherited public method, reserved prefix), with the
+    violations ``validate`` reports for the grown program. The first
     protected method of a class recompiles the class and its descendants;
     afterwards, in-scope methods mentioning the new selector in self/super
     position are re-examined so their site tags match a from-scratch compile.
+    Builds no index and validates no class the method cannot affect.
     """
     if mdef.selector.startswith(MANGLE_PREFIX):
         raise ReservedSelectorError(
             f"selector {mdef.selector!r} uses the reserved prefix", 0, 0)
-    if class_name == ROOT_CLASS or image.program.class_named(class_name) is None:
+    old_def = image.idx.by_name.get(class_name)
+    if class_name == ROOT_CLASS or old_def is None:
         raise UnknownClassError(f"cannot install into '{class_name}'")
 
-    new_classes = tuple(
-        replace(c, methods=c.methods + (mdef,)) if c.name == class_name else c
-        for c in image.program.classes
-    )
-    new_program = replace(image.program, classes=new_classes)
-    idx = HierarchyIndex(new_program)
-    violations = validate(new_program, idx)
+    target = replace(old_def, methods=old_def.methods + (mdef,))
+    new_program = replace(image.program, classes=tuple(
+        target if c is old_def else c for c in image.program.classes))
+    idx = image.idx.with_method(new_program, target, mdef.selector)
+    violations = validate_install(idx, class_name, mdef.selector)
     if violations:
         raise ProgramInvalidError(violations)
 
-    new_scope = _scope_for_mode(idx, image.mode)
+    # The parent's scope, unless a protected method lands outside it in
+    # normal mode: then the class and its descendants join it.
+    subtree = idx.subtree(class_name)
+    new_scope, roots = image.rewrite_scope, image.protection_roots
+    expansion: frozenset[str] = frozenset()
+    if image.mode is CompileMode.NORMAL and mdef.visibility == PROTECTED \
+            and class_name not in new_scope:
+        expansion = frozenset(subtree) - new_scope
+        new_scope = new_scope | expansion
+        roots = protection_roots(idx, new_scope)
+
     symbols = image.symbols.copy()
     lowerer = _Lowerer(idx, new_scope, symbols, image.site_count)
 
     # Classes needing a full recompile: the target itself, plus everything
     # newly pulled into the rewrite scope.
-    expansion = set(new_scope) - set(image.rewrite_scope)
     full: set[str] = {class_name} | expansion
     # Sites whose tag can change: those sending the new selector, and -- when
     # classes just entered the scope -- those sending anything such a class
     # defines, since their resolution class may have flipped into the scope.
+    # Only the target's subtree and ancestors resolve through what changed;
+    # elsewhere only a deferred site of the new selector can, as the selector
+    # now has a definer.
     affected_selectors = {mdef.selector}
-    for cdef in new_program.classes:
-        if cdef.name in expansion:
-            affected_selectors.update(m.selector for m in cdef.methods)
+    for name in expansion:
+        affected_selectors.update(m.selector for m in idx.by_name[name].methods)
+    candidates = set(subtree).union(
+        idx.chain(class_name),
+        (d.class_name for d in image.deferred_sites
+         if d.selector == mdef.selector))
     retag: dict[str, set[str]] = {}
-    for cdef in new_program.classes:
-        if cdef.name in full or cdef.name not in new_scope:
+    for name in candidates:
+        if name in full or name not in new_scope:
             continue
-        for m in cdef.methods:
+        for m in idx.by_name[name].methods:
             if affected_selectors & self_and_super_selectors(m.body):
-                retag.setdefault(cdef.name, set()).add(m.selector)
+                retag.setdefault(name, set()).add(m.selector)
 
     def in_scope_of(name: str) -> bool:
         return name in new_scope and image.mode is not CompileMode.BASELINE
@@ -479,8 +498,7 @@ def install_method(image: RuntimeImage, class_name: str,
     classes = dict(image.classes)
     dropped_deferred: set[tuple[str, str]] = set()
     for name in sorted(full | set(retag)):
-        cdef = new_program.class_named(name)
-        assert cdef is not None
+        cdef = idx.by_name[name]
         old = image.classes[name]
         if name in full:
             dictionary = {}
@@ -515,7 +533,7 @@ def install_method(image: RuntimeImage, class_name: str,
         main=image.main,
         symbols=symbols,
         rewrite_scope=new_scope,
-        protection_roots=protection_roots(idx, new_scope),
+        protection_roots=roots,
         deferred_sites=deferred,
         site_count=lowerer.next_site_id,
         idx=idx,

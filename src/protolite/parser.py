@@ -289,22 +289,52 @@ class _Parser:
 def _visible_fields(classes: tuple[ClassDef, ...]) -> dict[str, frozenset[str]]:
     """Fields visible per class, including inherited ones.
 
-    Tolerates unknown superclasses and cycles; those surface as validation
+    Each class's set is its superclass's set plus its own fields, built once
+    per class. Tolerates unknown superclasses and cycles (every class on a
+    cycle sees the fields of the whole cycle); those surface as validation
     violations later, not parse failures.
     """
     by_name: dict[str, ClassDef] = {}
     for c in classes:
         by_name.setdefault(c.name, c)
-    result: dict[str, frozenset[str]] = {}
-    for c in classes:
-        fields: set[str] = set()
-        seen: set[str] = set()
+    visible: dict[str, frozenset[str]] = {}
+    for c in by_name.values():
+        # Walk up to a class already done, an unknown superclass, or a
+        # class already on this walk, which closes a cycle.
+        path: list[ClassDef] = []
+        on_path: set[str] = set()
         cur: ClassDef | None = c
-        while cur is not None and cur.name not in seen:
-            seen.add(cur.name)
-            fields.update(cur.fields)
+        while cur is not None and cur.name not in visible \
+                and cur.name not in on_path:
+            path.append(cur)
+            on_path.add(cur.name)
             cur = by_name.get(cur.superclass)
-        result[c.name] = frozenset(fields)
+        inherited: frozenset[str] = frozenset()
+        if cur is not None and cur.name in visible:
+            inherited = visible[cur.name]
+        elif cur is not None:
+            cycle = path[path.index(cur):]
+            del path[path.index(cur):]
+            inherited = frozenset(f for cdef in cycle for f in cdef.fields)
+            for cdef in cycle:
+                visible[cdef.name] = inherited
+        for cdef in reversed(path):
+            inherited = inherited.union(cdef.fields)
+            visible[cdef.name] = inherited
+    # A later class reusing a name (a CLASSESONCE violation) walks its own
+    # chain, stopping where the chain reaches its name again; the last one
+    # of a name wins, as it does for its methods.
+    result = dict(visible)
+    for c in classes:
+        if by_name[c.name] is not c:
+            fields: set[str] = set()
+            seen: set[str] = set()
+            dup: ClassDef | None = c
+            while dup is not None and dup.name not in seen:
+                seen.add(dup.name)
+                fields.update(dup.fields)
+                dup = by_name.get(dup.superclass)
+            result[c.name] = frozenset(fields)
     return result
 
 
@@ -313,76 +343,82 @@ def _too_deep() -> str:
             f"the Python recursion limit of {sys.getrecursionlimit()} frames")
 
 
+def _resolve_all(nodes: tuple, fields: frozenset[str], bound: frozenset[str],
+                 source: str) -> tuple:
+    resolved = tuple(_resolve_expr(n, fields, bound, source) for n in nodes)
+    return nodes if all(map(operator.is_, resolved, nodes)) else resolved
+
+
+def _resolve_expr(node, fields: frozenset[str], bound: frozenset[str],
+                  source: str) -> Expr:
+    kind = type(node)
+    if kind is _RawIdent:
+        if node.name in bound:
+            return Var(node.name)
+        if node.name in fields:
+            return FieldGet(node.name)
+        return Var(node.name)
+    if kind is Send:
+        receiver = _resolve_expr(node.receiver, fields, bound, source)
+        args = _resolve_all(node.args, fields, bound, source)
+        if receiver is node.receiver and args is node.args:
+            return node
+        return Send(receiver, node.selector, args)
+    if kind is _RawAssign:
+        if node.name not in fields:
+            raise ParseError(
+                f"assignment target {node.name!r} is not a visible field",
+                *_position(source, node.index))
+        return FieldSet(node.name, _resolve_expr(node.value, fields, bound,
+                                                 source))
+    if kind is Let:
+        bound_expr = _resolve_expr(node.bound, fields, bound, source)
+        body = _resolve_expr(node.body, fields, bound | {node.var}, source)
+        if bound_expr is node.bound and body is node.body:
+            return node
+        return Let(node.var, bound_expr, body)
+    if kind is SuperSend:
+        args = _resolve_all(node.args, fields, bound, source)
+        return node if args is node.args else SuperSend(node.selector, args)
+    return node  # literals, self, new
+
+
+def _resolve_body(body, fields: frozenset[str], bound: frozenset[str],
+                  start: int, source: str) -> Expr:
+    # The descent reads a '+' chain in a loop, but the chain is a left-nested
+    # tree, so a body the parser read can still be too deep for this walk. By
+    # now the parser stands at the end of input; report the method or main
+    # block that holds the body instead.
+    try:
+        return _resolve_expr(body, fields, bound, source)
+    except RecursionError:
+        raise ParseError(_too_deep(), *_position(source, start)) from None
+
+
 def _resolve(raw: Program, method_starts: list[int], main_start: int,
              source: str) -> Program:
-    """Resolve bare identifiers and assignments. A node whose children all
-    come back unchanged is returned as it is, not rebuilt.
+    """Resolve bare identifiers and assignments. A node, method or class whose
+    parts all come back unchanged is returned as it is, not rebuilt.
 
-    Errors are positioned from ``source``, not from the token lists: the
-    walk's closures form a reference cycle, and lists they held would outlive
-    the parse until the next garbage collection."""
+    Errors are positioned from ``source``, not from the token lists, so that
+    the walk holds no reference to the parser."""
     fields_by_class = _visible_fields(raw.classes)
-
-    def resolve_all(nodes: tuple, fields: frozenset[str],
-                    bound: frozenset[str]) -> tuple:
-        resolved = tuple(resolve(n, fields, bound) for n in nodes)
-        return nodes if all(map(operator.is_, resolved, nodes)) else resolved
-
-    def resolve(node, fields: frozenset[str], bound: frozenset[str]) -> Expr:
-        kind = type(node)
-        if kind is _RawIdent:
-            if node.name in bound:
-                return Var(node.name)
-            if node.name in fields:
-                return FieldGet(node.name)
-            return Var(node.name)
-        if kind is Send:
-            receiver = resolve(node.receiver, fields, bound)
-            args = resolve_all(node.args, fields, bound)
-            if receiver is node.receiver and args is node.args:
-                return node
-            return Send(receiver, node.selector, args)
-        if kind is _RawAssign:
-            if node.name not in fields:
-                raise ParseError(
-                    f"assignment target {node.name!r} is not a visible field",
-                    *_position(source, node.index))
-            return FieldSet(node.name, resolve(node.value, fields, bound))
-        if kind is Let:
-            bound_expr = resolve(node.bound, fields, bound)
-            body = resolve(node.body, fields, bound | {node.var})
-            if bound_expr is node.bound and body is node.body:
-                return node
-            return Let(node.var, bound_expr, body)
-        if kind is SuperSend:
-            args = resolve_all(node.args, fields, bound)
-            return node if args is node.args else SuperSend(node.selector, args)
-        return node  # literals, self, new
-
-    def resolve_body(body, fields: frozenset[str], bound: frozenset[str],
-                     start: int) -> Expr:
-        # The descent reads a '+' chain in a loop, but the chain is a
-        # left-nested tree, so a body the parser read can still be too deep
-        # for this walk. By now the parser stands at the end of input; report
-        # the method or main block that holds the body instead.
-        try:
-            return resolve(body, fields, bound)
-        except RecursionError:
-            raise ParseError(_too_deep(), *_position(source, start)) from None
-
     starts = iter(method_starts)
     classes = []
     for c in raw.classes:
         fields = fields_by_class[c.name]
-        methods = tuple(
-            MethodDef(m.selector, m.params,
-                      resolve_body(m.body, fields, frozenset(m.params),
-                                   next(starts)),
-                      m.visibility)
-            for m in c.methods
-        )
-        classes.append(ClassDef(c.name, c.superclass, c.fields, methods))
-    main = resolve_body(raw.main, frozenset(), frozenset(), main_start)
+        methods = []
+        for m in c.methods:
+            body = _resolve_body(m.body, fields, frozenset(m.params),
+                                 next(starts), source)
+            methods.append(m if body is m.body else
+                           MethodDef(m.selector, m.params, body, m.visibility))
+        if all(map(operator.is_, methods, c.methods)):
+            classes.append(c)
+        else:
+            classes.append(ClassDef(c.name, c.superclass, c.fields,
+                                    tuple(methods)))
+    main = _resolve_body(raw.main, frozenset(), frozenset(), main_start, source)
     return Program(tuple(classes), main)
 
 

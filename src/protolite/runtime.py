@@ -121,14 +121,15 @@ class GlobalCache:
 
     def install(self, class_id: int, sym: Symbol, class_name: str,
                 method: CompiledMethod, defining: str) -> None:
-        indices = [probe_index(class_id, sym.id, p)
-                   for p in range(GLOBAL_CACHE_PROBES)]
-        target = indices[0]
-        for i in indices:
-            if self.slots[i] is None:
+        base = _probe_base(class_id, sym.id)
+        slots = self.slots
+        target = base % GLOBAL_CACHE_SIZE
+        for probe in range(GLOBAL_CACHE_PROBES):
+            i = (base + probe) % GLOBAL_CACHE_SIZE
+            if slots[i] is None:
                 target = i
                 break
-        self.slots[target] = (class_name, sym, method, defining)
+        slots[target] = (class_name, sym, method, defining)
         self.installs += 1
 
 
@@ -187,9 +188,10 @@ def default_lookup(class_name: str, selector: Symbol,
 
     The one and only lookup algorithm: no visibility logic, no special cases.
     """
+    classes = image.classes
     cursor: str | None = class_name
     while cursor is not None:
-        icls = image.class_of(cursor)
+        icls = classes[cursor]
         method = icls.dictionary.get(selector)
         if method is not None:
             return method, cursor
@@ -200,7 +202,7 @@ def default_lookup(class_name: str, selector: Symbol,
 def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
                   image: RuntimeImage) -> tuple[CompiledMethod, str] | None:
     """Global-cache-fronted lookup. Failures are not cached."""
-    class_id = image.class_of(class_name).class_id
+    class_id = image.classes[class_name].class_id
     hit = cache.consult(class_id, selector, class_name)
     if hit is not None:
         return hit

@@ -20,6 +20,7 @@ and the offending member. The rules:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .errors import UnknownClassError
@@ -77,7 +78,6 @@ def validate(program: Program,
     """
     if idx is None:
         idx = HierarchyIndex(program)
-    by_name = idx.by_name
     violations: list[Violation] = []
 
     # CLASSESONCE: one violation per duplicate pair in position order, plus
@@ -100,76 +100,106 @@ def validate(program: Program,
     # Every other rule looks at one class and its ancestor chain; the sort at
     # the end groups violations by rule, keeping class order within a rule.
     for c in program.classes:
-        seen_fields: set[str] = set()
-        for f in c.fields:
-            if f in seen_fields:
-                violations.append(Violation("FIELDONCEPERCLASS", c.name, f))
-            seen_fields.add(f)
+        _check_class(c, idx, violations)
+    return _by_rule(violations)
 
-        seen_methods: set[str] = set()
-        for m in c.methods:
-            if m.selector in seen_methods:
-                violations.append(Violation("METHODONCEPERCLASS", c.name, m.selector))
-            seen_methods.add(m.selector)
-            if len(set(m.params)) < len(m.params):
-                for param in sorted({p for p in m.params
-                                     if m.params.count(p) > 1}):
-                    violations.append(Violation(
-                        "PARAMSONCEPERMETHOD", c.name, m.selector,
-                        detail=f"parameter '{param}' declared twice"))
 
-        if c.superclass != ROOT_CLASS and c.superclass not in by_name:
-            violations.append(Violation(
-                "COMPLETECLASSES", c.name,
-                detail=f"extends undefined class '{c.superclass}'"))
+def validate_install(idx: HierarchyIndex, class_name: str,
+                     selector: str) -> list[Violation]:
+    """``validate`` of ``idx.program``, a valid program plus one method
+    ``selector`` on ``class_name``.
 
-        chain = idx.chain(c.name)
-        ancestors = [by_name[anc] for anc in chain[1:] if anc in by_name]
-        inherited = {f for anc_def in ancestors for f in anc_def.fields}
-        for f in c.fields:
-            if f in inherited:
-                violations.append(Violation(
-                    "FIELDSUNIQUELYDEFINED", c.name, f,
-                    detail="field is already defined in a superclass"))
+    Only that class and the descendants that define the selector can break a
+    rule, so only they are checked, each once and in program order; every
+    other class's checks are those of the valid program, which report
+    nothing.
+    """
+    violations: list[Violation] = []
+    for name in dict.fromkeys(idx.definers(selector)):
+        if class_name in idx.chain(name):  # the class or a descendant
+            _check_class(idx.by_name[name], idx, violations)
+    return _by_rule(violations)
 
-        # A chain ending in a class whose superclass is already on that chain
-        # is cyclic; a class sits on the cycle iff its walk wraps back to it.
-        last_def = by_name.get(chain[-1])
-        if chain[-1] != ROOT_CLASS and last_def is not None \
-                and last_def.superclass == c.name:
-            violations.append(Violation(
-                "WELLFOUNDEDCLASSES", c.name,
-                detail="class is part of an inheritance cycle"))
 
-        # Arity and visibility of overrides.
-        for m in c.methods:
-            for anc_def in ancestors:
-                overridden = anc_def.method_named(m.selector)
-                if overridden is None:
-                    continue
-                if len(overridden.params) != len(m.params):
-                    violations.append(Violation(
-                        "CLASSMETHODSOK", c.name, m.selector,
-                        detail=(f"arity {len(m.params)} does not match arity "
-                                f"{len(overridden.params)} in '{anc_def.name}'")))
-                if m.visibility == PROTECTED and overridden.visibility == PUBLIC:
-                    violations.append(Violation(
-                        "OVERRIDINGPUBLICMETHOD", c.name, m.selector,
-                        detail=("narrows public method inherited from "
-                                f"'{anc_def.name}'")))
+_RULE_RANK = {rule: i for i, rule in enumerate(RULE_ORDER)}
 
-    # OVERRIDINGPROTECTEDMETHOD: any override of a protected method is public
-    # or protected, so no violation is possible with two visibility levels.
 
-    order = {rule: i for i, rule in enumerate(RULE_ORDER)}
-    violations.sort(key=lambda v: order[v.rule])
+def _by_rule(violations: list[Violation]) -> list[Violation]:
+    violations.sort(key=lambda v: _RULE_RANK[v.rule])
     return violations
 
 
+def _check_class(c: ClassDef, idx: HierarchyIndex,
+                 violations: list[Violation]) -> None:
+    """Append the violations of every rule that looks at one class and its
+    ancestor chain, in the order ``validate`` reports them within a rule."""
+    by_name = idx.by_name
+    seen_fields: set[str] = set()
+    for f in c.fields:
+        if f in seen_fields:
+            violations.append(Violation("FIELDONCEPERCLASS", c.name, f))
+        seen_fields.add(f)
+
+    seen_methods: set[str] = set()
+    for m in c.methods:
+        if m.selector in seen_methods:
+            violations.append(Violation("METHODONCEPERCLASS", c.name, m.selector))
+        seen_methods.add(m.selector)
+        if len(set(m.params)) < len(m.params):
+            for param in sorted({p for p in m.params
+                                 if m.params.count(p) > 1}):
+                violations.append(Violation(
+                    "PARAMSONCEPERMETHOD", c.name, m.selector,
+                    detail=f"parameter '{param}' declared twice"))
+
+    if c.superclass != ROOT_CLASS and c.superclass not in by_name:
+        violations.append(Violation(
+            "COMPLETECLASSES", c.name,
+            detail=f"extends undefined class '{c.superclass}'"))
+
+    chain = idx.chain(c.name)
+    ancestors = [by_name[anc] for anc in chain[1:] if anc in by_name]
+    inherited = {f for anc_def in ancestors for f in anc_def.fields}
+    for f in c.fields:
+        if f in inherited:
+            violations.append(Violation(
+                "FIELDSUNIQUELYDEFINED", c.name, f,
+                detail="field is already defined in a superclass"))
+
+    # A chain ending in a class whose superclass is already on that chain
+    # is cyclic; a class sits on the cycle iff its walk wraps back to it.
+    last_def = by_name.get(chain[-1])
+    if chain[-1] != ROOT_CLASS and last_def is not None \
+            and last_def.superclass == c.name:
+        violations.append(Violation(
+            "WELLFOUNDEDCLASSES", c.name,
+            detail="class is part of an inheritance cycle"))
+
+    # Arity and visibility of overrides.
+    for m in c.methods:
+        for anc_def in ancestors:
+            overridden = anc_def.method_named(m.selector)
+            if overridden is None:
+                continue
+            if len(overridden.params) != len(m.params):
+                violations.append(Violation(
+                    "CLASSMETHODSOK", c.name, m.selector,
+                    detail=(f"arity {len(m.params)} does not match arity "
+                            f"{len(overridden.params)} in '{anc_def.name}'")))
+            if m.visibility == PROTECTED and overridden.visibility == PUBLIC:
+                violations.append(Violation(
+                    "OVERRIDINGPUBLICMETHOD", c.name, m.selector,
+                    detail=("narrows public method inherited from "
+                            f"'{anc_def.name}'")))
+    # OVERRIDINGPROTECTEDMETHOD: any override of a protected method is public
+    # or protected, so no violation is possible with two visibility levels.
+
+
 class HierarchyIndex:
-    """Relation oracle over a program, built once per compile or install and
-    shared by ``validate``, the rewrite scope, protection roots and lowering;
-    the image keeps it for the reference evaluator.
+    """Relation oracle over a program, built once per compile and shared by
+    ``validate``, the rewrite scope, protection roots and lowering; an install
+    derives its image's index from the parent's with ``with_method``. The
+    image keeps it for the reference evaluator.
 
     Answers superclass and ancestor-chain queries, the classes defining a
     selector, transitive field sets, and closest-definition and public
@@ -203,6 +233,23 @@ class HierarchyIndex:
                     fields.extend(anc_def.fields)
             self._fields[name] = tuple(fields)
 
+    def with_method(self, program: Program, cdef: ClassDef,
+                    selector: str) -> HierarchyIndex:
+        """The index of ``program``: this index's program with ``cdef``, which
+        adds a method ``selector``, in place of the class of its name.
+
+        Only ``by_name`` and the definers of ``selector`` change; chains and
+        field sets are shared, since a method adds no class, field or
+        superclass edge.
+        """
+        idx = copy.copy(self)
+        idx.program = program
+        idx.by_name = {**self.by_name, cdef.name: cdef}
+        idx._definers = {**self._definers, selector: tuple(
+            c.name for c in program.classes for m in c.methods
+            if m.selector == selector)}
+        return idx
+
     def _require(self, name: str) -> None:
         if name != ROOT_CLASS and name not in self.by_name:
             raise UnknownClassError(f"unknown class '{name}'")
@@ -217,6 +264,11 @@ class HierarchyIndex:
         """Ancestor chain from ``name`` up to and including Object."""
         self._require(name)
         return self._chains[name]
+
+    def subtree(self, name: str) -> tuple[str, ...]:
+        """``name`` and its descendants, in program order."""
+        self._require(name)
+        return tuple(c for c, chain in self._chains.items() if name in chain)
 
     def definers(self, selector: str) -> tuple[str, ...]:
         """Classes defining ``selector`` at any visibility, in program order."""

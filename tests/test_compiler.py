@@ -21,7 +21,16 @@ from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.runtime import run_image
-from protolite.syntax import MethodDef, Send, SelfRef, Var, pretty_expr
+from protolite.syntax import (
+    ClassDef,
+    IntLit,
+    MethodDef,
+    Program,
+    Send,
+    SelfRef,
+    Var,
+    pretty_expr,
+)
 from protolite.validate import HierarchyIndex
 from protolite.values import IntVal
 
@@ -313,6 +322,48 @@ def test_deferred_site_retagged_on_install(programs_dir):
     body2 = image2.classes["Box"].dictionary[image2.symbols.intern("anyMethod")].body
     assert pretty_expr(body2) == "self.__unknown()"
     assert run_image(image2).outcome == Completed(IntVal(5))
+
+
+def _binary_tree(n):
+    """Class i extends class (i - 1) // 2; every class overrides f()."""
+    return Program(tuple(
+        ClassDef(f"C{i}", "Object" if i == 0 else f"C{(i - 1) // 2}", (),
+                 (MethodDef("f", (), IntLit(i)),))
+        for i in range(n)), IntLit(0))
+
+
+def test_install_stays_local(monkeypatch):
+    # An install derives its index from the parent image's and validates
+    # only the classes the new method can make invalid: the target and the
+    # descendants defining the selector, however large the program.
+    import importlib
+
+    # The package re-exports the function under the module's name.
+    validate_mod = importlib.import_module("protolite.validate")
+    real_init, real_check = HierarchyIndex.__init__, validate_mod._check_class
+    builds, checked = [], {}
+
+    def counting_init(self, program):
+        builds.append(program)
+        real_init(self, program)
+
+    for n in (250, 2000):
+        image = compile_program(_binary_tree(n))
+        checked[n] = []
+        monkeypatch.setattr(HierarchyIndex, "__init__", counting_init)
+        monkeypatch.setattr(
+            validate_mod, "_check_class",
+            lambda c, idx, violations, seen=checked[n]:
+                seen.append(c.name) or real_check(c, idx, violations))
+        leaf = install_method(image, f"C{n - 1}", MethodDef("g", (), IntLit(1)))
+        # On the root, the leaf's g becomes an override and is checked too.
+        root = install_method(leaf, "C0", MethodDef("g", (), IntLit(2)))
+        monkeypatch.undo()
+        assert builds == []
+        assert leaf.idx.chain(f"C{n - 1}") is image.idx.chain(f"C{n - 1}")
+        assert root.idx.definers("g") == ("C0", f"C{n - 1}")
+    assert checked[250] == ["C249", "C0", "C249"]
+    assert checked[2000] == ["C1999", "C0", "C1999"]
 
 
 def test_incremental_equals_batch(two_level_program):

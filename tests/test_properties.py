@@ -243,6 +243,107 @@ def test_incremental_install_converges(seed):
         image_fingerprint(compile_program(program))
 
 
+_INSTALL_KINDS = ("fresh", "override", "duplicate-selector", "duplicate-params",
+                  "ancestor-arity", "descendant-arity", "narrow-inherited",
+                  "narrow-below")
+
+
+def _random_install(rng, program, idx):
+    """A random (class, method) to install, valid or aimed at one rule."""
+    from protolite.syntax import IntLit, MethodDef, SelfRef
+
+    target = rng.choice(program.classes)
+    kind = rng.choice(_INSTALL_KINDS)
+    above = [idx.by_name[a] for a in idx.chain(target.name)[1:]
+             if a in idx.by_name]
+    below = [c for c in program.classes
+             if c is not target and target.name in idx.chain(c.name)]
+    own = {m.selector for m in target.methods}
+    inherited = [m for c in above for m in c.methods if m.selector not in own]
+    overriding = [m for c in below for m in c.methods if m.selector not in own]
+    selector = rng.choice(("alpha", "delta", "eta", "iota", "kappa", "lam"))
+    params = tuple(f"p{i}" for i in range(rng.randrange(3)))
+    visibility = rng.choice((PUBLIC, PROTECTED))
+    if kind == "override" and inherited + overriding:
+        m = rng.choice(inherited + overriding)
+        selector, params = m.selector, m.params
+    elif kind == "duplicate-selector" and target.methods:
+        selector = rng.choice(target.methods).selector
+    elif kind == "duplicate-params":
+        params = ("x", "y", "x")
+    elif kind in ("ancestor-arity", "descendant-arity"):
+        pool = inherited if kind == "ancestor-arity" else overriding
+        if pool:
+            m = rng.choice(pool)
+            selector = m.selector
+            params = tuple(f"p{i}" for i in range(len(m.params) + 1))
+    elif kind in ("narrow-inherited", "narrow-below"):
+        # Protected below an inherited public method, or public above a
+        # protected override.
+        wanted = PUBLIC if kind == "narrow-inherited" else PROTECTED
+        pool = [m for m in (inherited if wanted == PUBLIC else overriding)
+                if m.visibility == wanted]
+        if pool:
+            m = rng.choice(pool)
+            selector, params = m.selector, m.params
+            visibility = PROTECTED if wanted == PUBLIC else PUBLIC
+    body_selector = rng.choice(("alpha", "beta", "delta", "iota", "kappa",
+                                selector))
+    body_args = tuple(IntLit(i) for i in range(rng.randrange(3)))
+    body = rng.choice((IntLit(7), Send(SelfRef(), body_selector, body_args),
+                       SuperSend(body_selector, body_args)))
+    return target.name, MethodDef(selector, params, body, visibility)
+
+
+@given(seeds, seeds, st.sampled_from(list(CompileMode)))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
+                                                          mode):
+    # Chained random installs, valid and invalid: each one either raises
+    # exactly the violations a full validate of the grown program reports,
+    # or yields the image a from-scratch compile of it gives, with an index
+    # that answers like one built over it.
+    from dataclasses import replace
+
+    from protolite.compiler import desugar_dump, install_method
+    from protolite.errors import ProgramInvalidError
+
+    program = generate_program(seed)
+    if not program.classes:
+        return
+    image = compile_program(program, mode)
+    rng = random.Random(install_seed)
+    for _ in range(8):
+        class_name, mdef = _random_install(rng, program, image.idx)
+        grown = replace(program, classes=tuple(
+            replace(c, methods=c.methods + (mdef,)) if c.name == class_name
+            else c for c in program.classes))
+        expected = validate(grown)
+        try:
+            installed = install_method(image, class_name, mdef)
+        except ProgramInvalidError as err:
+            assert err.violations == expected
+            continue
+        assert expected == []
+        scratch = compile_program(grown, mode)
+        assert desugar_dump(installed) == desugar_dump(scratch)
+        assert image_fingerprint(installed) == image_fingerprint(scratch)
+        assert installed.program == grown
+        idx, fresh = installed.idx, scratch.idx
+        assert idx.by_name == fresh.by_name
+        selectors = {m.selector for c in grown.classes for m in c.methods}
+        for name in fresh.by_name:
+            assert idx.chain(name) == fresh.chain(name)
+            assert idx.fields_of(name) == fresh.fields_of(name)
+            for selector in selectors:
+                assert idx.closest_def(name, selector) == \
+                    fresh.closest_def(name, selector)
+        for selector in selectors:
+            assert idx.definers(selector) == fresh.definers(selector)
+        image, program = installed, grown
+
+
 def _lowered_sites(node):
     """Send sites of a lowered body: its sends carry them."""
     if isinstance(node, Send):
