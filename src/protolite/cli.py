@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 from .bench import BenchConfig, BenchReport, bench_pair, repeat_main
 from .compiler import CompileMode, compile_program, desugar_dump
@@ -147,7 +148,6 @@ def cmd_diff(args) -> int:
     from .generator import generate_program
 
     fuel = _fuel(args) if args.fuel is not None else DIFF_FUEL
-    results = []
     if args.seeds:
         try:
             lo, hi = args.seeds.split("..")
@@ -163,13 +163,15 @@ def cmd_diff(args) -> int:
         return EXIT_INVALID
 
     disagreements = []
-    total = 0
+    mix: Counter[str] = Counter()
     for pid, program in programs:
-        total += 1
         result = differential_run(program, fuel=fuel, program_id=pid)
-        results.append(result)
+        outcome = result.reference_outcome
+        mix[outcome.reason.kind if isinstance(outcome, Errored)
+            else type(outcome).__name__] += 1
         if not result.agree:
             disagreements.append((pid, program, result))
+    total = sum(mix.values())
     agreeing = total - len(disagreements)
     if args.json:
         print(json.dumps({
@@ -179,9 +181,13 @@ def cmd_diff(args) -> int:
                 {"id": pid, "detail": r.detail}
                 for pid, _, r in disagreements
             ],
+            "outcomes": dict(mix.most_common()),
         }))
     else:
         print(f"{agreeing}/{total} agree")
+        if args.seeds:
+            for kind, count in mix.most_common():
+                print(f"  {kind}: {count}")
         for pid, program, result in disagreements:
             print(f"disagreement on {pid}: {result.detail}", file=sys.stderr)
             print("--- offending program ---", file=sys.stderr)

@@ -3,11 +3,13 @@
 Protected visibility is enforced entirely through class method dictionaries,
 so the runtime needs only one visibility-blind lookup:
 
-* Classes that define a protected method, and all their descendants, form the
-  *rewrite scope*. Inside it, protected methods are installed under their
-  mangled selector (``__`` + name) only, and public methods are installed
-  twice -- once plain, once mangled -- both entries sharing one compiled
-  method. Classes outside the scope keep plain entries only.
+* Classes that define a protected method, or self-send a selector that a
+  strict descendant defines protected (a template method calling a protected
+  hook), form the *rewrite scope* with all their descendants. Inside it,
+  protected methods are installed under their mangled selector (``__`` +
+  name) only, and public methods are installed twice -- once plain, once
+  mangled -- both entries sharing one compiled method. Classes outside the
+  scope keep plain entries only.
 * Self- and super-send sites inside the scope are retargeted to the mangled
   selector, with one exception: a site whose selector resolves only above the
   class's protection root (an ancestor region that uses no protected methods)
@@ -20,7 +22,8 @@ so the runtime needs only one visibility-blind lookup:
 ``install_method`` grows an image incrementally, doing only the work the new
 method touches. It derives the new index from the parent image's, checks only
 the classes the method can make invalid, and keeps the parent's scope unless
-the first protected method of a class pulls the class and its descendants in
+the method pulls classes in under the same rule -- the target, or an ancestor
+that self-sends a new protected selector -- with their descendants
 (recompiling them). It then re-examines the in-scope sites that mention the
 new selector in the target's subtree and ancestors, and the deferred ones.
 Images are never mutated; installs return a new image and leave the old one
@@ -238,12 +241,31 @@ class RuntimeImage:
 
 
 def rewrite_scope(idx: HierarchyIndex) -> frozenset[str]:
-    """Classes that define a protected method, plus all their descendants."""
+    """Classes that define a protected method or self-send a selector that a
+    strict descendant defines protected, plus all their descendants. Super-
+    sends need no such rule: outside the scope every ancestor is public."""
     classes = idx.program.classes
-    definers = {c.name for c in classes
-                if any(m.visibility == PROTECTED for m in c.methods)}
+    joined: set[str] = set()
+    # Only a strict ancestor of a protected definer can join by self-send.
+    hooks_below: dict[str, set[str]] = {}
+    for c in classes:
+        hooks = {m.selector for m in c.methods if m.visibility == PROTECTED}
+        if hooks:
+            joined.add(c.name)
+            for anc in idx.chain(c.name)[1:-1]:
+                hooks_below.setdefault(anc, set()).update(hooks)
+    for name, hooks in hooks_below.items():
+        if name not in joined and _self_sends_any(idx.by_name[name].methods,
+                                                  hooks):
+            joined.add(name)
     return frozenset(c.name for c in classes
-                     if not definers.isdisjoint(idx.chain(c.name)))
+                     if not joined.isdisjoint(idx.chain(c.name)))
+
+
+def _self_sends_any(methods: tuple[MethodDef, ...],
+                    selectors: set[str]) -> bool:
+    return any(not selectors.isdisjoint(self_and_super_selectors(m.body)[0])
+               for m in methods)
 
 
 def protection_roots(idx: HierarchyIndex,
@@ -433,10 +455,11 @@ def install_method(image: RuntimeImage, class_name: str,
 
     Rejects anything that would invalidate the program (duplicate selector,
     narrowing an inherited public method, reserved prefix), with the
-    violations ``validate`` reports for the grown program. The first
-    protected method of a class recompiles the class and its descendants;
-    afterwards, in-scope methods mentioning the new selector in self/super
-    position are re-examined so their site tags match a from-scratch compile.
+    violations ``validate`` reports for the grown program. Classes the
+    method pulls into the rewrite scope are recompiled with their
+    descendants; afterwards, in-scope methods mentioning the new selector in
+    self/super position are re-examined so their site tags match a
+    from-scratch compile.
     Builds no index and validates no class the method cannot affect.
     """
     if mdef.selector.startswith(MANGLE_PREFIX):
@@ -454,14 +477,32 @@ def install_method(image: RuntimeImage, class_name: str,
     if violations:
         raise ProgramInvalidError(violations)
 
-    # The parent's scope, unless a protected method lands outside it in
-    # normal mode: then the class and its descendants join it.
+    # The parent's scope, grown in normal mode under the scope rule: a
+    # protected method pulls in each strict ancestor that self-sends its
+    # selector, and any method pulls in a target outside the scope when it is
+    # protected or self-sends a selector a strict descendant defines
+    # protected. All lie on the target's chain: the topmost one's subtree
+    # joins.
     subtree = idx.subtree(class_name)
     new_scope, roots = image.rewrite_scope, image.protection_roots
+    top = None
+    if image.mode is CompileMode.NORMAL:
+        protected = mdef.visibility == PROTECTED
+        if protected:
+            top = next((anc for anc in reversed(idx.chain(class_name)[1:-1])
+                        if anc not in new_scope and _self_sends_any(
+                            idx.by_name[anc].methods, {mdef.selector})), None)
+        if top is None and class_name not in new_scope and (
+                protected or _self_sends_any((mdef,), {
+                    m.selector for d in subtree if d != class_name
+                    for m in idx.by_name[d].methods
+                    if m.visibility == PROTECTED})):
+            top = class_name
+    reach = subtree
     expansion: frozenset[str] = frozenset()
-    if image.mode is CompileMode.NORMAL and mdef.visibility == PROTECTED \
-            and class_name not in new_scope:
-        expansion = frozenset(subtree) - new_scope
+    if top is not None:
+        reach = idx.subtree(top)
+        expansion = frozenset(reach) - new_scope
         new_scope = new_scope | expansion
         roots = protection_roots(idx, new_scope)
 
@@ -474,13 +515,13 @@ def install_method(image: RuntimeImage, class_name: str,
     # Sites whose tag can change: those sending the new selector, and -- when
     # classes just entered the scope -- those sending anything such a class
     # defines, since their resolution class may have flipped into the scope.
-    # Only the target's subtree and ancestors resolve through what changed;
-    # elsewhere only a deferred site of the new selector can, as the selector
-    # now has a definer.
+    # Only the joining subtree (else the target's) and the target's ancestors
+    # resolve through what changed; elsewhere only a deferred site of the new
+    # selector can, as the selector now has a definer.
     affected_selectors = {mdef.selector}
     for name in expansion:
         affected_selectors.update(m.selector for m in idx.by_name[name].methods)
-    candidates = set(subtree).union(
+    candidates = set(reach).union(
         idx.chain(class_name),
         (d.class_name for d in image.deferred_sites
          if d.selector == mdef.selector))
@@ -489,7 +530,8 @@ def install_method(image: RuntimeImage, class_name: str,
         if name in full or name not in new_scope:
             continue
         for m in idx.by_name[name].methods:
-            if affected_selectors & self_and_super_selectors(m.body):
+            if any(affected_selectors & sent
+                   for sent in self_and_super_selectors(m.body)):
                 retag.setdefault(name, set()).add(m.selector)
 
     def in_scope_of(name: str) -> bool:

@@ -76,7 +76,6 @@ class _Generator:
         self.plans: list[_ClassPlan] = []
         self.by_name: dict[str, _ClassPlan] = {}
         self.depths: dict[str, int] = {}
-        self.scope: set[str] = set()
         self.current_selector: str | None = None
 
     # -- phase 1: hierarchy and signatures ---------------------------------
@@ -144,35 +143,6 @@ class _Generator:
                 seen[sel] = arity
         return [(s, a) for s, a in seen.items() if a >= 0]
 
-    def _scope(self) -> set[str]:
-        definers = {p.name for p in self.plans
-                    if any(vis == PROTECTED for _, _, vis in p.signatures)}
-        return {p.name for p in self.plans
-                if definers & {q.name for q in self._chain(p.name)}}
-
-    def _self_send_safe(self, plan: _ClassPlan, selector: str,
-                        scope: set[str]) -> bool:
-        """Whether a self-send in this class stays inside the technique.
-
-        A class outside the rewrite scope keeps plain send sites, which can
-        never see a protected (mangled-only) method. A self-send there must
-        not rely on one: the selector has to resolve on the class's own
-        chain (everything above an unrewritten class is public), or at least
-        not be defined protected by any descendant.
-        """
-        if plan.name in scope:
-            return True
-        for p in self._chain(plan.name):
-            if any(sel == selector for sel, _, _ in p.signatures):
-                return True
-        for other in self.plans:
-            if other.name != plan.name \
-                    and plan.name in {q.name for q in self._chain(other.name)} \
-                    and any(sel == selector and vis == PROTECTED
-                            for sel, _, vis in other.signatures):
-                return False
-        return True
-
     def _fields_of(self, name: str) -> list[str]:
         fields: list[str] = []
         for plan in self._chain(name):
@@ -183,7 +153,6 @@ class _Generator:
 
     def build(self) -> Program:
         self.plan()
-        self.scope = self._scope()
         classes = []
         for plan in self.plans:
             methods = []
@@ -236,24 +205,8 @@ class _Generator:
             resolvable = [(s, a) for s, a in resolvable
                           if s != self.current_selector]
         if resolvable and rng.random() < 0.8:
-            choice = rng.choice(resolvable)
-        else:
-            choice = rng.choice(list(self.config.selectors))
-        if kind == "self" and plan is not None:
-            if not self._self_send_safe(plan, choice[0], self.scope):
-                safe = [(s, a) for s, a in resolvable
-                        if self._self_send_safe(plan, s, self.scope)]
-                if safe:
-                    return rng.choice(safe)
-                return rng.choice(self._always_safe_selectors(plan))
-        return choice
-
-    def _always_safe_selectors(self, plan: _ClassPlan) -> list[tuple[str, int]]:
-        safe = [(s, a) for s, a in self.config.selectors
-                if self._self_send_safe(plan, s, self.scope)]
-        # A selector defined by no class is always safe: both worlds answer
-        # with the same does-not-understand.
-        return safe or [("omega", 0)]
+            return rng.choice(resolvable)
+        return rng.choice(list(self.config.selectors))
 
     def _object_send(self, depth: int, variables: list[str], fields: list[str],
                      plan: _ClassPlan | None) -> Expr:

@@ -121,12 +121,6 @@ class Program:
     classes: tuple[ClassDef, ...]
     main: Expr
 
-    def class_named(self, name: str) -> ClassDef | None:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
-
 
 # --- pretty printing ------------------------------------------------------
 #
@@ -192,19 +186,21 @@ def pretty_program(p: Program) -> str:
     return "\n".join(out) + "\n"
 
 
-def self_and_super_selectors(e: Expr) -> set[str]:
-    """Selectors sent through self or super anywhere in an expression."""
-    found: set[str] = set()
+def self_and_super_selectors(e: Expr) -> tuple[set[str], set[str]]:
+    """Selectors sent through self, and those sent through super, anywhere in
+    an expression."""
+    through_self: set[str] = set()
+    through_super: set[str] = set()
 
     def walk(node: Expr) -> None:
         if isinstance(node, Send):
             if isinstance(node.receiver, SelfRef):
-                found.add(node.selector)
+                through_self.add(node.selector)
             walk(node.receiver)
             for a in node.args:
                 walk(a)
         elif isinstance(node, SuperSend):
-            found.add(node.selector)
+            through_super.add(node.selector)
             for a in node.args:
                 walk(a)
         elif isinstance(node, FieldSet):
@@ -214,4 +210,4 @@ def self_and_super_selectors(e: Expr) -> set[str]:
             walk(node.body)
 
     walk(e)
-    return found
+    return through_self, through_super

@@ -108,9 +108,31 @@ def test_desugar_golden_fragments(capsys):
 
 
 def test_diff_seed_range(capsys):
+    from collections import Counter
+
+    from protolite.generator import generate_program
+    from protolite.metrics import DIFF_FUEL
+    from protolite.outcomes import Errored
+    from protolite.reference import eval_program
+
     code, out, _ = run_cli(capsys, "diff", "--seeds", "0..19")
     assert code == 0
-    assert out.strip() == "20/20 agree"
+    head, *mix_lines = out.strip().splitlines()
+    assert head == "20/20 agree"
+    # The outcome mix: the reference evaluator's outcome kinds, most common
+    # first, in text and under --json.
+    outcomes = [eval_program(generate_program(seed), fuel=DIFF_FUEL).outcome
+                for seed in range(20)]
+    expected = Counter(o.reason.kind if isinstance(o, Errored)
+                       else type(o).__name__ for o in outcomes)
+    assert len(expected) > 1
+    assert mix_lines == [f"  {kind}: {count}"
+                         for kind, count in expected.most_common()]
+    code, out, _ = run_cli(capsys, "diff", "--seeds", "0..19", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["total"], payload["agree"]) == (20, 20)
+    assert list(payload["outcomes"].items()) == expected.most_common()
 
 
 def test_diff_single_file(capsys):

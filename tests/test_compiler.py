@@ -89,6 +89,29 @@ def test_scope_empty_without_protected():
     assert rewrite_scope(HierarchyIndex(p)) == frozenset()
 
 
+@pytest.mark.parametrize("classes, scope", [
+    # A template method's class joins when a strict descendant defines its
+    # hook protected; its descendants follow, its public ancestors do not.
+    ("class P extends Object { method m() { nil } }"
+     " class A extends P { method go() { self.hook() } }"
+     " class B extends A { }"
+     " class C extends B { protected method hook() { 7 } }"
+     " class D extends A { }",
+     {"A", "B", "C", "D"}),
+    # A super-send to the hook never reaches a descendant.
+    ("class A extends Object { method go() { super.hook() } }"
+     " class B extends A { protected method hook() { 7 } }",
+     {"B"}),
+    # A self-send to a protected selector of an unrelated class.
+    ("class A extends Object { method go() { self.hook() } }"
+     " class B extends Object { protected method hook() { 7 } }",
+     {"B"}),
+], ids=["template-method", "super-send", "non-descendant"])
+def test_scope_closes_over_template_methods(classes, scope):
+    p = parse(f"{classes} main {{ nil }}")
+    assert rewrite_scope(HierarchyIndex(p)) == scope
+
+
 def test_scope_excludes_public_only_ancestors(programs_dir):
     p = parse((programs_dir / "hierarchy_split.stl").read_text())
     idx = HierarchyIndex(p)
@@ -280,6 +303,40 @@ def test_install_first_protected_into_leaf_touches_only_leaf(two_level_program):
     image2 = install_method(image, "X", probe)
     assert image2.classes["Y"] is image.classes["Y"]
     assert image2.rewrite_scope == {"X"}
+
+
+@pytest.mark.parametrize("source, class_name, mdef, value", [
+    # The hook lands after the template method: A joins with it.
+    ("class A extends Object { method go() { self.hook() } }"
+     " class B extends A { }"
+     " main { let b = new B in b.go() }",
+     "B", MethodDef("hook", (), IntLit(7), "protected"), 7),
+    # The template method lands in A, outside the scope, after the hook.
+    ("class A extends Object { }"
+     " class B extends A { protected method hook() { 7 } }"
+     " main { let b = new B in b.go() }",
+     "A", MethodDef("go", (), Send(SelfRef(), "hook", ())), 7),
+    # A joins through a hook on B; S, already in scope below A, must retag
+    # its send to A's base, which now has a mangled entry.
+    ("class A extends Object { method go() { self.hook() }"
+     "  method base() { 1 } }"
+     " class S extends A { protected method p() { self.base() }"
+     "  method q() { self.p() } }"
+     " class B extends A { }"
+     " main { (new B).go() + (new S).q() }",
+     "B", MethodDef("hook", (), IntLit(7), "protected"), 8),
+    # As template-later, with the subclass declared before its superclass.
+    ("class B extends A { protected method hook() { 7 } }"
+     " class A extends Object { }"
+     " main { let b = new B in b.go() }",
+     "A", MethodDef("go", (), Send(SelfRef(), "hook", ())), 7),
+], ids=["hook-later", "template-later", "sibling-retag", "subclass-first"])
+def test_install_closes_scope_over_template_method(source, class_name, mdef,
+                                                   value):
+    image = install_method(compile_program(parse(source)), class_name, mdef)
+    scratch = compile_program(image.program)
+    assert images_equal(image, scratch)
+    assert run_image(image).outcome == Completed(IntVal(value))
 
 
 def test_install_rejects_narrowing(two_level_program):

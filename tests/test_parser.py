@@ -17,14 +17,18 @@ from protolite.syntax import (
 )
 
 
+def class_named(program, name):
+    return next(c for c in program.classes if c.name == name)
+
+
 def test_two_level_program_shape(two_level_program):
     p = two_level_program
     assert [c.name for c in p.classes] == ["A", "B"]
-    b = p.class_named("B")
+    b = class_named(p, "B")
     assert len(b.protected_methods) == 1
     assert len(b.public_methods) == 3
     assert b.protected_methods[0].selector == "protectedMethod"
-    a = p.class_named("A")
+    a = class_named(p, "A")
     assert {m.selector for m in a.protected_methods} == {
         "protectedMethod", "publicInSubclass"}
 
@@ -198,7 +202,7 @@ def test_field_reads_resolve_against_hierarchy():
         }
         main { f }
     """)
-    b = p.class_named("B")
+    b = class_named(p, "B")
     assert b.methods[0].body == FieldGet("f")
     assert b.methods[1].body == Var("f2")
     # main has no enclosing class, so bare names are variables there
@@ -214,7 +218,7 @@ def test_params_and_lets_shadow_fields():
         }
         main { nil }
     """)
-    a = p.class_named("A")
+    a = class_named(p, "A")
     assert a.methods[0].body == Var("f")
     assert a.methods[1].body == Let("f", NilLit(), Var("f"))
 
@@ -234,7 +238,7 @@ def test_expression_grammar():
         }
         main { let z = new C in (new C).m(z.m(nil, 1), 3) }
     """)
-    body = p.class_named("C").methods[0].body
+    body = class_named(p, "C").methods[0].body
     assert body == FieldSet(
         "f",
         Send(Send(Send(Var("x"), "k", ()), "+", (IntLit(2),)), "+", (Var("y"),)),
@@ -255,7 +259,7 @@ def test_super_and_self_parse():
         }
         main { nil }
     """)
-    b = p.class_named("B")
+    b = class_named(p, "B")
     assert b.methods[0].body == SuperSend("m", ())
     assert b.methods[1].body == Send(SelfRef(), "m", ())
 
