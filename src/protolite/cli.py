@@ -237,12 +237,13 @@ def cmd_stats(args) -> int:
     t1 = time.perf_counter()
     image = compile_program(program, _mode(args))  # validates, then compiles
     t2 = time.perf_counter()
-    _, result = _run_interpreter(args, image)
+    interp, result = _run_interpreter(args, image)
     t3 = time.perf_counter()
     phases = {"parse": t1 - t0, "compile": t2 - t1, "run": t3 - t2}
     stats = result.stats
     memory = measure_image(image)
     ratios = worst_case_ratios(program)
+    sites = interp.sites()
     if args.json:
         print(json.dumps({
             "cache": stats.to_json(),
@@ -251,6 +252,7 @@ def cmd_stats(args) -> int:
             "outcome": outcome_to_json(result.outcome),
             "steps": result.steps,
             "phases": phases,
+            "sites": sites,
         }))
         return EXIT_OK
     print("phases: " + ", ".join(f"{name} {seconds * 1e3:.3f} ms"
@@ -266,6 +268,11 @@ def cmd_stats(args) -> int:
     print(f"inline caches: {stats.ic_monomorphic} monomorphic, "
           f"{stats.ic_polymorphic} polymorphic, "
           f"{stats.ic_megamorphic} megamorphic")
+    for s in sites:
+        where = ".".join(filter(None, (s["class"], s["method"])))
+        receivers = f" ({', '.join(s['receivers'])})" if s["receivers"] else ""
+        print(f"  site {s['site']} in {where} sends {s['selector']}: "
+              f"{s['state']}{receivers}")
     print(f"dictionary entries: {memory.total_entries} "
           f"({json.dumps(memory.to_json()['perClassEntries'])})")
     print(f"symbols: {memory.plain_symbols} plain + "

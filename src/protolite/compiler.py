@@ -230,12 +230,6 @@ class RuntimeImage:
     code_arrays: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
-    def class_of(self, name: str) -> ImageClass:
-        try:
-            return self.classes[name]
-        except KeyError:
-            raise UnknownClassError(f"unknown class '{name}'") from None
-
 
 # --- scope --------------------------------------------------------------------
 

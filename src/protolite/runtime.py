@@ -7,12 +7,14 @@ exist in which dictionaries, so no visibility logic appears here.
 Two optional layers sit in front of it:
 
 * a global lookup cache -- a fixed table of 1024 slots keyed by
-  (receiver class, selector), probed at most three times per consultation;
-  a miss falls back to the chain walk and installs the result
+  (receiver class, selector); one scan of at most three probed slots hits,
+  or stops at the first empty slot and installs the chain walk's result
+  there (three taken slots evict the home slot)
 * per-send-site inline caches that memoise receiver class -> method and grow
   monomorphic -> polymorphic -> megamorphic
 
-Failed lookups are never cached at either level, because installing a method
+Object, self- and super-sends share one miss path in the run loop. Failed
+lookups are never cached at either level, because installing a method
 later may change them. Caches affect statistics only, never outcomes.
 
 Execution does not walk the lowered expression trees. Each method body, and
@@ -43,7 +45,6 @@ from .compiler import (
     CompiledMethod,
     RuntimeImage,
     SelfSiteSend,
-    SendSite,
     SiteSend,
     SuperSiteSend,
     Symbol,
@@ -96,10 +97,9 @@ def probe_index(class_id: int, symbol_id: int, probe: int) -> int:
 class GlobalCache:
     """Fixed-size (class, selector) -> method table with linear re-probing.
 
-    A consultation checks up to three slots; on a triple miss the result of
-    the slow lookup is installed at the first free probed slot, or evicts the
-    first one when all three are taken. Slot keys compare selectors by
-    identity: an image interns one Symbol per selector text.
+    Plain data; ``cached_lookup`` reads and fills it. A slot is None or
+    ``(class name, symbol, method, defining class)``. Slot keys compare
+    selectors by identity: an image interns one Symbol per selector text.
     """
 
     slots: list = field(
@@ -107,30 +107,6 @@ class GlobalCache:
     probe_hits: list[int] = field(default_factory=lambda: [0, 0, 0])
     misses: int = 0
     installs: int = 0
-
-    def consult(self, class_id: int, sym: Symbol, class_name: str):
-        base = _probe_base(class_id, sym.id)
-        slots = self.slots
-        for probe in range(GLOBAL_CACHE_PROBES):
-            slot = slots[(base + probe) % GLOBAL_CACHE_SIZE]
-            if slot is not None and slot[1] is sym and slot[0] == class_name:
-                self.probe_hits[probe] += 1
-                return slot[2], slot[3]
-        self.misses += 1
-        return None
-
-    def install(self, class_id: int, sym: Symbol, class_name: str,
-                method: CompiledMethod, defining: str) -> None:
-        base = _probe_base(class_id, sym.id)
-        slots = self.slots
-        target = base % GLOBAL_CACHE_SIZE
-        for probe in range(GLOBAL_CACHE_PROBES):
-            i = (base + probe) % GLOBAL_CACHE_SIZE
-            if slots[i] is None:
-                target = i
-                break
-        slots[target] = (class_name, sym, method, defining)
-        self.installs += 1
 
 
 class _Megamorphic(tuple):
@@ -201,14 +177,29 @@ def default_lookup(class_name: str, selector: Symbol,
 
 def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
                   image: RuntimeImage) -> tuple[CompiledMethod, str] | None:
-    """Global-cache-fronted lookup. Failures are not cached."""
-    class_id = image.classes[class_name].class_id
-    hit = cache.consult(class_id, selector, class_name)
-    if hit is not None:
-        return hit
+    """Global-cache-fronted lookup in one scan of the probed slots.
+
+    Slots are never emptied during a run and a key is installed at the
+    first empty slot of its probes, so the scan stops there: that slot is
+    both the miss verdict and the install target. Failures are not cached.
+    """
+    base = _probe_base(image.classes[class_name].class_id, selector.id)
+    slots = cache.slots
+    target = base % GLOBAL_CACHE_SIZE
+    for probe in range(GLOBAL_CACHE_PROBES):
+        i = (base + probe) % GLOBAL_CACHE_SIZE
+        slot = slots[i]
+        if slot is None:
+            target = i
+            break
+        if slot[1] is selector and slot[0] == class_name:
+            cache.probe_hits[probe] += 1
+            return slot[2], slot[3]
+    cache.misses += 1
     found = default_lookup(class_name, selector, image)
     if found is not None:
-        cache.install(class_id, selector, class_name, found[0], found[1])
+        slots[target] = (class_name, selector, found[0], found[1])
+        cache.installs += 1
     return found
 
 
@@ -359,48 +350,12 @@ class Interpreter:
     def class_of_oid(self, oid: int) -> str:
         return self.records[oid][0]
 
-    # -- lookup stack ----------------------------------------------------------
-
-    def _lookup(self, class_name: str, sym: Symbol,
-                site: SendSite | None) -> tuple[CompiledMethod, str] | None:
-        """Global cache or chain walk, for a send the inline cache missed.
-
-        ``site`` is None for super-sends: their start class is static, so
-        only the global cache applies. An inline-cache hit skips this, and
-        the distinct-key count with it: the fill before the hit counted the
-        key already.
-        """
-        self.distinct_keys.add((class_name, sym.text))
-        if self.global_cache is not None:
-            found = cached_lookup(class_name, sym, self.global_cache,
-                                  self.image)
-        else:
-            found = default_lookup(class_name, sym, self.image)
-        if self.shadow_lookup_check:
-            self._check_shadow(class_name, sym, found)
-        if found is not None and site is not None and self.inline_cache_on:
-            self._ic_fill(site, class_name, found)
-        return found
-
     def _check_shadow(self, class_name: str, sym: Symbol, found) -> None:
         shadow = default_lookup(class_name, sym, self.image)
         if shadow != found:
             raise AssertionError(
                 f"cached lookup diverged for ({class_name}, {sym.text}): "
                 f"{found} != {shadow}")
-
-    def _ic_fill(self, site: SendSite, class_name: str,
-                 found: tuple[CompiledMethod, str]) -> None:
-        entry = self.site_caches[site.site_id]
-        if entry is MEGAMORPHIC:
-            return
-        self.ic_fills += 1
-        if not entry:
-            self.site_caches[site.site_id] = [(class_name, found)]
-        elif len(entry) < INLINE_CACHE_LIMIT:
-            entry.append((class_name, found))
-        else:
-            self.site_caches[site.site_id] = MEGAMORPHIC
 
     # -- execution ----------------------------------------------------------------
 
@@ -425,10 +380,12 @@ class Interpreter:
         site_caches = self.site_caches
         inline_cache_on = self.inline_cache_on
         shadow_lookup_check = self.shadow_lookup_check
-        lookup = self._lookup
+        global_cache = self.global_cache
+        add_key = self.distinct_keys.add
         fuel = self.fuel
         steps = self.steps
         ic_hits = self.ic_hits
+        ic_fills = self.ic_fills
         next_oid = self.next_oid
 
         code, _, pad = _code_of(image, None)
@@ -455,15 +412,12 @@ class Interpreter:
                     code, pc, env, owner, defining = frames.pop()
                 elif op <= SUPER_SEND:  # SEND, SELF_SEND, SUPER_SEND
                     # a is the site, b the argument count.
+                    found = None
                     if op == SUPER_SEND:
                         receiver = owner
-                        lookup_class = image.class_of(defining).superclass
+                        lookup_class = classes[defining].superclass
                         if lookup_class is None:
                             raise _stuck(DoesNotUnderstand(ROOT_CLASS,
-                                                           a.plain_text))
-                        found = lookup(lookup_class, a.selector, None)
-                        if found is None:
-                            raise _stuck(DoesNotUnderstand(lookup_class,
                                                            a.plain_text))
                     else:
                         receiver = owner if op == SELF_SEND else stack[-1 - b]
@@ -487,7 +441,6 @@ class Interpreter:
                         if kind is Nil:
                             raise _stuck(NilReceiver(a.plain_text))
                         lookup_class = records[receiver.oid][0]
-                        found = None
                         if inline_cache_on:
                             for cached_class, cached in site_caches[a.site_id]:
                                 if cached_class == lookup_class:
@@ -498,12 +451,35 @@ class Interpreter:
                             if shadow_lookup_check:
                                 self._check_shadow(lookup_class, a.selector,
                                                    found)
+                    if found is None:
+                        # Every send's miss path. Inline-cache hits skip
+                        # the key count: the fill counted the key. Tracers
+                        # rebind the two lookups' module globals.
+                        sym = a.selector
+                        add_key((lookup_class, sym.text))
+                        if global_cache is not None:
+                            found = cached_lookup(lookup_class, sym,
+                                                  global_cache, image)
                         else:
-                            found = lookup(lookup_class, a.selector, a)
-                            if found is None:
-                                # Diagnostics show the unmangled selector.
-                                raise _stuck(DoesNotUnderstand(
-                                    lookup_class, a.plain_text))
+                            found = default_lookup(lookup_class, sym, image)
+                        if shadow_lookup_check:
+                            self._check_shadow(lookup_class, sym, found)
+                        if found is None:
+                            # Diagnostics show the unmangled selector.
+                            raise _stuck(DoesNotUnderstand(lookup_class,
+                                                           a.plain_text))
+                        # A super-send's start class is static: no fill.
+                        if inline_cache_on and op != SUPER_SEND:
+                            entry = site_caches[a.site_id]
+                            if entry is not MEGAMORPHIC:
+                                ic_fills += 1
+                                if not entry:
+                                    site_caches[a.site_id] = [
+                                        (lookup_class, found)]
+                                elif len(entry) < INLINE_CACHE_LIMIT:
+                                    entry.append((lookup_class, found))
+                                else:
+                                    site_caches[a.site_id] = MEGAMORPHIC
                     method, method_class = found
                     callee = codes.get(method)
                     if callee is None:
@@ -567,7 +543,30 @@ class Interpreter:
         finally:
             self.steps = steps
             self.ic_hits = ic_hits
+            self.ic_fills = ic_fills
             self.next_oid = next_oid
+
+    def sites(self) -> list[dict]:
+        """Polymorphic and megamorphic send sites in site order, read after
+        the run from the site caches and the code arrays that ran (main's
+        sites have no class). A megamorphic site kept no receivers."""
+        rows = []
+        for method, (code, _, _) in self.image.code_arrays.items():
+            holder = ((None, "main") if method is None
+                      else (method.origin_class, method.selector.text))
+            for op, site, _ in code:
+                if SEND <= op <= SUPER_SEND:
+                    entry = self.site_caches[site.site_id]
+                    mega = entry is MEGAMORPHIC
+                    if mega or len(entry) > 1:
+                        rows.append({
+                            "site": site.site_id,
+                            "class": holder[0],
+                            "method": holder[1],
+                            "selector": site.plain_text,
+                            "state": "mega" if mega else "poly",
+                            "receivers": [name for name, _ in entry]})
+        return sorted(rows, key=lambda row: row["site"])
 
     def _stats(self) -> CacheStats:
         mono = poly = mega = 0

@@ -101,14 +101,6 @@ class ClassDef:
     fields: tuple[str, ...] = ()
     methods: tuple[MethodDef, ...] = ()
 
-    @property
-    def public_methods(self) -> tuple[MethodDef, ...]:
-        return tuple(m for m in self.methods if m.visibility == PUBLIC)
-
-    @property
-    def protected_methods(self) -> tuple[MethodDef, ...]:
-        return tuple(m for m in self.methods if m.visibility == PROTECTED)
-
     def method_named(self, selector: str) -> MethodDef | None:
         for m in self.methods:
             if m.selector == selector:

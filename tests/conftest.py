@@ -29,3 +29,8 @@ def visibility(rel, class_name, selector):
     cdef = rel.by_name.get(class_name)
     m = cdef.method_named(selector) if cdef is not None else None
     return m.visibility if m is not None else None
+
+
+def methods_with(cdef, visibility_):
+    """A class definition's own methods of one visibility, in order."""
+    return tuple(m for m in cdef.methods if m.visibility == visibility_)

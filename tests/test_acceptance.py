@@ -28,11 +28,18 @@ from protolite.metrics import (
 from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.runtime import probe_index, run_image
-from protolite.syntax import MethodDef, Send, SelfRef, pretty_expr
+from protolite.syntax import (
+    PROTECTED,
+    PUBLIC,
+    MethodDef,
+    Send,
+    SelfRef,
+    pretty_expr,
+)
 from protolite.validate import validate
 from protolite.values import IntVal
 
-from tests.conftest import program_path
+from tests.conftest import methods_with, program_path
 
 GOLDEN_TIME_BUDGET_S = 1.0
 FUZZ_PROGRAMS_MIXED = 700
@@ -142,8 +149,8 @@ def test_criterion_4_accounting_oracle(mixed_corpus, two_level_program):
         report_ = measure_image(image)
         scope = image.rewrite_scope
         for cdef in program.classes:
-            pub = len(cdef.public_methods)
-            prot = len(cdef.protected_methods)
+            pub = len(methods_with(cdef, PUBLIC))
+            prot = len(methods_with(cdef, PROTECTED))
             expected = 2 * pub + prot if cdef.name in scope else pub + prot
             assert report_.per_class_entries[cdef.name] == expected
         installed_in_scope = {m.selector for c in program.classes

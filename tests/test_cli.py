@@ -182,6 +182,52 @@ def test_stats_json_reports_phase_times(capsys):
     assert all(isinstance(s, float) and s >= 0 for s in phases.values())
 
 
+SITES_SOURCE = "\n".join(
+    f"class P{i} extends Object {{ method probe() {{ {i} }} }}"
+    for i in range(7)) + """
+class Driver extends Object {
+  method few(x) { x.probe() }
+  method many(x) { x.probe() }
+  method go() {
+    let a = self.few(new P0) in let b = self.few(new P1) in
+    let c = self.many(new P0) in let d = self.many(new P1) in
+    let e = self.many(new P2) in let f = self.many(new P3) in
+    let g = self.many(new P4) in let h = self.many(new P5) in
+    let i = self.many(new P6) in 0
+  }
+}
+main { (new Driver).go() }
+"""
+
+
+def test_stats_lists_polymorphic_and_megamorphic_sites(capsys, tmp_path):
+    # few's send sees two receiver classes, many's seven: more than the
+    # inline cache holds, so it goes megamorphic and keeps no classes.
+    path = tmp_path / "sites.stl"
+    path.write_text(SITES_SOURCE)
+    code, out, _ = run_cli(capsys, "stats", "--json", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sites"] == [
+        {"site": 0, "class": "Driver", "method": "few", "selector": "probe",
+         "state": "poly", "receivers": ["P0", "P1"]},
+        {"site": 1, "class": "Driver", "method": "many", "selector": "probe",
+         "state": "mega", "receivers": []},
+    ]
+    assert payload["cache"]["ic"]["poly"] == 1
+    assert payload["cache"]["ic"]["mega"] == 1
+    code, out, _ = run_cli(capsys, "stats", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    ic = next(i for i, line in enumerate(lines)
+              if line.startswith("inline caches:"))
+    assert lines[ic + 1:ic + 3] == [
+        "  site 0 in Driver.few sends probe: poly (P0, P1)",
+        "  site 1 in Driver.many sends probe: mega",
+    ]
+    assert not lines[ic + 3].startswith("  site")
+
+
 def test_bench_command_smoke(capsys):
     code, out, _ = run_cli(
         capsys, "bench", program_path("golden_sum.stl"),

@@ -22,6 +22,8 @@ from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.runtime import run_image
 from protolite.syntax import (
+    PROTECTED,
+    PUBLIC,
     ClassDef,
     IntLit,
     MethodDef,
@@ -33,6 +35,8 @@ from protolite.syntax import (
 )
 from protolite.validate import HierarchyIndex
 from protolite.values import IntVal
+
+from tests.conftest import methods_with
 
 
 def entry_texts(image, class_name):
@@ -196,7 +200,8 @@ def test_entry_count_law(two_level_program):
     image = compile_program(two_level_program)
     for cdef in two_level_program.classes:
         icls = image.classes[cdef.name]
-        expected = 2 * len(cdef.public_methods) + len(cdef.protected_methods)
+        expected = (2 * len(methods_with(cdef, PUBLIC))
+                    + len(methods_with(cdef, PROTECTED)))
         assert len(icls.dictionary) == expected
 
 

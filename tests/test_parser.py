@@ -3,6 +3,8 @@ import pytest
 from protolite.errors import ParseError, ReservedSelectorError
 from protolite.parser import parse
 from protolite.syntax import (
+    PROTECTED,
+    PUBLIC,
     FieldGet,
     FieldSet,
     IntLit,
@@ -16,6 +18,8 @@ from protolite.syntax import (
     pretty_program,
 )
 
+from tests.conftest import methods_with
+
 
 def class_named(program, name):
     return next(c for c in program.classes if c.name == name)
@@ -25,11 +29,11 @@ def test_two_level_program_shape(two_level_program):
     p = two_level_program
     assert [c.name for c in p.classes] == ["A", "B"]
     b = class_named(p, "B")
-    assert len(b.protected_methods) == 1
-    assert len(b.public_methods) == 3
-    assert b.protected_methods[0].selector == "protectedMethod"
+    assert len(methods_with(b, PROTECTED)) == 1
+    assert len(methods_with(b, PUBLIC)) == 3
+    assert methods_with(b, PROTECTED)[0].selector == "protectedMethod"
     a = class_named(p, "A")
-    assert {m.selector for m in a.protected_methods} == {
+    assert {m.selector for m in methods_with(a, PROTECTED)} == {
         "protectedMethod", "publicInSubclass"}
 
 

@@ -25,10 +25,11 @@ from protolite.syntax import (
     Send,
     SuperSend,
     pretty_program,
+    self_and_super_selectors,
 )
 from protolite.validate import HierarchyIndex, validate
 
-from tests.conftest import visibility
+from tests.conftest import methods_with, visibility
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -156,7 +157,8 @@ def test_entry_count_law_on_generated_programs(seed):
     report = measure_image(image)
     scope = image.rewrite_scope
     for cdef in program.classes:
-        pub, prot = len(cdef.public_methods), len(cdef.protected_methods)
+        pub = len(methods_with(cdef, PUBLIC))
+        prot = len(methods_with(cdef, PROTECTED))
         expected = 2 * pub + prot if cdef.name in scope else pub + prot
         assert report.per_class_entries[cdef.name] == expected, cdef.name
 
@@ -245,13 +247,24 @@ def test_incremental_install_converges(seed):
 
 _INSTALL_KINDS = ("fresh", "override", "duplicate-selector", "duplicate-params",
                   "ancestor-arity", "descendant-arity", "narrow-inherited",
-                  "narrow-below")
+                  "narrow-below", "template-hook")
 
 
-def _random_install(rng, program, idx):
+def _free_hooks(idx, scope, cdef):
+    """Selectors that a strict ancestor of ``cdef`` outside ``scope``
+    self-sends and that neither ``cdef`` nor an ancestor defines."""
+    above = [idx.by_name[a] for a in idx.chain(cdef.name)[1:]
+             if a in idx.by_name]
+    defined = {m.selector for c in above + [cdef] for m in c.methods}
+    return sorted({s for c in above if c.name not in scope for m in c.methods
+                   for s in self_and_super_selectors(m.body)[0]} - defined)
+
+
+def _random_install(rng, program, image):
     """A random (class, method) to install, valid or aimed at one rule."""
     from protolite.syntax import IntLit, MethodDef, SelfRef
 
+    idx = image.idx
     target = rng.choice(program.classes)
     kind = rng.choice(_INSTALL_KINDS)
     above = [idx.by_name[a] for a in idx.chain(target.name)[1:]
@@ -287,6 +300,21 @@ def _random_install(rng, program, idx):
             m = rng.choice(pool)
             selector, params = m.selector, m.params
             visibility = PROTECTED if wanted == PUBLIC else PUBLIC
+    elif kind == "template-hook":
+        # A protected hook for a template method: the only install that
+        # moves the scope upward. Without a template to hook, install one.
+        hooks = [(c, s) for c in program.classes
+                 for s in _free_hooks(idx, image.rewrite_scope, c)]
+        templates = [c for c in program.classes
+                     if c.name not in image.rewrite_scope
+                     and len(idx.subtree(c.name)) > 1]
+        if hooks:
+            target, selector = rng.choice(hooks)
+            return target.name, MethodDef(selector, params, IntLit(7),
+                                          PROTECTED)
+        if templates:
+            return rng.choice(templates).name, MethodDef(
+                "template", (), Send(SelfRef(), "hook", ()), PUBLIC)
     body_selector = rng.choice(("alpha", "beta", "delta", "iota", "kappa",
                                 selector))
     body_args = tuple(IntLit(i) for i in range(rng.randrange(3)))
@@ -315,7 +343,7 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
     image = compile_program(program, mode)
     rng = random.Random(install_seed)
     for _ in range(8):
-        class_name, mdef = _random_install(rng, program, image.idx)
+        class_name, mdef = _random_install(rng, program, image)
         grown = replace(program, classes=tuple(
             replace(c, methods=c.methods + (mdef,)) if c.name == class_name
             else c for c in program.classes))

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -75,18 +76,45 @@ def test_cached_lookup_does_not_cache_failures(image):
     assert cache.installs == 0
 
 
+def _home(image, class_name, sym):
+    return probe_index(image.classes[class_name].class_id, sym.id, 0)
+
+
+def _probe_slot(home, probe):
+    return (home + probe) % GLOBAL_CACHE_SIZE
+
+
 def test_probe2_hit_after_slot_collision(image):
-    # Force two keys onto the same home slot; the second installs one slot
-    # over and must be found by the second probe.
+    # A foreign key holds the home slot; the miss installs one slot over,
+    # and the next lookup finds it at the second probe.
     cache = GlobalCache()
     sym = image.symbols.intern("sum")
     entry = default_lookup("B", sym, image)
-    home = probe_index(7, sym.id, 0)
+    home = _home(image, "B", sym)
     cache.slots[home] = ("Other", sym, entry[0], entry[1])
-    cache.install(7, sym, "B", entry[0], entry[1])
-    assert cache.slots[(home + 1) % GLOBAL_CACHE_SIZE][0] == "B"
-    hit = cache.consult(7, sym, "B")
+    assert cached_lookup("B", sym, cache, image) == entry
+    assert cache.slots[_probe_slot(home, 1)][0] == "B"
+    hit = cached_lookup("B", sym, cache, image)
     assert hit == entry
+    assert cache.probe_hits == [0, 1, 0]
+
+
+def test_miss_installs_at_first_empty_probe(image):
+    # Home foreign, home+1 empty, home+2 foreign: the scan stops at the empty
+    # slot, installs there and leaves the third probe alone.
+    cache = GlobalCache()
+    sym = image.symbols.intern("sum")
+    entry = default_lookup("B", sym, image)
+    home = _home(image, "B", sym)
+    third = ("Foreign2", sym, entry[0], entry[1])
+    cache.slots[home] = ("Foreign0", sym, entry[0], entry[1])
+    cache.slots[_probe_slot(home, 2)] = third
+    assert cached_lookup("B", sym, cache, image) == entry
+    assert cache.slots[_probe_slot(home, 1)] == ("B", sym, entry[0],
+                                                 entry[1])
+    assert cache.slots[_probe_slot(home, 2)] is third
+    assert (cache.misses, cache.installs) == (1, 1)
+    assert cached_lookup("B", sym, cache, image) == entry
     assert cache.probe_hits == [0, 1, 0]
 
 
@@ -94,12 +122,70 @@ def test_eviction_when_all_probes_foreign(image):
     cache = GlobalCache()
     sym = image.symbols.intern("sum")
     entry = default_lookup("B", sym, image)
-    home = probe_index(7, sym.id, 0)
+    home = _home(image, "B", sym)
     for i in range(GLOBAL_CACHE_PROBES):
-        cache.slots[(home + i) % GLOBAL_CACHE_SIZE] = \
+        cache.slots[_probe_slot(home, i)] = \
             (f"Foreign{i}", sym, entry[0], entry[1])
-    cache.install(7, sym, "B", entry[0], entry[1])
+    assert cached_lookup("B", sym, cache, image) == entry
     assert cache.slots[home][0] == "B"
+    assert [cache.slots[_probe_slot(home, i)][0] for i in (1, 2)] == \
+        ["Foreign1", "Foreign2"]
+    assert cached_lookup("B", sym, cache, image) == entry
+    assert cache.probe_hits == [1, 0, 0]
+
+
+def _model_lookup(model, counts, class_name, sym, image):
+    """The documented cache rules, written out: consult all three probes
+    from probe_index; on a miss install a found method at the first empty
+    probe, else at the home slot; never install a failure."""
+    class_id = image.classes[class_name].class_id
+    probes = [probe_index(class_id, sym.id, k)
+              for k in range(GLOBAL_CACHE_PROBES)]
+    for k, i in enumerate(probes):
+        slot = model[i]
+        if slot is not None and slot[0] == class_name and slot[1] is sym:
+            counts["probe_hits"][k] += 1
+            return slot[2], slot[3]
+    counts["misses"] += 1
+    found = default_lookup(class_name, sym, image)
+    if found is not None:
+        empty = [i for i in probes if model[i] is None]
+        model[empty[0] if empty else probes[0]] = (class_name, sym) + found
+        counts["installs"] += 1
+    return found
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cached_lookup_follows_the_documented_rules(seed):
+    # Foreign keys pre-fill a random share of the slots so that collisions,
+    # probe-2/3 hits and evictions all occur among the image's few keys.
+    rng = random.Random(seed)
+    image = compile_program(parse("""
+        class A extends Object {
+          method m() { 1 } method n() { 2 } protected method h() { 3 }
+          method go() { self.h() }
+        }
+        class B extends A { method m() { 4 } protected method h() { 5 } }
+        class C extends B { method k() { 6 } }
+        main { (new C).go() }
+    """))
+    syms = [image.symbols.intern(t)
+            for t in ("m", "n", "h", "__h", "go", "__go", "k", "absent")]
+    cache = GlobalCache()
+    density = rng.random()
+    for i in range(GLOBAL_CACHE_SIZE):
+        if rng.random() < density:
+            cache.slots[i] = (f"Foreign{i}", rng.choice(syms), None, None)
+    model = list(cache.slots)
+    counts = {"probe_hits": [0, 0, 0], "misses": 0, "installs": 0}
+    for _ in range(400):
+        class_name = rng.choice(sorted(image.classes))
+        sym = rng.choice(syms)
+        expected = _model_lookup(model, counts, class_name, sym, image)
+        assert cached_lookup(class_name, sym, cache, image) == expected
+        assert cache.slots == model
+        assert (cache.probe_hits, cache.misses, cache.installs) == \
+            (counts["probe_hits"], counts["misses"], counts["installs"])
 
 
 # -- dispatch and inline caches -----------------------------------------------------
