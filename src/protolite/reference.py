@@ -430,44 +430,25 @@ def step(redex: Redex, store: Store,
 
 
 def eval_program(program: Program, fuel: int = DEFAULT_FUEL,
-                 idx: HierarchyIndex | None = None,
-                 on_step=None) -> EvalResult:
+                 idx: HierarchyIndex | None = None) -> EvalResult:
     """Run a validated program's main expression to an outcome.
 
     Never raises: translation failures, stuck states, and fuel exhaustion all
     come back as outcome variants. ``idx`` is the caller's index over
-    ``program``; one is built when omitted. ``on_step`` is an optional
-    callback ``(redex, store)`` invoked after every reduction, for
-    instrumentation; with a callback installed every intermediate redex is
-    materialised by composing ``step``. Without one, the loop keeps the
-    decomposition path between reductions instead of re-walking the whole
-    redex, and each method's template between activations, which performs
-    the exact same reductions in the exact same order.
+    ``program``; one is built when omitted. The loop keeps the decomposition
+    path between reductions instead of re-walking the whole redex, and each
+    method's template between activations, which performs the exact same
+    reductions in the exact same order as iterating ``step`` from the root.
     """
     if idx is None:
         idx = HierarchyIndex(program)
-    store = Store()
-    steps = 0
     if fuel <= 0:
-        return EvalResult(FuelExhausted(), steps)
+        return EvalResult(FuelExhausted(), 0)
     try:
         redex = translate(program.main, NIL, ROOT_CLASS, idx)
     except UnknownFieldError as err:
-        return EvalResult(Errored(UnknownField(err.class_name, err.field)), steps)
-    if on_step is None:
-        return _eval_loop(redex, store, idx, fuel)
-    while True:
-        if type(redex) is RVal:
-            return EvalResult(Completed(redex.value), steps)
-        if steps >= fuel:
-            return EvalResult(FuelExhausted(), steps)
-        result = step(redex, store, idx)
-        if type(result) is Stuck:
-            return EvalResult(Errored(result.reason), steps)
-        assert result is not None
-        redex, store = result
-        steps += 1
-        on_step(redex, store)
+        return EvalResult(Errored(UnknownField(err.class_name, err.field)), 0)
+    return _eval_loop(redex, Store(), idx, fuel)
 
 
 def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,

@@ -32,6 +32,16 @@ code reuses the caller's frame instead, so self-recursive loops (also when
 wrapped in ``let``) run in constant space, and no depth of activation ever
 touches the host's recursion limit.
 
+Integers are plain Python ``int``s inside the runtime, unboxed as
+Smalltalk-80's SmallIntegers are: constants, stack slots, environments and
+field values hold them raw. ``run`` boxes once, at the boundary, so a final
+``int`` comes back as ``Completed(IntVal(n))``. Anything that later reads
+``records`` from outside, such as a heap comparison against the reference
+evaluator's store, must box its integers too. A ``+`` send with one
+argument lowers to its own ``ADD`` instruction, whose inline fast path adds
+two integers; any other operands take the generic send on the same site
+(Deutsch & Schiffman, POPL 1984).
+
 Step accounting deliberately matches the reference evaluator event for event
 (allocations, field reads/writes, sends, let bindings), so a fuel budget
 means the same thing to both and fuel-bounded runs stay comparable.
@@ -208,8 +218,9 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 # Instructions are (opcode, a, b) triples:
 #
 #   LOAD slot          push env[slot]
-#   CONST value        push a value built at lowering time
+#   CONST value        push an int or nil fixed at lowering time
 #   SELF               push the frame's owner
+#   ADD site 1         '+': add two ints in place, else SEND on the site
 #   SEND site nargs    send to the receiver below the nargs arguments
 #   SELF_SEND site n   send to the owner
 #   SUPER_SEND site n  send to the owner, looked up above the defining class
@@ -220,9 +231,10 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 #   UNBOUND name       stuck: the variable is bound nowhere in scope
 #   RETURN             end of code: the top of stack is the result
 
-# The run loop tests opcodes in this order and the three sends as one range.
-(LOAD, CONST, RETURN, SEND, SELF_SEND, SUPER_SEND, SELF, LET, GET, SET, NEW,
- UNBOUND) = range(12)
+# The run loop tests ADD first, then the rest in this order, and the three
+# sends as one range.
+(LOAD, CONST, RETURN, ADD, SEND, SELF_SEND, SUPER_SEND, SELF, LET, GET, SET,
+ NEW, UNBOUND) = range(13)
 
 _RETURN = (RETURN, None, None)
 
@@ -256,14 +268,17 @@ def _lower_code(body: Expr, params: tuple[str, ...] = ()) -> tuple:
             emit((UNBOUND, node.name, None) if slot is None
                  else (LOAD, slot, None))
         elif kind is IntLit:
-            emit((CONST, IntVal(node.value), None))
+            emit((CONST, node.value, None))
         elif kind is SiteSend or kind is SelfSiteSend or kind is SuperSiteSend:
-            op = (SEND if kind is SiteSend
-                  else SELF_SEND if kind is SelfSiteSend else SUPER_SEND)
-            push(((op, node.site, len(node.args)), None, 0))
+            nargs = len(node.args)
+            op = (SELF_SEND if kind is SelfSiteSend
+                  else SUPER_SEND if kind is SuperSiteSend
+                  else ADD if node.site.plain_text == "+" and nargs == 1
+                  else SEND)
+            push(((op, node.site, nargs), None, 0))
             for arg in reversed(node.args):
                 push((arg, scope, depth))
-            if op == SEND:
+            if kind is SiteSend:
                 push((node.receiver, scope, depth))
         elif kind is SelfRef:
             emit((SELF, None, None))
@@ -340,7 +355,8 @@ class Interpreter:
         # Per send site, indexed by site id: () while unfilled, a list of
         # (class name, (method, defining class)) pairs, or MEGAMORPHIC.
         self.site_caches: list = [()] * image.site_count
-        self.records: dict[int, tuple[str, dict[str, Value]]] = {}
+        # Field values are unboxed: an int, nil or an Oid.
+        self.records: dict[int, tuple[str, dict[str, Value | int]]] = {}
         self.next_oid = 1
         self.steps = 0
         self.distinct_keys: set[tuple[str, str]] = set()
@@ -363,12 +379,15 @@ class Interpreter:
         if self.fuel <= 0:
             return RunResult(FuelExhausted(), 0, self._stats())
         try:
-            outcome = Completed(self._execute())
+            value = self._execute()
+            # The one place a runtime integer is boxed.
+            outcome = Completed(IntVal(value) if value.__class__ is int
+                                else value)
         except _Stop as stop:
             outcome = stop.outcome
         return RunResult(outcome, self.steps, self._stats())
 
-    def _execute(self) -> Value:
+    def _execute(self) -> Value | int:
         """Run main's code to its final RETURN; stuck states raise _Stop.
 
         The hot state lives in locals and is written back on the way out.
@@ -393,7 +412,7 @@ class Interpreter:
         owner: Value = NIL
         defining = ROOT_CLASS
         pc = 0
-        stack: list[Value] = []
+        stack: list[Value | int] = []
         push = stack.append
         pop = stack.pop
         frames: list[tuple] = []
@@ -401,6 +420,17 @@ class Interpreter:
             while True:
                 op, a, b = code[pc]
                 pc += 1
+                if op == ADD:
+                    arg = stack[-1]
+                    receiver = stack[-2]
+                    if receiver.__class__ is int and arg.__class__ is int:
+                        if steps >= fuel:
+                            raise _Stop(FuelExhausted())
+                        steps += 1
+                        pop()
+                        stack[-1] = receiver + arg
+                        continue
+                    op = SEND
                 if op == LOAD:
                     push(env[a])
                 elif op == CONST:
@@ -422,22 +452,9 @@ class Interpreter:
                     else:
                         receiver = owner if op == SELF_SEND else stack[-1 - b]
                         kind = receiver.__class__
-                        if kind is IntVal:
-                            # Integer receivers bypass both caches; '+' is
-                            # the only primitive.
-                            arg = stack[-1] if b == 1 else None
-                            if (a.plain_text != "+" or b != 1
-                                    or arg.__class__ is not IntVal):
-                                raise _int_failure(a.plain_text, b, arg)
-                            if steps >= fuel:
-                                raise _Stop(FuelExhausted())
-                            steps += 1
-                            pop()
-                            if op == SEND:
-                                stack[-1] = IntVal(receiver.n + arg.n)
-                            else:
-                                push(IntVal(receiver.n + arg.n))
-                            continue
+                        if kind is int:
+                            # '+' on two ints never gets here: ADD did it.
+                            raise _int_failure(a.plain_text, b)
                         if kind is Nil:
                             raise _stuck(NilReceiver(a.plain_text))
                         lookup_class = records[receiver.oid][0]
@@ -555,7 +572,7 @@ class Interpreter:
             holder = ((None, "main") if method is None
                       else (method.origin_class, method.selector.text))
             for op, site, _ in code:
-                if SEND <= op <= SUPER_SEND:
+                if ADD <= op <= SUPER_SEND:
                     entry = self.site_caches[site.site_id]
                     mega = entry is MEGAMORPHIC
                     if mega or len(entry) > 1:
@@ -594,8 +611,8 @@ class Interpreter:
         )
 
 
-def _int_failure(selector: str, nargs: int, arg: Value | None) -> _Stop:
-    """The stuck state of an integer receiver that is not a valid '+'."""
+def _int_failure(selector: str, nargs: int) -> _Stop:
+    """The stuck state of a send to an integer that ADD did not answer."""
     if selector != "+":
         return _stuck(DoesNotUnderstand(INT_CLASS, selector))
     if nargs != 1:

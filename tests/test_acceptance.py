@@ -40,6 +40,7 @@ from protolite.validate import validate
 from protolite.values import IntVal
 
 from tests.conftest import methods_with, program_path
+from tests.workloads import dual_route_workload, polymorphic_workload
 
 GOLDEN_TIME_BUDGET_S = 1.0
 FUZZ_PROGRAMS_MIXED = 700
@@ -181,8 +182,6 @@ def test_criterion_5a_cache_transparency(mixed_corpus):
 
 
 def test_criterion_5b_steady_state_misses():
-    from protolite.bench import polymorphic_workload
-
     deep_short = run_image(compile_program(
         deep_send_workload(depth=8, repeats=40, protected_levels=True)))
     deep_long = run_image(compile_program(
@@ -203,8 +202,6 @@ def test_criterion_5b_steady_state_misses():
 
 
 def test_criterion_5c_worst_case_key_growth():
-    from protolite.bench import dual_route_workload
-
     workload = dual_route_workload(depth=5, repeats=40)
     base = run_image(compile_program(workload, CompileMode.BASELINE))
     worst = run_image(compile_program(workload, CompileMode.WORST_CASE))

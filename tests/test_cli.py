@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import re
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -236,6 +239,29 @@ def test_bench_command_smoke(capsys):
     assert code == 0
     assert "[baseline] median" in out
     assert "overhead vs baseline" in out
+
+
+def test_scripts_run_with_tiny_arguments():
+    scripts = PROGRAMS.parent / "scripts"
+
+    def run(name, *args):
+        done = subprocess.run([sys.executable, str(scripts / name), *args],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    lines = run("bench_overhead.py", "--depth", "3", "--repeats", "5",
+                "--invocations", "2", "--iterations", "2", "--warmup", "1")
+    assert lines[0] == "workload: chain depth 3, 5 send rounds per iteration"
+    for caches in ("all caches on", "global cache only", "no caches"):
+        assert f"[{caches}]" in lines
+    assert sum(line.startswith("  worst-case median") for line in lines) == 3
+    lines = run("bench_install.py", "--sizes", "16", "32", "--repeats", "1")
+    assert lines[0].split() == ["classes", "compile", "ms", "install", "ms",
+                                "ratio"]
+    assert [line.split()[0] for line in lines[1:]] == ["16", "32"]
+    assert all(re.fullmatch(r"\s*\d+( +[\d.]+){2} +[\d.]+%", line)
+               for line in lines[1:])
 
 
 def test_worst_case_run_same_result(capsys):

@@ -8,7 +8,6 @@ from protolite.bench import (
     bench,
     bench_pair,
     deep_send_workload,
-    polymorphic_workload,
     repeat_main,
 )
 from protolite.compiler import CompileMode, compile_program
@@ -26,6 +25,8 @@ from protolite.parser import parse
 from protolite.runtime import run_image
 from protolite.syntax import PROTECTED
 from protolite.validate import validate
+
+from tests.workloads import polymorphic_workload
 
 
 # -- memory accounting --------------------------------------------------------

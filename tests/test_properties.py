@@ -3,7 +3,7 @@
 import random
 import re
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
 from protolite.compiler import CompileMode, compile_program, rewrite_scope
@@ -247,7 +247,7 @@ def test_incremental_install_converges(seed):
 
 _INSTALL_KINDS = ("fresh", "override", "duplicate-selector", "duplicate-params",
                   "ancestor-arity", "descendant-arity", "narrow-inherited",
-                  "narrow-below", "template-hook")
+                  "narrow-below", "template-hook", "sibling-retag")
 
 
 def _free_hooks(idx, scope, cdef):
@@ -260,8 +260,22 @@ def _free_hooks(idx, scope, cdef):
                    for s in self_and_super_selectors(m.body)[0]} - defined)
 
 
+def _sibling_branches(idx, scope, program):
+    """(T, S, X): T outside ``scope``, S and X strict descendants of T on
+    different branches, neither an ancestor of the other."""
+    out = []
+    for t in program.classes:
+        if t.name in scope:
+            continue
+        below = [c for c in idx.subtree(t.name) if c != t.name]
+        out += [(t.name, s, x) for s in below for x in below
+                if s not in idx.chain(x) and x not in idx.chain(s)]
+    return out
+
+
 def _random_install(rng, program, image):
-    """A random (class, method) to install, valid or aimed at one rule."""
+    """Random (class, method) installs, valid or aimed at one rule: one
+    install, or for ``sibling-retag`` the three that set up its case."""
     from protolite.syntax import IntLit, MethodDef, SelfRef
 
     idx = image.idx
@@ -310,20 +324,48 @@ def _random_install(rng, program, image):
                      and len(idx.subtree(c.name)) > 1]
         if hooks:
             target, selector = rng.choice(hooks)
-            return target.name, MethodDef(selector, params, IntLit(7),
-                                          PROTECTED)
+            return [(target.name, MethodDef(selector, params, IntLit(7),
+                                            PROTECTED))]
         if templates:
-            return rng.choice(templates).name, MethodDef(
-                "template", (), Send(SelfRef(), "hook", ()), PUBLIC)
+            return [(rng.choice(templates).name, MethodDef(
+                "template", (), Send(SelfRef(), "hook", ()), PUBLIC))]
+    elif kind == "sibling-retag":
+        # A template method on T outside the scope, a protected caller of it
+        # on S, then a hook on X that pulls T's subtree into the scope. S
+        # was in scope already and lies outside X's subtree and chain, yet
+        # its send to the template must be retagged.
+        branches = _sibling_branches(idx, image.rewrite_scope, program)
+        if branches:
+            t, s, x = rng.choice(branches)
+            tag = rng.randrange(10**6)
+            template, hook = f"template{tag}", f"hook{tag}"
+            return [
+                (t, MethodDef(template, (), Send(SelfRef(), hook, ()))),
+                (s, MethodDef(f"caller{tag}", (),
+                              Send(SelfRef(), template, ()), PROTECTED)),
+                (x, MethodDef(hook, (), IntLit(7), PROTECTED)),
+            ]
     body_selector = rng.choice(("alpha", "beta", "delta", "iota", "kappa",
                                 selector))
     body_args = tuple(IntLit(i) for i in range(rng.randrange(3)))
     body = rng.choice((IntLit(7), Send(SelfRef(), body_selector, body_args),
                        SuperSend(body_selector, body_args)))
-    return target.name, MethodDef(selector, params, body, visibility)
+    return [(target.name, MethodDef(selector, params, body, visibility))]
+
+
+# Few generated programs have a class outside the scope with two branches
+# below it, so the property pins one whose first install is sibling-retag.
+SIBLING_RETAG_EXAMPLE = dict(seed=26, install_seed=1, mode=CompileMode.NORMAL)
+
+
+def test_pinned_install_example_reaches_sibling_retag():
+    program = generate_program(SIBLING_RETAG_EXAMPLE["seed"])
+    rng = random.Random(SIBLING_RETAG_EXAMPLE["install_seed"])
+    assert len(_random_install(rng, program, compile_program(program))) == 3
 
 
 @given(seeds, seeds, st.sampled_from(list(CompileMode)))
+@example(**SIBLING_RETAG_EXAMPLE)
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
@@ -343,33 +385,33 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
     image = compile_program(program, mode)
     rng = random.Random(install_seed)
     for _ in range(8):
-        class_name, mdef = _random_install(rng, program, image)
-        grown = replace(program, classes=tuple(
-            replace(c, methods=c.methods + (mdef,)) if c.name == class_name
-            else c for c in program.classes))
-        expected = validate(grown)
-        try:
-            installed = install_method(image, class_name, mdef)
-        except ProgramInvalidError as err:
-            assert err.violations == expected
-            continue
-        assert expected == []
-        scratch = compile_program(grown, mode)
-        assert desugar_dump(installed) == desugar_dump(scratch)
-        assert image_fingerprint(installed) == image_fingerprint(scratch)
-        assert installed.program == grown
-        idx, fresh = installed.idx, scratch.idx
-        assert idx.by_name == fresh.by_name
-        selectors = {m.selector for c in grown.classes for m in c.methods}
-        for name in fresh.by_name:
-            assert idx.chain(name) == fresh.chain(name)
-            assert idx.fields_of(name) == fresh.fields_of(name)
+        for class_name, mdef in _random_install(rng, program, image):
+            grown = replace(program, classes=tuple(
+                replace(c, methods=c.methods + (mdef,)) if c.name == class_name
+                else c for c in program.classes))
+            expected = validate(grown)
+            try:
+                installed = install_method(image, class_name, mdef)
+            except ProgramInvalidError as err:
+                assert err.violations == expected
+                continue
+            assert expected == []
+            scratch = compile_program(grown, mode)
+            assert desugar_dump(installed) == desugar_dump(scratch)
+            assert image_fingerprint(installed) == image_fingerprint(scratch)
+            assert installed.program == grown
+            idx, fresh = installed.idx, scratch.idx
+            assert idx.by_name == fresh.by_name
+            selectors = {m.selector for c in grown.classes for m in c.methods}
+            for name in fresh.by_name:
+                assert idx.chain(name) == fresh.chain(name)
+                assert idx.fields_of(name) == fresh.fields_of(name)
+                for selector in selectors:
+                    assert idx.closest_def(name, selector) == \
+                        fresh.closest_def(name, selector)
             for selector in selectors:
-                assert idx.closest_def(name, selector) == \
-                    fresh.closest_def(name, selector)
-        for selector in selectors:
-            assert idx.definers(selector) == fresh.definers(selector)
-        image, program = installed, grown
+                assert idx.definers(selector) == fresh.definers(selector)
+            image, program = installed, grown
 
 
 def _lowered_sites(node):

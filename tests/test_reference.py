@@ -7,6 +7,7 @@ from protolite.outcomes import (
     Completed,
     DoesNotUnderstand,
     Errored,
+    EvalResult,
     FuelExhausted,
     NilReceiver,
     PrimitiveFailure,
@@ -32,6 +33,7 @@ from protolite.reference import (
     translate,
 )
 from protolite.syntax import (
+    ROOT_CLASS,
     FieldGet,
     FieldSet,
     IntLit,
@@ -270,6 +272,23 @@ def test_determinism(two_level_program):
     assert a == b
 
 
+def _step_from_root(program, fuel=100_000, on_step=lambda redex, store: None):
+    """Iterate ``step`` from the root, calling ``on_step(redex, store)``
+    after every reduction: the definition ``eval_program``'s loop keeps."""
+    idx, store, steps = HierarchyIndex(program), Store(), 0
+    redex = translate(program.main, NIL, ROOT_CLASS, idx)
+    while type(redex) is not RVal:
+        if steps >= fuel:
+            return EvalResult(FuelExhausted(), steps)
+        result = step(redex, store, idx)
+        if type(result) is Stuck:
+            return EvalResult(Errored(result.reason), steps)
+        redex, store = result
+        steps += 1
+        on_step(redex, store)
+    return EvalResult(Completed(redex.value), steps)
+
+
 def test_store_shape_invariant_along_a_run():
     # After every reduction, each record's field keys match the full field
     # set of its class.
@@ -288,7 +307,7 @@ def test_store_shape_invariant_along_a_run():
         for record in store.records.values():
             assert set(record.fields) == fields_of[record.class_name]
 
-    result = eval_program(p, on_step=check)
+    result = _step_from_root(p, on_step=check)
     assert isinstance(result.outcome, Completed)
 
 
@@ -299,20 +318,20 @@ ON_STEP_CORPUS_FUEL = 500
 
 
 def test_on_step_path_matches_fast_path_on_generated_corpus():
-    # With a callback every activation is translated afresh by ``step``;
-    # without one, the loop fills each method's template. Both must perform
-    # the same reductions.
+    # Iterated from the root, every activation is translated afresh by
+    # ``step``; ``eval_program``'s loop fills each method's template. Both
+    # must perform the same reductions.
     for seed in range(200):
         program = generate_program(seed)
         fast = eval_program(program, ON_STEP_CORPUS_FUEL)
-        slow = eval_program(program, ON_STEP_CORPUS_FUEL,
-                            on_step=lambda r, s: None)
+        slow = _step_from_root(program, ON_STEP_CORPUS_FUEL)
         assert (slow.outcome, slow.steps) == (fast.outcome, fast.steps), seed
 
 
 def test_on_step_path_matches_fast_path(two_level_program):
     seen = []
-    slow = eval_program(two_level_program, on_step=lambda r, s: seen.append(1))
+    slow = _step_from_root(two_level_program,
+                           on_step=lambda r, s: seen.append(1))
     fast = eval_program(two_level_program)
     assert slow == fast
     assert len(seen) == fast.steps

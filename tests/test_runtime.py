@@ -1,17 +1,23 @@
+import json
 import random
 import tracemalloc
 
 import pytest
 
+from protolite import cli
 from protolite.compiler import CompileMode, compile_program
-from protolite.metrics import run_all_configs
+from protolite.metrics import DIFF_FUEL, differential_run, run_all_configs
 from protolite.outcomes import (
+    ArityMismatch,
     Completed,
     DoesNotUnderstand,
     Errored,
     FuelExhausted,
+    NilReceiver,
+    PrimitiveFailure,
 )
 from protolite.parser import parse
+from protolite.reference import eval_program
 from protolite.runtime import (
     GLOBAL_CACHE_PROBES,
     GLOBAL_CACHE_SIZE,
@@ -23,7 +29,18 @@ from protolite.runtime import (
     probe_index,
     run_image,
 )
-from protolite.values import IntVal
+from protolite.syntax import (
+    ClassDef,
+    IntLit,
+    Let,
+    MethodDef,
+    New,
+    NilLit,
+    Program,
+    Send,
+    Var,
+)
+from protolite.values import IntVal, Oid
 
 
 @pytest.fixture()
@@ -378,3 +395,106 @@ def test_deep_non_tail_recursion_needs_no_host_recursion(config):
     result = run_image(image, fuel=LOOP_FUEL, **config)
     assert result.outcome == FuelExhausted()
     assert result.steps == LOOP_FUEL
+
+
+# -- integers and the ADD instruction ---------------------------------------------
+
+PLAIN_A = ClassDef("A", "Object", (), ())
+
+
+def _plus_class(name, body):
+    """A class with a one-argument '+' method. Built as a tree: the parser
+    takes no operator as a method name."""
+    return ClassDef(name, "Object", (), (MethodDef("+", ("x",), body),))
+
+
+def _runs_like_reference(program, fuel=DIFF_FUEL):
+    """Runs of ``program`` in every cache configuration, each checked, as
+    ``differential_run`` is, for the reference's outcome and step count."""
+    diff = differential_run(program, fuel=fuel)
+    assert diff.agree, diff.detail
+    ref = eval_program(program, fuel)
+    runs = run_all_configs(compile_program(program), fuel)
+    for run in runs:
+        assert (run.outcome, run.steps) == (ref.outcome, ref.steps)
+    return runs
+
+
+NOT_AN_INT = PrimitiveFailure("+", "argument must be an integer")
+
+
+@pytest.mark.parametrize("main, outcome", [
+    (Send(New("A"), "+", (IntLit(1),)), Errored(DoesNotUnderstand("A", "+"))),
+    (Send(IntLit(1), "+", (NilLit(),)), Errored(NOT_AN_INT)),
+    (Send(IntLit(1), "+", (New("A"),)), Errored(NOT_AN_INT)),
+    (Send(NilLit(), "+", (IntLit(1),)), Errored(NilReceiver("+"))),
+    (Send(IntLit(1), "+", ()), Errored(ArityMismatch("Integer", "+", 1, 0))),
+    (Send(IntLit(1), "+", (IntLit(2), IntLit(3))),
+     Errored(ArityMismatch("Integer", "+", 1, 2))),
+    (Send(IntLit(1), "foo", ()), Errored(DoesNotUnderstand("Integer", "foo"))),
+    (Send(IntLit(1), "+", (IntLit(2),)), Completed(IntVal(3))),
+    (New("A"), Completed(Oid(1))),
+], ids=["object-plus", "int-plus-nil", "int-plus-object", "nil-plus-int",
+        "plus-no-args", "plus-two-args", "int-foo", "int-plus-int", "object"])
+def test_sends_to_and_with_integers(main, outcome):
+    runs = _runs_like_reference(Program((PLAIN_A,), main))
+    assert runs[0].outcome == outcome
+
+
+def test_plus_to_an_object_counts_its_lookup_key():
+    runs = _runs_like_reference(
+        Program((PLAIN_A,), Send(New("A"), "+", (IntLit(1),))))
+    # run_all_configs runs the global cache off, off, on, on.
+    assert [r.stats.distinct_keys for r in runs] == [1, 1, 1, 1]
+    assert [r.stats.misses for r in runs] == [0, 0, 1, 1]
+    assert [r.stats.installs for r in runs] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("fuel, outcome", [
+    (1, FuelExhausted()), (2, FuelExhausted()), (3, Completed(IntVal(6))),
+])
+def test_fuel_runs_out_on_an_add_step(fuel, outcome):
+    # One let step, then two additions: fuel 1 and 2 run out on an ADD.
+    runs = _runs_like_reference(parse("main { let x = 1 in x + 2 + 3 }"),
+                                fuel)
+    assert runs[0].outcome == outcome
+    assert runs[0].steps == fuel
+
+
+def test_field_integers_come_back_boxed():
+    runs = _runs_like_reference(parse("""
+        class C extends Object {
+          fields: f;
+          method put(v) { f := v + 1 }
+          method get() { f }
+        }
+        main { let c = new C in let z = c.put(4) in c.get() + z }
+    """))
+    assert runs[0].outcome == Completed(IntVal(10))
+
+
+def test_plus_site_goes_polymorphic_over_plus_methods(capsys, monkeypatch,
+                                                      tmp_path):
+    # One '+' site in Adder.add sees P, Q and an integer receiver; only
+    # the objects reach its inline cache.
+    adder = ClassDef("Adder", "Object", (), (
+        MethodDef("add", ("x",), Send(Var("x"), "+", (IntLit(1),))),))
+    add = lambda arg: Send(Var("d"), "add", (arg,))  # noqa: E731
+    program = Program(
+        (_plus_class("P", IntLit(10)), _plus_class("Q", Var("x")), adder),
+        Let("d", New("Adder"),
+            Let("p", add(New("P")),
+                Send(Send(add(New("Q")), "+", (Var("p"),)), "+",
+                     (add(IntLit(5)),)))))
+    runs = _runs_like_reference(program)
+    assert runs[0].outcome == Completed(IntVal(17))
+    # With the inline cache on, the '+' site is the one polymorphic site.
+    assert [r.stats.ic_polymorphic for r in runs] == [0, 1, 0, 1]
+    path = tmp_path / "plus.stl"
+    path.write_text("main { nil }\n")
+    monkeypatch.setattr(cli, "_parse_source", lambda _path, _text: program)
+    assert cli.main(["stats", "--json", str(path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["sites"]
+    assert [{k: v for k, v in row.items() if k != "site"} for row in rows] == [
+        {"class": "Adder", "method": "add", "selector": "+", "state": "poly",
+         "receivers": ["P", "Q"]}]
