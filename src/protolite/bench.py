@@ -85,6 +85,9 @@ class _Measurement:
         if config.iterations <= 0 or config.invocations <= 0:
             raise BenchConfigError("benchmark needs at least one invocation "
                                    "and one iteration")
+        if config.warmup < 0:
+            raise BenchConfigError(
+                f"warm-up cannot be negative ({config.warmup})")
         if config.iterations <= config.warmup:
             raise BenchConfigError(
                 f"{config.iterations} iteration(s) leave nothing after "

@@ -153,6 +153,8 @@ def cmd_diff(args) -> int:
             lo, hi = args.seeds.split("..")
             seeds = range(int(lo), int(hi) + 1)
         except ValueError:
+            seeds = range(0)
+        if not seeds:
             print("error: --seeds expects a range like 0..999", file=sys.stderr)
             return EXIT_INVALID
         programs = ((str(s), generate_program(s)) for s in seeds)
@@ -197,7 +199,7 @@ def cmd_diff(args) -> int:
 
 def cmd_bench(args) -> int:
     program = _read_program(args.file)
-    if args.repeat > 1:
+    if args.repeat != 1:
         program = repeat_main(program, args.repeat)
     common = dict(
         invocations=args.invocations,

@@ -79,12 +79,13 @@ class CompileMode(enum.Enum):
 # --- symbols -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Symbol:
-    """An interned selector. Equality and hashing are by text."""
+    """An interned selector. A table builds one per text, so equality and
+    hashing are by identity: two tables' symbols for one text differ."""
 
     text: str
-    id: int = field(compare=False)
+    id: int
 
     @property
     def mangled(self) -> bool:
@@ -132,11 +133,14 @@ class SymbolTable:
 # other node is shared with the source as it is. Each send node below is the
 # syntax send it stands for, carrying its SendSite; its ``selector`` is the
 # text the site dispatches through (mangled for a rewritten self/super site),
-# so ``pretty_expr`` prints lowered bodies too. Equality is by value, and site
-# ids do not count.
+# so ``pretty_expr`` prints lowered bodies too. Nodes follow the rule in
+# ``syntax``'s docstring: built once, never changed, slotted. Equality is by
+# value, with the dispatch text compared on the send node: neither the site id
+# nor the site's Symbol counts, so bodies compiled against two symbol tables
+# compare equal.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendSite:
     """One message-send site in compiled code.
 
@@ -146,7 +150,8 @@ class SendSite:
     """
 
     site_id: int = field(compare=False)
-    selector: Symbol
+    # The owning send node's ``selector`` holds this symbol's text.
+    selector: Symbol = field(compare=False)
     plain_text: str
 
     @property
@@ -154,26 +159,26 @@ class SendSite:
         return self.selector.mangled
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SiteSend(Send):
     """An object send; its receiver is lowered, its selector never mangled."""
 
     site: SendSite = field(kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SelfSiteSend(Send):
     """A send to ``self``; the receiver stays the source's ``SelfRef``."""
 
     site: SendSite = field(kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SuperSiteSend(SuperSend):
     site: SendSite = field(kw_only=True)
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(eq=False, slots=True)
 class CompiledMethod:
     """A lowered method body; compared by identity so shared dictionary
     entries are observable."""

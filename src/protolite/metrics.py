@@ -161,7 +161,8 @@ def image_fingerprint(image: RuntimeImage) -> dict:
     """Canonical structure of an image's dictionaries, for equality checks.
 
     Lowered bodies compare as they are: their equality ignores site ids and
-    the order in which selectors were interned.
+    the sites' Symbols (each image interns its own), and compares the
+    dispatch text on each send node.
     """
     out: dict = {}
     for name in sorted(image.classes):

@@ -106,12 +106,12 @@ def _found(text: str) -> str:
 
 
 # Raw nodes produced before identifier resolution.
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _RawIdent:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _RawAssign:
     name: str
     value: object

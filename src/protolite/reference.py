@@ -74,11 +74,10 @@ from .values import INT_CLASS, NIL, IntVal, Nil, Oid, Value
 class Redex:
     """A program being reduced.
 
-    Redexes are never changed after they are built: a method template is
-    shared by every activation of its method, and a step builds new nodes
-    along the path it rewrites. They are slotted dataclasses, not frozen
-    ones, because a frozen dataclass is about three times as slow to build
-    and the evaluator builds several per reduction.
+    Redexes follow the node rule in the ``syntax`` module docstring: never
+    changed after they are built, and slotted rather than frozen. A method
+    template is shared by every activation of its method, and a step builds
+    new nodes along the path it rewrites, several per reduction.
     """
 
     __slots__ = ()

@@ -7,6 +7,13 @@ integers; ``+`` on integers is the only primitive message.
 
 Identifiers beginning with ``__`` are reserved for the compiler's selector
 mangling and are rejected in source.
+
+Nodes are never changed after they are built: lowered code, installs and the
+evaluators share subtrees freely. This holds by convention, and
+``tests/test_immutability.py`` checks it. The nodes are slotted dataclasses,
+not frozen ones, because a frozen dataclass stores each field through
+``object.__setattr__`` and costs about three times as much to build. Equality
+is by value; the nodes are not hashable.
 """
 
 from __future__ import annotations
@@ -26,63 +33,63 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class New(Expr):
     class_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SelfRef(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NilLit(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FieldGet(Expr):
     field: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FieldSet(Expr):
     field: str
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send(Expr):
     receiver: Expr
     selector: str
     args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SuperSend(Expr):
     selector: str
     args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Let(Expr):
     var: str
     bound: Expr
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MethodDef:
     selector: str
     params: tuple[str, ...]
@@ -94,7 +101,7 @@ class MethodDef:
         return self.visibility == PROTECTED
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClassDef:
     name: str
     superclass: str
@@ -108,7 +115,7 @@ class ClassDef:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Program:
     classes: tuple[ClassDef, ...]
     main: Expr

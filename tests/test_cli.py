@@ -138,6 +138,14 @@ def test_diff_seed_range(capsys):
     assert list(payload["outcomes"].items()) == expected.most_common()
 
 
+@pytest.mark.parametrize("seeds", ["5..4", "20..0", "0-9", "a..b"])
+def test_diff_rejects_an_empty_or_malformed_seed_range(capsys, seeds):
+    code, out, err = run_cli(capsys, "diff", "--seeds", seeds)
+    assert code == 2
+    assert out == ""
+    assert "--seeds expects a range" in err
+
+
 def test_diff_single_file(capsys):
     code, out, _ = run_cli(capsys, "diff", program_path("golden_sum.stl"))
     assert code == 0
@@ -239,6 +247,21 @@ def test_bench_command_smoke(capsys):
     assert code == 0
     assert "[baseline] median" in out
     assert "overhead vs baseline" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--warmup", "-1"), "warm-up cannot be negative"),
+    (("--repeat", "0"), "replication factor must be positive"),
+    (("--repeat", "-1"), "replication factor must be positive"),
+])
+def test_bench_rejects_negative_warmup_and_repeat_below_one(capsys, flags,
+                                                             message):
+    code, out, err = run_cli(
+        capsys, "bench", program_path("golden_sum.stl"),
+        "--invocations", "1", "--iterations", "2", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_scripts_run_with_tiny_arguments():

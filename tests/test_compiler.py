@@ -2,6 +2,8 @@ import pytest
 
 from protolite.compiler import (
     CompileMode,
+    SelfSiteSend,
+    SendSite,
     SymbolTable,
     compile_program,
     desugar_dump,
@@ -75,6 +77,33 @@ def test_mangle_twice_is_an_error():
     mangled = table.mangle(table.intern("foo"))
     with pytest.raises(AlreadyMangledError):
         table.mangle(mangled)
+
+
+def test_symbols_are_per_table_and_images_compare_by_text(two_level_program):
+    # Symbols hash by identity: each compile interns its own, and a
+    # dictionary answers only its own table's symbols. Lowered bodies
+    # compare the dispatch text, so the two images are still equal.
+    first = compile_program(two_level_program)
+    second = compile_program(two_level_program)
+    assert images_equal(first, second)
+    ours, theirs = (image.symbols.intern("callProtected")
+                    for image in (first, second))
+    assert ours.text == theirs.text
+    assert ours is not theirs and ours != theirs
+    assert ours in first.classes["A"].dictionary
+    assert theirs not in first.classes["A"].dictionary
+
+
+def test_retagged_self_send_differs_from_its_plain_form():
+    table, other = SymbolTable(), SymbolTable()
+    plain = table.intern("foo")
+
+    def self_send(symbol, site_id):
+        return SelfSiteSend(SelfRef(), symbol.text, (),
+                            site=SendSite(site_id, symbol, "foo"))
+
+    assert self_send(plain, 0) == self_send(other.intern("foo"), 7)
+    assert self_send(table.mangle(plain), 0) != self_send(plain, 0)
 
 
 # -- rewrite scope ---------------------------------------------------------------

@@ -399,6 +399,14 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
             scratch = compile_program(grown, mode)
             assert desugar_dump(installed) == desugar_dump(scratch)
             assert image_fingerprint(installed) == image_fingerprint(scratch)
+            # Lowered bodies compare the dispatch text on the send node, not
+            # the site's Symbol; the two must name the same selector, and the
+            # Symbol must be the image's own, since dictionaries hash symbols
+            # by identity.
+            own = set(installed.symbols.symbols())
+            for node in _image_sends(installed):
+                assert node.site.selector.text == node.selector
+                assert node.site.selector in own
             assert installed.program == grown
             idx, fresh = installed.idx, scratch.idx
             assert idx.by_name == fresh.by_name
@@ -414,22 +422,30 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
             image, program = installed, grown
 
 
-def _lowered_sites(node):
-    """Send sites of a lowered body: its sends carry them."""
+def _lowered_sends(node):
+    """Send nodes of a lowered body; each carries its site."""
     if isinstance(node, Send):
-        yield node.site
-        yield from _lowered_sites(node.receiver)
+        yield node
+        yield from _lowered_sends(node.receiver)
         for a in node.args:
-            yield from _lowered_sites(a)
+            yield from _lowered_sends(a)
     elif isinstance(node, SuperSend):
-        yield node.site
+        yield node
         for a in node.args:
-            yield from _lowered_sites(a)
+            yield from _lowered_sends(a)
     elif isinstance(node, FieldSet):
-        yield from _lowered_sites(node.value)
+        yield from _lowered_sends(node.value)
     elif isinstance(node, Let):
-        yield from _lowered_sites(node.bound)
-        yield from _lowered_sites(node.body)
+        yield from _lowered_sends(node.bound)
+        yield from _lowered_sends(node.body)
+
+
+def _image_sends(image):
+    """Every lowered send of an image: its methods' bodies, then main."""
+    for icls in image.classes.values():
+        for cm in {id(cm): cm for cm in icls.dictionary.values()}.values():
+            yield from _lowered_sends(cm.body)
+    yield from _lowered_sends(image.main)
 
 
 @given(seeds)
@@ -445,8 +461,8 @@ def test_no_mangled_sites_outside_scope(seed):
             if id(cm) in seen:
                 continue
             seen.add(id(cm))
-            assert not any(site.mangled for site in _lowered_sites(cm.body))
-    assert not any(site.mangled for site in _lowered_sites(image.main))
+            assert not any(n.site.mangled for n in _lowered_sends(cm.body))
+    assert not any(n.site.mangled for n in _lowered_sends(image.main))
 
 
 @given(seeds)
