@@ -13,7 +13,6 @@ and memory/cache accounting.
 from .bench import (
     BenchConfig,
     BenchReport,
-    bench,
     bench_pair,
     deep_send_workload,
     repeat_main,
@@ -46,10 +45,7 @@ from .metrics import (
     DiffResult,
     MemoryReport,
     differential_run,
-    image_fingerprint,
-    images_equal,
     measure_image,
-    protected_free_three_way,
     worst_case_ratios,
 )
 from .outcomes import (
@@ -65,7 +61,7 @@ from .outcomes import (
     UnknownField,
     UnknownVariable,
 )
-from .parser import parse, parse_file
+from .parser import parse
 from .reference import eval_program, step, translate
 from .runtime import (
     CacheStats,

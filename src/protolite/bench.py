@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .compiler import CompileMode, compile_program
 from .errors import BenchConfigError
@@ -60,7 +60,6 @@ class BenchReport:
     mean: float
     cache_stats: CacheStats
     relative_overhead: float | None = None
-    per_invocation: list[list[float]] = field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {
@@ -95,7 +94,6 @@ class _Measurement:
         self.config = config
         self.image = compile_program(program, config.mode)
         self.samples: list[float] = []
-        self.per_invocation: list[list[float]] = []
         self.last_stats: CacheStats | None = None
 
     def invoke(self) -> None:
@@ -112,7 +110,6 @@ class _Measurement:
                 raise BenchConfigError(
                     f"benchmark run did not complete: {result.outcome!r}")
             self.last_stats = result.stats
-        self.per_invocation.append(times)
         self.samples.extend(times[config.warmup:])
 
     def report(self) -> BenchReport:
@@ -126,21 +123,7 @@ class _Measurement:
             median=statistics.median(self.samples),
             mean=statistics.fmean(self.samples),
             cache_stats=self.last_stats or CacheStats(),
-            per_invocation=self.per_invocation,
         )
-
-
-def bench(program: Program,
-          config: BenchConfig = BenchConfig()) -> BenchReport:
-    """Measure one cache/compile configuration over a program.
-
-    Raises BenchConfigError for an empty iteration budget or a workload that
-    cannot finish (fuel exhaustion is a failed benchmark, not a sample).
-    """
-    measurement = _Measurement(program, config)
-    for _ in range(config.invocations):
-        measurement.invoke()
-    return measurement.report()
 
 
 def bench_pair(program: Program, baseline: BenchConfig,
@@ -150,7 +133,9 @@ def bench_pair(program: Program, baseline: BenchConfig,
     Invocations run baseline, config, baseline, config, ..., so a burst of
     contention on the machine falls on both sides alike instead of on one
     side's block. The second report carries its median's overhead relative
-    to the baseline's. Raises BenchConfigError as ``bench`` does.
+    to the baseline's. Raises BenchConfigError for an empty iteration budget
+    or a workload that cannot finish (fuel exhaustion is a failed benchmark,
+    not a sample).
     """
     measurements = (_Measurement(program, baseline),
                     _Measurement(program, config))

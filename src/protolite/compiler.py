@@ -23,11 +23,13 @@ so the runtime needs only one visibility-blind lookup:
 method touches. It derives the new index from the parent image's, checks only
 the classes the method can make invalid, and keeps the parent's scope unless
 the method pulls classes in under the same rule -- the target, or an ancestor
-that self-sends a new protected selector -- with their descendants
-(recompiling them). It then re-examines the in-scope sites that mention the
-new selector in the target's subtree and ancestors, and the deferred ones.
-Images are never mutated; installs return a new image and leave the old one
-valid.
+that self-sends a new protected selector -- with their descendants. It
+rebuilds the target, the classes that joined the scope, and the in-scope
+classes whose self/super sites can change tag (those in the target's subtree
+and ancestors, and those with a deferred site of the new selector), each
+whole and by the same builder as a compile; every other class is shared with
+the parent image. Images are never mutated; installs return a new image and
+leave the old one valid.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .syntax import (
     MANGLE_PREFIX,
     PROTECTED,
     ROOT_CLASS,
+    ClassDef,
     Expr,
     FieldGet,
     FieldSet,
@@ -154,10 +157,6 @@ class SendSite:
     selector: Symbol = field(compare=False)
     plain_text: str
 
-    @property
-    def mangled(self) -> bool:
-        return self.selector.mangled
-
 
 @dataclass(slots=True)
 class SiteSend(Send):
@@ -203,7 +202,6 @@ class DeferredSite:
 class ImageClass:
     name: str
     superclass: str | None  # None only for Object
-    own_fields: tuple[str, ...]
     all_fields: tuple[str, ...]
     dictionary: dict[Symbol, CompiledMethod]
     class_id: int
@@ -217,18 +215,16 @@ class RuntimeImage:
     new image sharing untouched classes with the old one.
     """
 
-    program: Program
     mode: CompileMode
     classes: dict[str, ImageClass]
     main: Expr
     symbols: SymbolTable
     rewrite_scope: frozenset[str]
-    protection_roots: frozenset[str]
     deferred_sites: tuple[DeferredSite, ...]
     site_count: int
-    # The index the image was compiled from, for callers that need the same
-    # relations over ``program`` (the reference evaluator). Not part of
-    # equality.
+    # The index the image was compiled from: its ``program`` is the source,
+    # and callers that need the same relations over it (the reference
+    # evaluator) share it. Not part of equality.
     idx: HierarchyIndex = field(repr=False, compare=False)
     # The runtime's code arrays, lowered lazily from the bodies above: keyed
     # by CompiledMethod (identity), with None for main. Not part of equality.
@@ -404,6 +400,18 @@ def _install(dictionary: dict[Symbol, CompiledMethod], method: CompiledMethod,
         dictionary[symbols.mangle(plain)] = method
 
 
+def _compile_class(lowerer: _Lowerer, cdef: ClassDef,
+                   class_id: int) -> ImageClass:
+    """Lower and register every method of a class under the lowerer's scope."""
+    in_scope = cdef.name in lowerer.scope
+    dictionary: dict[Symbol, CompiledMethod] = {}
+    for mdef in cdef.methods:
+        _install(dictionary, _compile_method(lowerer, cdef.name, mdef),
+                 in_scope, lowerer.symbols)
+    return ImageClass(cdef.name, cdef.superclass,
+                      lowerer.idx.fields_of(cdef.name), dictionary, class_id)
+
+
 def compile_program(program: Program,
                     mode: CompileMode = CompileMode.NORMAL) -> RuntimeImage:
     """Validate, lower, and register every class of a program."""
@@ -415,30 +423,18 @@ def compile_program(program: Program,
     symbols = SymbolTable()
     lowerer = _Lowerer(idx, scope, symbols, 0)
 
-    classes: dict[str, ImageClass] = {
-        ROOT_CLASS: ImageClass(ROOT_CLASS, None, (), (), {}, 0)
-    }
+    classes = {ROOT_CLASS: ImageClass(ROOT_CLASS, None, (), {}, 0)}
     for i, cdef in enumerate(program.classes, start=1):
-        in_scope = cdef.name in scope
-        dictionary: dict[Symbol, CompiledMethod] = {}
-        for mdef in cdef.methods:
-            method = _compile_method(lowerer, cdef.name, mdef)
-            _install(dictionary, method, in_scope and mode is not CompileMode.BASELINE,
-                     symbols)
-        classes[cdef.name] = ImageClass(
-            cdef.name, cdef.superclass, cdef.fields,
-            idx.fields_of(cdef.name), dictionary, i)
+        classes[cdef.name] = _compile_class(lowerer, cdef, i)
 
     main = lowerer.lower(program.main, None, "")
     # Deferral only applies inside the scope; main has no enclosing class.
     return RuntimeImage(
-        program=program,
         mode=mode,
         classes=classes,
         main=main,
         symbols=symbols,
         rewrite_scope=scope,
-        protection_roots=protection_roots(idx, scope),
         deferred_sites=tuple(lowerer.deferred),
         site_count=lowerer.next_site_id,
         idx=idx,
@@ -454,12 +450,11 @@ def install_method(image: RuntimeImage, class_name: str,
 
     Rejects anything that would invalidate the program (duplicate selector,
     narrowing an inherited public method, reserved prefix), with the
-    violations ``validate`` reports for the grown program. Classes the
-    method pulls into the rewrite scope are recompiled with their
-    descendants; afterwards, in-scope methods mentioning the new selector in
-    self/super position are re-examined so their site tags match a
-    from-scratch compile.
-    Builds no index and validates no class the method cannot affect.
+    violations ``validate`` reports for the grown program. Rebuilds the
+    target, the classes the method pulls into the rewrite scope, and the
+    in-scope classes whose self/super site tags can change, so the image
+    matches a from-scratch compile. Builds no index and validates no class
+    the method cannot affect.
     """
     if mdef.selector.startswith(MANGLE_PREFIX):
         raise ReservedSelectorError(
@@ -469,8 +464,8 @@ def install_method(image: RuntimeImage, class_name: str,
         raise UnknownClassError(f"cannot install into '{class_name}'")
 
     target = replace(old_def, methods=old_def.methods + (mdef,))
-    new_program = replace(image.program, classes=tuple(
-        target if c is old_def else c for c in image.program.classes))
+    new_program = replace(image.idx.program, classes=tuple(
+        target if c is old_def else c for c in image.idx.program.classes))
     idx = image.idx.with_method(new_program, target, mdef.selector)
     violations = validate_install(idx, class_name, mdef.selector)
     if violations:
@@ -483,7 +478,7 @@ def install_method(image: RuntimeImage, class_name: str,
     # protected. All lie on the target's chain: the topmost one's subtree
     # joins.
     subtree = idx.subtree(class_name)
-    new_scope, roots = image.rewrite_scope, image.protection_roots
+    new_scope = image.rewrite_scope
     top = None
     if image.mode is CompileMode.NORMAL:
         protected = mdef.visibility == PROTECTED
@@ -503,17 +498,14 @@ def install_method(image: RuntimeImage, class_name: str,
         reach = idx.subtree(top)
         expansion = frozenset(reach) - new_scope
         new_scope = new_scope | expansion
-        roots = protection_roots(idx, new_scope)
 
     symbols = image.symbols.copy()
     lowerer = _Lowerer(idx, new_scope, symbols, image.site_count)
 
-    # Classes needing a full recompile: the target itself, plus everything
-    # newly pulled into the rewrite scope.
-    full: set[str] = {class_name} | expansion
-    # Sites whose tag can change: those sending the new selector, and -- when
-    # classes just entered the scope -- those sending anything such a class
-    # defines, since their resolution class may have flipped into the scope.
+    # Classes to rebuild: the target, those that just joined the scope, and
+    # the in-scope classes whose self/super sites can change tag -- those
+    # sending the new selector and, when classes joined, anything such a class
+    # defines, since the resolution class may have flipped into the scope.
     # Only the joining subtree (else the target's) and the target's ancestors
     # resolve through what changed; elsewhere only a deferred site of the new
     # selector can, as the selector now has a definer.
@@ -524,57 +516,26 @@ def install_method(image: RuntimeImage, class_name: str,
         idx.chain(class_name),
         (d.class_name for d in image.deferred_sites
          if d.selector == mdef.selector))
-    retag: dict[str, set[str]] = {}
-    for name in candidates:
-        if name in full or name not in new_scope:
-            continue
-        for m in idx.by_name[name].methods:
-            if any(affected_selectors & sent
-                   for sent in self_and_super_selectors(m.body)):
-                retag.setdefault(name, set()).add(m.selector)
-
-    def in_scope_of(name: str) -> bool:
-        return name in new_scope and image.mode is not CompileMode.BASELINE
+    rebuilt = {class_name} | expansion | {
+        name for name in candidates
+        if name in new_scope and any(
+            affected_selectors & sent for m in idx.by_name[name].methods
+            for sent in self_and_super_selectors(m.body))}
 
     classes = dict(image.classes)
-    dropped_deferred: set[tuple[str, str]] = set()
-    for name in sorted(full | set(retag)):
-        cdef = idx.by_name[name]
-        old = image.classes[name]
-        if name in full:
-            dictionary = {}
-            rebuilt = set(m.selector for m in cdef.methods)
-        else:
-            dictionary = dict(old.dictionary)
-            rebuilt = retag[name]
-        for m in cdef.methods:
-            if m.selector not in rebuilt:
-                continue
-            if name not in full:
-                for sym in [s for s, cm in dictionary.items()
-                            if cm.selector.text == m.selector]:
-                    del dictionary[sym]
-            method = _compile_method(lowerer, name, m)
-            _install(dictionary, method, in_scope_of(name), symbols)
-            dropped_deferred.add((name, m.selector))
-        classes[name] = ImageClass(name, old.superclass, cdef.fields,
-                                   idx.fields_of(name), dictionary, old.class_id)
-        if name in full:
-            dropped_deferred.update((name, m.selector) for m in cdef.methods)
-
-    deferred = tuple(
-        d for d in image.deferred_sites
-        if (d.class_name, d.method_selector) not in dropped_deferred
-    ) + tuple(lowerer.deferred)
+    for name in sorted(rebuilt):
+        classes[name] = _compile_class(lowerer, idx.by_name[name],
+                                       image.classes[name].class_id)
+    # A rebuild lowers its class's deferred sites again.
+    deferred = tuple(d for d in image.deferred_sites
+                     if d.class_name not in rebuilt) + tuple(lowerer.deferred)
 
     return RuntimeImage(
-        program=new_program,
         mode=image.mode,
         classes=classes,
         main=image.main,
         symbols=symbols,
         rewrite_scope=new_scope,
-        protection_roots=roots,
         deferred_sites=deferred,
         site_count=lowerer.next_site_id,
         idx=idx,
@@ -611,7 +572,8 @@ def desugar_dump(image: RuntimeImage) -> str:
                        f"{pretty_expr(cm.body)}")
     out.append(f"main: {pretty_expr(image.main)}")
     scope = ", ".join(sorted(image.rewrite_scope)) or "(none)"
-    roots = ", ".join(sorted(image.protection_roots)) or "(none)"
+    roots = ", ".join(sorted(protection_roots(image.idx, image.rewrite_scope)))
+    roots = roots or "(none)"
     out.append(f"rewrite scope: {scope}")
     out.append(f"protection roots: {roots}")
     if image.deferred_sites:

@@ -121,13 +121,15 @@ class EvalResult:
 
 def outcome_to_json(outcome: Outcome) -> dict:
     if isinstance(outcome, Completed):
-        from .values import IntVal, Nil, Oid
+        from .values import IntVal, Nil, Oid, int_text
 
         v = outcome.value
         if isinstance(v, Nil):
             rendered: object = None
         elif isinstance(v, IntVal):
-            rendered = v.n
+            # A JSON number is decimal text; a hexadecimal one is a string.
+            text = int_text(v.n)
+            rendered = text if "x" in text else v.n
         elif isinstance(v, Oid):
             rendered = f"oid:{v.oid}"
         else:

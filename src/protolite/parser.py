@@ -251,7 +251,14 @@ class _Parser:
         if kind == "ident":
             return _RawIdent(self.texts[pos])
         if kind == "int":
-            return IntLit(int(self.texts[pos]))
+            try:
+                return IntLit(int(self.texts[pos]))
+            except ValueError:
+                raise self.error(
+                    f"integer literal of {len(self.texts[pos])} digits is "
+                    f"longer than the {sys.get_int_max_str_digits()} digits "
+                    "Python converts from text (sys.get_int_max_str_digits())",
+                    pos) from None
         if kind == "self":
             return SelfRef()
         if kind == "nil":
@@ -430,8 +437,3 @@ def parse(source: str) -> Program:
         return parser.program()
     except RecursionError:
         raise parser.error(_too_deep()) from None
-
-
-def parse_file(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())

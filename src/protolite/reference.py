@@ -169,9 +169,6 @@ class Store:
         self.records[oid] = ObjectRecord(class_name, {f: NIL for f in field_names})
         return oid
 
-    def __contains__(self, oid: int) -> bool:
-        return oid in self.records
-
     def __getitem__(self, oid: int) -> ObjectRecord:
         return self.records[oid]
 

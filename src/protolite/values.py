@@ -33,7 +33,7 @@ class IntVal(Value):
     n: int
 
     def __repr__(self) -> str:
-        return f"int({self.n})"
+        return f"int({int_text(self.n)})"
 
 
 NIL = Nil()
@@ -42,12 +42,22 @@ NIL = Nil()
 INT_CLASS = "Integer"
 
 
+def int_text(n: int) -> str:
+    """Decimal text of ``n``; hexadecimal (``0x...``), which has no length
+    limit, when ``n`` has more digits than Python converts to decimal
+    (``sys.get_int_max_str_digits()``)."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
 def render_value(v: Value, class_of=None) -> str:
     """Human-readable form used by the CLI."""
     if isinstance(v, Nil):
         return "nil"
     if isinstance(v, IntVal):
-        return str(v.n)
+        return int_text(v.n)
     if isinstance(v, Oid):
         cls = class_of(v.oid) if class_of is not None else None
         return f"<{cls}#{v.oid}>" if cls else f"<object#{v.oid}>"

@@ -19,12 +19,7 @@ from protolite.compiler import (
 )
 from protolite.errors import ProgramInvalidError
 from protolite.generator import GeneratorConfig, generate_program
-from protolite.metrics import (
-    differential_run,
-    measure_image,
-    protected_free_three_way,
-    run_all_configs,
-)
+from protolite.metrics import differential_run, measure_image
 from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.runtime import probe_index, run_image
@@ -40,6 +35,7 @@ from protolite.validate import validate
 from protolite.values import IntVal
 
 from tests.conftest import methods_with, program_path
+from tests.oracles import protected_free_three_way, run_all_configs
 from tests.workloads import dual_route_workload, polymorphic_workload
 
 GOLDEN_TIME_BUDGET_S = 1.0

@@ -337,6 +337,34 @@ def test_deep_input_exits_2_without_traceback(capsys, tmp_path, main_expr):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_overlong_integer_literal_exits_2(capsys, tmp_path, flags):
+    digits = sys.get_int_max_str_digits() + 700
+    path = tmp_path / "long_literal.stl"
+    path.write_text(f"main {{ {'9' * digits} }}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *flags, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"long_literal.stl:1:8: integer literal of {digits} digits" in err
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_overlong_integer_result_prints_in_hexadecimal(capsys, tmp_path,
+                                                       flags):
+    # Each literal fits the decimal limit; their sum has one digit more.
+    nines = "9" * sys.get_int_max_str_digits()
+    path = tmp_path / "long_sum.stl"
+    path.write_text(f"main {{ {nines} + {nines} }}\n")
+    code, out, err = run_cli(capsys, "run", *flags, str(path))
+    assert code == 0
+    value = json.loads(out)["value"] if flags else out.strip()
+    assert value == hex(2 * int(nines))
+    assert "Traceback" not in err
+
+
 def test_non_utf8_source_exits_3(capsys, tmp_path):
     path = tmp_path / "latin1.stl"
     path.write_bytes(b"main { 1 }\xff")

@@ -18,7 +18,6 @@ from protolite.errors import (
     UnknownClassError,
 )
 from protolite.generator import generate_program
-from protolite.metrics import image_fingerprint, images_equal
 from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.reference import eval_program
@@ -39,6 +38,7 @@ from protolite.validate import HierarchyIndex
 from protolite.values import IntVal
 
 from tests.conftest import methods_with
+from tests.oracles import image_fingerprint, images_equal
 
 
 def entry_texts(image, class_name):
@@ -364,11 +364,20 @@ def test_install_first_protected_into_leaf_touches_only_leaf(two_level_program):
      " class A extends Object { }"
      " main { let b = new B in b.go() }",
      "A", MethodDef("go", (), Send(SelfRef(), "hook", ())), 7),
-], ids=["hook-later", "template-later", "sibling-retag", "subclass-first"])
+    # A is in scope and its template sends s, which only the unrelated X
+    # defines; a protected s on B, below A, must retag A's send.
+    ("class A extends Object { protected method p() { 1 }"
+     "  method go() { self.s() } }"
+     " class B extends A { }"
+     " class X extends Object { method s() { 5 } }"
+     " main { (new B).go() }",
+     "B", MethodDef("s", (), IntLit(7), "protected"), 7),
+], ids=["hook-later", "template-later", "sibling-retag", "subclass-first",
+        "ancestor-retag"])
 def test_install_closes_scope_over_template_method(source, class_name, mdef,
                                                    value):
     image = install_method(compile_program(parse(source)), class_name, mdef)
-    scratch = compile_program(image.program)
+    scratch = compile_program(image.idx.program)
     assert images_equal(image, scratch)
     assert run_image(image).outcome == Completed(IntVal(value))
 
@@ -424,15 +433,18 @@ def _binary_tree(n):
 
 
 def test_install_stays_local(monkeypatch):
-    # An install derives its index from the parent image's and validates
-    # only the classes the new method can make invalid: the target and the
-    # descendants defining the selector, however large the program.
+    # An install derives its index from the parent image's, validates only
+    # the classes the new method can make invalid -- the target and the
+    # descendants defining the selector -- and, outside the rewrite scope,
+    # rebuilds only the target, however large the program.
     import importlib
 
     # The package re-exports the function under the module's name.
     validate_mod = importlib.import_module("protolite.validate")
+    compiler_mod = importlib.import_module("protolite.compiler")
     real_init, real_check = HierarchyIndex.__init__, validate_mod._check_class
-    builds, checked = [], {}
+    real_compile_class = compiler_mod._compile_class
+    builds, checked, rebuilt = [], {}, {}
 
     def counting_init(self, program):
         builds.append(program)
@@ -440,12 +452,17 @@ def test_install_stays_local(monkeypatch):
 
     for n in (250, 2000):
         image = compile_program(_binary_tree(n))
-        checked[n] = []
+        checked[n], rebuilt[n] = [], []
         monkeypatch.setattr(HierarchyIndex, "__init__", counting_init)
         monkeypatch.setattr(
             validate_mod, "_check_class",
             lambda c, idx, violations, seen=checked[n]:
                 seen.append(c.name) or real_check(c, idx, violations))
+        monkeypatch.setattr(
+            compiler_mod, "_compile_class",
+            lambda lowerer, cdef, class_id, seen=rebuilt[n]:
+                seen.append(cdef.name)
+                or real_compile_class(lowerer, cdef, class_id))
         leaf = install_method(image, f"C{n - 1}", MethodDef("g", (), IntLit(1)))
         # On the root, the leaf's g becomes an override and is checked too.
         root = install_method(leaf, "C0", MethodDef("g", (), IntLit(2)))
@@ -455,6 +472,8 @@ def test_install_stays_local(monkeypatch):
         assert root.idx.definers("g") == ("C0", f"C{n - 1}")
     assert checked[250] == ["C249", "C0", "C249"]
     assert checked[2000] == ["C1999", "C0", "C1999"]
+    assert rebuilt[250] == ["C249", "C0"]
+    assert rebuilt[2000] == ["C1999", "C0"]
 
 
 def test_incremental_equals_batch(two_level_program):

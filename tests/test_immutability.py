@@ -18,12 +18,13 @@ from protolite.compiler import (
     install_method,
 )
 from protolite.generator import generate_program
-from protolite.metrics import differential_run, image_fingerprint, run_all_configs
+from protolite.metrics import differential_run
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.syntax import IntLit, MethodDef, Send, SelfRef
 
 from tests.conftest import PROGRAMS
+from tests.oracles import image_fingerprint, run_all_configs
 
 # Enough steps to run every phase's node-reading paths; fuel exhaustion is as
 # good an outcome as any here.

@@ -5,7 +5,6 @@ import pytest
 
 from protolite.bench import (
     BenchConfig,
-    bench,
     bench_pair,
     deep_send_workload,
     repeat_main,
@@ -15,9 +14,7 @@ from protolite.errors import BenchConfigError
 from protolite.generator import GeneratorConfig, generate_program
 from protolite.metrics import (
     differential_run,
-    images_equal,
     measure_image,
-    protected_free_three_way,
     worst_case_ratios,
 )
 from protolite.outcomes import Completed
@@ -26,6 +23,7 @@ from protolite.runtime import run_image
 from protolite.syntax import PROTECTED
 from protolite.validate import validate
 
+from tests.oracles import images_equal, protected_free_three_way
 from tests.workloads import polymorphic_workload
 
 
@@ -226,9 +224,10 @@ def quick(label="normal", **kw):
 
 def test_bench_rejects_empty_budgets(two_level_program):
     with pytest.raises(BenchConfigError):
-        bench(two_level_program, quick(iterations=0))
+        bench_pair(two_level_program, quick(), quick(iterations=0))
     with pytest.raises(BenchConfigError):
-        bench(two_level_program, quick(iterations=2, warmup=2))
+        bench_pair(two_level_program, quick(),
+                   quick(iterations=2, warmup=2))
 
 
 def test_bench_rejects_non_terminating_workload():
@@ -237,7 +236,7 @@ def test_bench_rejects_non_terminating_workload():
         main { (new C).spin() }
     """)
     with pytest.raises(BenchConfigError):
-        bench(p, quick(fuel=5_000))
+        bench_pair(p, quick(fuel=5_000), quick(fuel=5_000))
 
 
 def test_bench_reports_medians_and_overhead(two_level_program):

@@ -8,13 +8,7 @@ import hypothesis.strategies as st
 
 from protolite.compiler import CompileMode, compile_program, rewrite_scope
 from protolite.generator import GeneratorConfig, generate_program
-from protolite.metrics import (
-    differential_run,
-    image_fingerprint,
-    measure_image,
-    protected_free_three_way,
-    run_all_configs,
-)
+from protolite.metrics import differential_run, measure_image
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.syntax import (
@@ -30,6 +24,11 @@ from protolite.syntax import (
 from protolite.validate import HierarchyIndex, validate
 
 from tests.conftest import methods_with, visibility
+from tests.oracles import (
+    image_fingerprint,
+    protected_free_three_way,
+    run_all_configs,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -407,7 +406,7 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
             for node in _image_sends(installed):
                 assert node.site.selector.text == node.selector
                 assert node.site.selector in own
-            assert installed.program == grown
+            assert installed.idx.program == grown
             idx, fresh = installed.idx, scratch.idx
             assert idx.by_name == fresh.by_name
             selectors = {m.selector for c in grown.classes for m in c.methods}
@@ -461,8 +460,9 @@ def test_no_mangled_sites_outside_scope(seed):
             if id(cm) in seen:
                 continue
             seen.add(id(cm))
-            assert not any(n.site.mangled for n in _lowered_sends(cm.body))
-    assert not any(n.site.mangled for n in _lowered_sends(image.main))
+            assert not any(n.site.selector.mangled
+                           for n in _lowered_sends(cm.body))
+    assert not any(n.site.selector.mangled for n in _lowered_sends(image.main))
 
 
 @given(seeds)

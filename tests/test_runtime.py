@@ -6,7 +6,7 @@ import pytest
 
 from protolite import cli
 from protolite.compiler import CompileMode, compile_program
-from protolite.metrics import DIFF_FUEL, differential_run, run_all_configs
+from protolite.metrics import DIFF_FUEL, differential_run
 from protolite.outcomes import (
     ArityMismatch,
     Completed,
@@ -41,6 +41,8 @@ from protolite.syntax import (
     Var,
 )
 from protolite.values import IntVal, Oid
+
+from tests.oracles import run_all_configs
 
 
 @pytest.fixture()
