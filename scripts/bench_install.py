@@ -5,7 +5,9 @@ Builds binary class trees (class i extends class (i - 1) // 2); every class
 defines one of eight one-argument selectors, and one class in sixteen makes
 it protected, so a share of the tree is in the rewrite scope. Times
 ``compile_program`` on the tree and ``install_method`` of one public method
-on its last class, a leaf, and prints the medians and their ratio.
+on its last class, a leaf, and prints the medians and their ratio. Each
+repeat times one compile and then one install, so a burst of contention on
+the machine falls on both sides of the ratio alike.
 
 Usage:
     python scripts/bench_install.py --sizes 250 500 1000 2000 --repeats 5
@@ -48,13 +50,15 @@ def binary_tree(n: int) -> Program:
     return Program(tuple(classes), IntLit(0))
 
 
-def median_seconds(fn, repeats: int) -> float:
-    times = []
+def median_seconds(fns, repeats: int) -> list[float]:
+    """Median time of each of ``fns``, called in turn within each repeat."""
+    times: list[list[float]] = [[] for _ in fns]
     for _ in range(repeats):
-        start = perf_counter()
-        fn()
-        times.append(perf_counter() - start)
-    return statistics.median(times)
+        for fn, fn_times in zip(fns, times):
+            start = perf_counter()
+            fn()
+            fn_times.append(perf_counter() - start)
+    return [statistics.median(fn_times) for fn_times in times]
 
 
 def main() -> int:
@@ -69,10 +73,9 @@ def main() -> int:
         program = binary_tree(n)
         image = compile_program(program)
         leaf = MethodDef("leaf", (), IntLit(1))
-        compile_s = median_seconds(lambda: compile_program(program),
-                                   args.repeats)
-        install_s = median_seconds(
-            lambda: install_method(image, f"C{n - 1}", leaf), args.repeats)
+        compile_s, install_s = median_seconds(
+            [lambda: compile_program(program),
+             lambda: install_method(image, f"C{n - 1}", leaf)], args.repeats)
         print(f"{n:>8} {compile_s * 1e3:>11.2f} {install_s * 1e3:>11.3f} "
               f"{install_s / compile_s:>7.1%}")
     return 0

@@ -21,11 +21,12 @@ position: a ``ParseError``'s line and column are computed when it is raised, by
 scanning the source again up to the offending token's index.
 
 Bare identifiers resolve lexically: let-bound variables and method parameters
-shadow fields; otherwise a name declared by the enclosing class or an ancestor
-reads that field, and anything else is a free variable. ``name := e`` always
-targets a field and is rejected when no such field is visible. ``super`` sends
-are rejected inside the main expression, and identifiers with the reserved
-``__`` prefix are rejected everywhere.
+shadow fields; otherwise a name declared by the enclosing class definition or
+an ancestor reads that field, and anything else is a free variable. The
+ancestors' fields come from a ``HierarchyIndex`` over the raw program.
+``name := e`` always targets a field and is rejected when no such field is
+visible. ``super`` sends are rejected inside the main expression, and
+identifiers with the reserved ``__`` prefix are rejected everywhere.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .syntax import (
     MANGLE_PREFIX,
     PROTECTED,
     PUBLIC,
+    ROOT_CLASS,
     ClassDef,
     Expr,
     FieldGet,
@@ -57,6 +59,7 @@ from .syntax import (
     SuperSend,
     Var,
 )
+from .validate import HierarchyIndex
 
 _KEYWORDS = (
     "class", "extends", "fields", "method", "protected", "main",
@@ -293,81 +296,30 @@ class _Parser:
 # -- identifier resolution ---------------------------------------------------
 
 
-def _visible_fields(classes: tuple[ClassDef, ...]) -> dict[str, frozenset[str]]:
-    """Fields visible per class, including inherited ones.
-
-    Each class's set is its superclass's set plus its own fields, built once
-    per class. Tolerates unknown superclasses and cycles (every class on a
-    cycle sees the fields of the whole cycle); those surface as validation
-    violations later, not parse failures.
-    """
-    by_name: dict[str, ClassDef] = {}
-    for c in classes:
-        by_name.setdefault(c.name, c)
-    visible: dict[str, frozenset[str]] = {}
-    for c in by_name.values():
-        # Walk up to a class already done, an unknown superclass, or a
-        # class already on this walk, which closes a cycle.
-        path: list[ClassDef] = []
-        on_path: set[str] = set()
-        cur: ClassDef | None = c
-        while cur is not None and cur.name not in visible \
-                and cur.name not in on_path:
-            path.append(cur)
-            on_path.add(cur.name)
-            cur = by_name.get(cur.superclass)
-        inherited: frozenset[str] = frozenset()
-        if cur is not None and cur.name in visible:
-            inherited = visible[cur.name]
-        elif cur is not None:
-            cycle = path[path.index(cur):]
-            del path[path.index(cur):]
-            inherited = frozenset(f for cdef in cycle for f in cdef.fields)
-            for cdef in cycle:
-                visible[cdef.name] = inherited
-        for cdef in reversed(path):
-            inherited = inherited.union(cdef.fields)
-            visible[cdef.name] = inherited
-    # A later class reusing a name (a CLASSESONCE violation) walks its own
-    # chain, stopping where the chain reaches its name again; the last one
-    # of a name wins, as it does for its methods.
-    result = dict(visible)
-    for c in classes:
-        if by_name[c.name] is not c:
-            fields: set[str] = set()
-            seen: set[str] = set()
-            dup: ClassDef | None = c
-            while dup is not None and dup.name not in seen:
-                seen.add(dup.name)
-                fields.update(dup.fields)
-                dup = by_name.get(dup.superclass)
-            result[c.name] = frozenset(fields)
-    return result
-
-
 def _too_deep() -> str:
     return ("expression nested too deeply: RecursionError at the nesting limit, "
             f"the Python recursion limit of {sys.getrecursionlimit()} frames")
 
 
 def _resolve_all(nodes: tuple, fields: frozenset[str], bound: frozenset[str],
-                 source: str) -> tuple:
-    resolved = tuple(_resolve_expr(n, fields, bound, source) for n in nodes)
+                 source: str, room: int) -> tuple:
+    resolved = tuple(_resolve_expr(n, fields, bound, source, room)
+                     for n in nodes)
     return nodes if all(map(operator.is_, resolved, nodes)) else resolved
 
 
 def _resolve_expr(node, fields: frozenset[str], bound: frozenset[str],
-                  source: str) -> Expr:
+                  source: str, room: int) -> Expr:
+    if room < 1:  # ``room`` counts the frames left, this one included
+        raise RecursionError
     kind = type(node)
     if kind is _RawIdent:
-        if node.name in bound:
-            return Var(node.name)
-        if node.name in fields:
+        if node.name in fields and node.name not in bound:
             return FieldGet(node.name)
         return Var(node.name)
     if kind is Send:
-        receiver = _resolve_expr(node.receiver, fields, bound, source)
-        args = _resolve_all(node.args, fields, bound, source)
+        receiver = _resolve_expr(node.receiver, fields, bound, source, room - 1)
+        args = _resolve_all(node.args, fields, bound, source, room - 3)
         if receiver is node.receiver and args is node.args:
             return node
         return Send(receiver, node.selector, args)
@@ -377,27 +329,35 @@ def _resolve_expr(node, fields: frozenset[str], bound: frozenset[str],
                 f"assignment target {node.name!r} is not a visible field",
                 *_position(source, node.index))
         return FieldSet(node.name, _resolve_expr(node.value, fields, bound,
-                                                 source))
+                                                 source, room - 1))
     if kind is Let:
-        bound_expr = _resolve_expr(node.bound, fields, bound, source)
-        body = _resolve_expr(node.body, fields, bound | {node.var}, source)
+        bound_expr = _resolve_expr(node.bound, fields, bound, source, room - 1)
+        body = _resolve_expr(node.body, fields, bound | {node.var}, source,
+                             room - 1)
         if bound_expr is node.bound and body is node.body:
             return node
         return Let(node.var, bound_expr, body)
     if kind is SuperSend:
-        args = _resolve_all(node.args, fields, bound, source)
+        args = _resolve_all(node.args, fields, bound, source, room - 3)
         return node if args is node.args else SuperSend(node.selector, args)
     return node  # literals, self, new
+
+
+# Frames of the recursion limit kept back from the resolve walk, which counts
+# its own (an argument costs three), for the caller and for the later walks
+# over the tree, which start deeper and spend at most as many frames per
+# level. So how deep a body may nest does not depend on the caller's stack.
+_HEADROOM = 90
 
 
 def _resolve_body(body, fields: frozenset[str], bound: frozenset[str],
                   start: int, source: str) -> Expr:
     # The descent reads a '+' chain in a loop, but the chain is a left-nested
-    # tree, so a body the parser read can still be too deep for this walk. By
-    # now the parser stands at the end of input; report the method or main
-    # block that holds the body instead.
+    # tree, so a body the parser read can still be too deep for this walk;
+    # report the method or main block that holds it, not the end of input.
     try:
-        return _resolve_expr(body, fields, bound, source)
+        return _resolve_expr(body, fields, bound, source,
+                             sys.getrecursionlimit() - _HEADROOM)
     except RecursionError:
         raise ParseError(_too_deep(), *_position(source, start)) from None
 
@@ -407,13 +367,18 @@ def _resolve(raw: Program, method_starts: list[int], main_start: int,
     """Resolve bare identifiers and assignments. A node, method or class whose
     parts all come back unchanged is returned as it is, not rebuilt.
 
+    A method sees the fields of its own class definition and those the
+    hierarchy index gives its superclass; an undefined superclass gives none.
     Errors are positioned from ``source``, not from the token lists, so that
     the walk holds no reference to the parser."""
-    fields_by_class = _visible_fields(raw.classes)
+    idx = HierarchyIndex(raw)
     starts = iter(method_starts)
     classes = []
     for c in raw.classes:
-        fields = fields_by_class[c.name]
+        sname = c.superclass
+        defined = sname == ROOT_CLASS or sname in idx.by_name
+        fields = frozenset(c.fields).union(
+            idx.fields_of(sname) if defined else ())
         methods = []
         for m in c.methods:
             body = _resolve_body(m.body, fields, frozenset(m.params),

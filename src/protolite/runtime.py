@@ -98,11 +98,6 @@ def _probe_base(class_id: int, symbol_id: int) -> int:
     return ((class_id * _HASH_A) ^ (symbol_id * _HASH_B)) & 0xFFFFFFFF
 
 
-def probe_index(class_id: int, symbol_id: int, probe: int) -> int:
-    """Slot inspected at the given probe (0-based) for a lookup key."""
-    return (_probe_base(class_id, symbol_id) + probe) % GLOBAL_CACHE_SIZE
-
-
 @dataclass
 class GlobalCache:
     """Fixed-size (class, selector) -> method table with linear re-probing.

@@ -16,6 +16,9 @@ and the offending member. The rules:
 * OVERRIDINGPROTECTEDMETHOD -- protected methods may be overridden by public
   or protected methods; with exactly two visibilities this cannot fail and is
   retained for completeness of the rule set
+
+``HierarchyIndex`` computes every chain and field set in one pass; the parser
+builds one over its raw program, and each compile one for all its layers.
 """
 
 from __future__ import annotations
@@ -51,23 +54,6 @@ class Violation:
         member = f", member '{self.member}'" if self.member else ""
         detail = f": {self.detail}" if self.detail else ""
         return f"{self.rule}: class '{self.class_name}'{member}{detail}"
-
-
-def _chain(by_name: dict[str, ClassDef], start: str) -> list[str]:
-    """Ancestor chain from ``start`` upward, cycle- and gap-tolerant."""
-    chain: list[str] = []
-    seen: set[str] = set()
-    cur = start
-    while cur not in seen:
-        seen.add(cur)
-        chain.append(cur)
-        if cur == ROOT_CLASS:
-            break
-        cdef = by_name.get(cur)
-        if cdef is None:
-            break
-        cur = cdef.superclass
-    return chain
 
 
 def validate(program: Program,
@@ -199,7 +185,8 @@ class HierarchyIndex:
     """Relation oracle over a program, built once per compile and shared by
     ``validate``, the rewrite scope, protection roots and lowering; an install
     derives its image's index from the parent's with ``with_method``. The
-    image keeps it for the reference evaluator.
+    image keeps it for the reference evaluator; the parser builds one over
+    its raw program for the fields each class sees.
 
     Answers superclass and ancestor-chain queries, the classes defining a
     selector, transitive field sets, and closest-definition and public
@@ -219,19 +206,32 @@ class HierarchyIndex:
             for m in c.methods:
                 definers.setdefault(m.selector, []).append(c.name)
         self._definers = {sel: tuple(names) for sel, names in definers.items()}
-        self._chains: dict[str, tuple[str, ...]] = {
-            ROOT_CLASS: (ROOT_CLASS,)
-        }
-        for c in program.classes:
-            self._chains[c.name] = tuple(_chain(self.by_name, c.name))
-        self._fields: dict[str, tuple[str, ...]] = {}
-        for name, chain in self._chains.items():
-            fields: list[str] = []
-            for anc in reversed(chain):
-                anc_def = self.by_name.get(anc)
-                if anc_def is not None:
-                    fields.extend(anc_def.fields)
-            self._fields[name] = tuple(fields)
+        # One pass: each class extends its superclass's chain and fields.
+        by_name = self.by_name
+        root = by_name.get(ROOT_CLASS)
+        chains: dict[str, tuple[str, ...]] = {ROOT_CLASS: (ROOT_CLASS,)}
+        fields = {ROOT_CLASS: root.fields if root is not None else ()}
+        for name in by_name:
+            # Walk up to a class already done, an undefined superclass, or a
+            # class already on this walk, which closes a cycle.
+            walk: dict[str, int] = {}
+            while name not in chains and name in by_name and name not in walk:
+                walk[name] = len(walk)
+                name = by_name[name].superclass
+            below = list(walk)
+            if name in walk:  # each class on the cycle gets its rotation
+                below, cycle = below[:walk[name]], below[walk[name]:]
+                for i, member in enumerate(cycle):
+                    chains[member] = rotation = (*cycle[i:], *cycle[:i])
+                    fields[member] = tuple(f for anc in reversed(rotation)
+                                           for f in by_name[anc].fields)
+            chain, inherited = chains.get(name, (name,)), fields.get(name, ())
+            for cname in reversed(below):
+                chains[cname] = chain = (cname, *chain)
+                fields[cname] = inherited = inherited + by_name[cname].fields
+        # Program order, which ``subtree`` answers in.
+        self._chains = {name: chains[name] for name in (ROOT_CLASS, *by_name)}
+        self._fields = fields
 
     def with_method(self, program: Program, cdef: ClassDef,
                     selector: str) -> HierarchyIndex:

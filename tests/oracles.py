@@ -1,9 +1,10 @@
 """Oracles the tests compare images and runs with.
 
 ``image_fingerprint`` is the canonical structure of an image's dictionaries;
-``run_all_configs`` runs an image once per cache configuration; and
+``run_all_configs`` runs an image once per cache configuration;
 ``protected_free_three_way`` checks a program without protected methods three
-ways: reference, runtime, and the mangling-free baseline.
+ways: reference, runtime, and the mangling-free baseline; and ``probe_index``
+is the global cache's probe order, which ``cached_lookup`` computes inline.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from dataclasses import dataclass
 from protolite.compiler import CompileMode, RuntimeImage, compile_program
 from protolite.metrics import DIFF_FUEL, DiffResult, differential_run
 from protolite.outcomes import Outcome
-from protolite.runtime import RunResult, run_image
+from protolite.runtime import (
+    GLOBAL_CACHE_SIZE,
+    RunResult,
+    _probe_base,
+    run_image,
+)
 from protolite.syntax import Program
 
 
@@ -73,3 +79,8 @@ def run_all_configs(image: RuntimeImage, fuel: int = DIFF_FUEL) -> list[RunResul
         run_image(image, global_cache_on=g, inline_cache_on=i, fuel=fuel)
         for g in (False, True) for i in (False, True)
     ]
+
+
+def probe_index(class_id: int, symbol_id: int, probe: int) -> int:
+    """Slot inspected at the given probe (0-based) for a lookup key."""
+    return (_probe_base(class_id, symbol_id) + probe) % GLOBAL_CACHE_SIZE

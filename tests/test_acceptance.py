@@ -22,7 +22,7 @@ from protolite.generator import GeneratorConfig, generate_program
 from protolite.metrics import differential_run, measure_image
 from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
-from protolite.runtime import probe_index, run_image
+from protolite.runtime import run_image
 from protolite.syntax import (
     PROTECTED,
     PUBLIC,
@@ -35,7 +35,11 @@ from protolite.validate import validate
 from protolite.values import IntVal
 
 from tests.conftest import methods_with, program_path
-from tests.oracles import protected_free_three_way, run_all_configs
+from tests.oracles import (
+    probe_index,
+    protected_free_three_way,
+    run_all_configs,
+)
 from tests.workloads import dual_route_workload, polymorphic_workload
 
 GOLDEN_TIME_BUDGET_S = 1.0

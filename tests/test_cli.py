@@ -337,6 +337,54 @@ def test_deep_input_exits_2_without_traceback(capsys, tmp_path, main_expr):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["main", "method"])
+def test_plus_chains_get_one_parse_verdict_from_every_command(tmp_path, where):
+    # The limit counts the resolve walk's own frames, so the verdict cannot
+    # depend on how deep each command calls the parser, and the later walks
+    # (translation at activation, lowering, printing) fit under it.
+    verdicts = {}
+    for terms in (900, 908, 909, 986, 987, 1200):
+        chain = " + ".join(["1"] * terms)
+        path = tmp_path / f"chain{terms}.stl"
+        path.write_text(
+            f"main {{ {chain} }}\n" if where == "main" else
+            f"class A extends Object {{ method m() {{ {chain} }} }}\n"
+            "main { (new A).m() }\n")
+        for command in ("check", "run", "desugar", "diff", "stats"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main([command, str(path)])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2), (terms, command, err.getvalue())
+            assert (code == 2) == ("nesting limit" in err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            verdicts.setdefault(terms, set()).add(code)
+    assert verdicts == {900: {0}, 908: {0}, 909: {2}, 986: {2}, 987: {2},
+                        1200: {2}}
+
+
+@pytest.mark.parametrize("source, positions", [
+    ("class A extends Object { fields: x; method m() { x := 1 } } "
+     "class A extends Object { fields: y; } main { nil }", "1 and 2"),
+    ("class A extends Object { fields: x; } "
+     "class B extends A { method m() { x } } "
+     "class A extends Object { fields: y; method n() { y := 2 } } main { nil }",
+     "1 and 3"),
+], ids=["first-assigns", "later-assigns"])
+def test_each_definition_of_a_duplicated_class_sees_its_own_fields(
+        capsys, tmp_path, source, positions):
+    path = tmp_path / "duplicated.stl"
+    path.write_text(source)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out.splitlines() == [
+        f"CLASSESONCE: class 'A': declared at positions {positions}"]
+    assert err == ""
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_overlong_integer_literal_exits_2(capsys, tmp_path, flags):
     digits = sys.get_int_max_str_digits() + 700

@@ -26,7 +26,6 @@ from protolite.runtime import (
     Interpreter,
     cached_lookup,
     default_lookup,
-    probe_index,
     run_image,
 )
 from protolite.syntax import (
@@ -42,7 +41,7 @@ from protolite.syntax import (
 )
 from protolite.values import IntVal, Oid
 
-from tests.oracles import run_all_configs
+from tests.oracles import probe_index, run_all_configs
 
 
 @pytest.fixture()

@@ -1,8 +1,17 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from protolite.errors import UnknownClassError
 from protolite.parser import parse
-from protolite.syntax import PROTECTED, PUBLIC, ClassDef, NilLit, Program
+from protolite.syntax import (
+    PROTECTED,
+    PUBLIC,
+    ROOT_CLASS,
+    ClassDef,
+    NilLit,
+    Program,
+)
 from protolite.validate import HierarchyIndex, validate
 
 from tests.conftest import visibility
@@ -180,6 +189,48 @@ def test_fields_of_is_transitive():
     rel = HierarchyIndex(p)
     assert rel.fields_of("B") == ("a1", "a2", "b1")
     assert rel.fields_of("A") == ("a1", "a2")
+
+
+def _oracle_chain(by_name, start):
+    """Ancestor chain from ``start`` upward, walked for this class alone: it
+    stops after Object, an undefined class, or a class already on it."""
+    chain = []
+    cur = start
+    while cur not in chain:
+        chain.append(cur)
+        if cur == ROOT_CLASS or cur not in by_name:
+            break
+        cur = by_name[cur].superclass
+    return tuple(chain)
+
+
+# Names include Object (a redefinition) and, as superclasses only, Z (never
+# defined); repeated names, self-loops and longer cycles all occur.
+HIERARCHIES = st.lists(
+    st.builds(ClassDef,
+              st.sampled_from(["A", "B", "C", "D", "E", ROOT_CLASS]),
+              st.sampled_from(["A", "B", "C", "D", "E", ROOT_CLASS, "Z"]),
+              st.lists(st.sampled_from(["f", "g", "h"]), max_size=2)
+              .map(tuple)),
+    max_size=8)
+
+
+@given(HIERARCHIES)
+@settings(max_examples=300, deadline=None)
+def test_index_chains_and_fields_equal_a_walk_per_class(classes):
+    idx = HierarchyIndex(Program(tuple(classes), NilLit()))
+    by_name = {}
+    for c in classes:
+        by_name.setdefault(c.name, c)
+    for name in (ROOT_CLASS, *by_name):
+        chain = _oracle_chain(by_name, name)
+        assert idx.chain(name) == chain
+        assert idx.fields_of(name) == tuple(
+            f for anc in reversed(chain) if anc in by_name
+            for f in by_name[anc].fields)
+        assert idx.subtree(name) == tuple(
+            n for n in dict.fromkeys((ROOT_CLASS, *by_name))
+            if name in _oracle_chain(by_name, n))
 
 
 def test_unknown_class_raises(two_level_program):
