@@ -11,9 +11,9 @@ Commands::
                                memory report
 
 Exit codes: 0 success, 1 runtime error (including fuel exhaustion), 2 parse or
-validation failure (argparse usage errors also exit 2), 3 I/O failure. The
-``PROTOLITE_FUEL`` environment variable overrides the default step budget;
-an explicit ``--fuel`` beats both.
+validation failure (argparse usage errors and a negative step budget also
+exit 2), 3 I/O failure. The ``PROTOLITE_FUEL`` environment variable overrides
+the default step budget; an explicit ``--fuel`` beats both.
 """
 
 from __future__ import annotations
@@ -77,17 +77,22 @@ def _mode(args) -> CompileMode:
 
 
 def _fuel(args) -> int:
-    if args.fuel is not None:
-        return args.fuel
-    env = os.environ.get("PROTOLITE_FUEL")
-    if env is not None:
+    fuel, source = args.fuel, "--fuel"
+    if fuel is None:
+        source = "PROTOLITE_FUEL"
+        env = os.environ.get(source)
+        if env is None:
+            return DEFAULT_FUEL
         try:
-            return int(env)
+            fuel = int(env)
         except ValueError:
-            print(f"error: PROTOLITE_FUEL must be an integer, got {env!r}",
+            print(f"error: {source} must be an integer, got {env!r}",
                   file=sys.stderr)
             raise SystemExit(EXIT_INVALID)
-    return DEFAULT_FUEL
+    if fuel < 0:
+        print(f"error: {source} cannot be negative ({fuel})", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
+    return fuel
 
 
 def _run_interpreter(args, image):
@@ -148,6 +153,10 @@ def cmd_diff(args) -> int:
     from .generator import generate_program
 
     fuel = _fuel(args) if args.fuel is not None else DIFF_FUEL
+    if bool(args.seeds) == bool(args.file):
+        both = ", not both" if args.file else ""
+        print(f"error: give a file or --seeds{both}", file=sys.stderr)
+        return EXIT_INVALID
     if args.seeds:
         try:
             lo, hi = args.seeds.split("..")
@@ -158,11 +167,8 @@ def cmd_diff(args) -> int:
             print("error: --seeds expects a range like 0..999", file=sys.stderr)
             return EXIT_INVALID
         programs = ((str(s), generate_program(s)) for s in seeds)
-    elif args.file:
-        programs = [(args.file, _read_program(args.file))]
     else:
-        print("error: give a file or --seeds", file=sys.stderr)
-        return EXIT_INVALID
+        programs = [(args.file, _read_program(args.file))]
 
     disagreements = []
     mix: Counter[str] = Counter()

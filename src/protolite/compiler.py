@@ -65,7 +65,7 @@ from .syntax import (
     pretty_expr,
     self_and_super_selectors,
 )
-from .validate import HierarchyIndex, validate, validate_install
+from .validate import HierarchyIndex, index_of, validate, validate_install
 
 
 class CompileMode(enum.Enum):
@@ -222,10 +222,9 @@ class RuntimeImage:
     rewrite_scope: frozenset[str]
     deferred_sites: tuple[DeferredSite, ...]
     site_count: int
-    # The index the image was compiled from: its ``program`` is the source,
-    # and callers that need the same relations over it (the reference
-    # evaluator) share it. Not part of equality.
-    idx: HierarchyIndex = field(repr=False, compare=False)
+    # The program the image was compiled from; its index is the one the
+    # compile used. Not part of equality.
+    program: Program = field(repr=False, compare=False)
     # The runtime's code arrays, lowered lazily from the bodies above: keyed
     # by CompiledMethod (identity), with None for main. Not part of equality.
     code_arrays: dict = field(default_factory=dict, init=False, repr=False,
@@ -238,8 +237,9 @@ class RuntimeImage:
 def rewrite_scope(idx: HierarchyIndex) -> frozenset[str]:
     """Classes that define a protected method or self-send a selector that a
     strict descendant defines protected, plus all their descendants. Super-
-    sends need no such rule: outside the scope every ancestor is public."""
-    classes = idx.program.classes
+    sends need no such rule: outside the scope every ancestor is public.
+    The program must be valid: its classes are read from ``idx.by_name``."""
+    classes = idx.by_name.values()
     joined: set[str] = set()
     # Only a strict ancestor of a protected definer can join by self-send.
     hooks_below: dict[str, set[str]] = {}
@@ -275,7 +275,7 @@ def _scope_for_mode(idx: HierarchyIndex, mode: CompileMode) -> frozenset[str]:
     if mode is CompileMode.BASELINE:
         return frozenset()
     if mode is CompileMode.WORST_CASE:
-        return frozenset(c.name for c in idx.program.classes)
+        return frozenset(idx.by_name)
     return rewrite_scope(idx)
 
 
@@ -415,10 +415,10 @@ def _compile_class(lowerer: _Lowerer, cdef: ClassDef,
 def compile_program(program: Program,
                     mode: CompileMode = CompileMode.NORMAL) -> RuntimeImage:
     """Validate, lower, and register every class of a program."""
-    idx = HierarchyIndex(program)
-    violations = validate(program, idx)
+    violations = validate(program)
     if violations:
         raise ProgramInvalidError(violations)
+    idx = index_of(program)
     scope = _scope_for_mode(idx, mode)
     symbols = SymbolTable()
     lowerer = _Lowerer(idx, scope, symbols, 0)
@@ -437,7 +437,7 @@ def compile_program(program: Program,
         rewrite_scope=scope,
         deferred_sites=tuple(lowerer.deferred),
         site_count=lowerer.next_site_id,
-        idx=idx,
+        program=program,
     )
 
 
@@ -459,14 +459,15 @@ def install_method(image: RuntimeImage, class_name: str,
     if mdef.selector.startswith(MANGLE_PREFIX):
         raise ReservedSelectorError(
             f"selector {mdef.selector!r} uses the reserved prefix", 0, 0)
-    old_def = image.idx.by_name.get(class_name)
+    parent = image.program
+    old_def = index_of(parent).by_name.get(class_name)
     if class_name == ROOT_CLASS or old_def is None:
         raise UnknownClassError(f"cannot install into '{class_name}'")
 
     target = replace(old_def, methods=old_def.methods + (mdef,))
-    new_program = replace(image.idx.program, classes=tuple(
-        target if c is old_def else c for c in image.idx.program.classes))
-    idx = image.idx.with_method(new_program, target, mdef.selector)
+    new_program = replace(parent, classes=tuple(
+        target if c is old_def else c for c in parent.classes))
+    new_program.index = idx = parent.index.with_method(target, mdef.selector)
     violations = validate_install(idx, class_name, mdef.selector)
     if violations:
         raise ProgramInvalidError(violations)
@@ -538,7 +539,7 @@ def install_method(image: RuntimeImage, class_name: str,
         rewrite_scope=new_scope,
         deferred_sites=deferred,
         site_count=lowerer.next_site_id,
-        idx=idx,
+        program=new_program,
     )
 
 
@@ -572,7 +573,8 @@ def desugar_dump(image: RuntimeImage) -> str:
                        f"{pretty_expr(cm.body)}")
     out.append(f"main: {pretty_expr(image.main)}")
     scope = ", ".join(sorted(image.rewrite_scope)) or "(none)"
-    roots = ", ".join(sorted(protection_roots(image.idx, image.rewrite_scope)))
+    roots = ", ".join(sorted(protection_roots(index_of(image.program),
+                                              image.rewrite_scope)))
     roots = roots or "(none)"
     out.append(f"rewrite scope: {scope}")
     out.append(f"protection roots: {roots}")

@@ -136,7 +136,7 @@ def differential_run(program: Program, fuel: int = DIFF_FUEL,
     invalid program raises ProgramInvalidError before either side runs.
     """
     image = compile_program(program)
-    ref = eval_program(program, fuel, image.idx)
+    ref = eval_program(program, fuel)
     run = run_image(image, fuel=fuel, shadow_lookup_check=True)
     detail = ""
     if ref.outcome != run.outcome:

@@ -23,7 +23,7 @@ scanning the source again up to the offending token's index.
 Bare identifiers resolve lexically: let-bound variables and method parameters
 shadow fields; otherwise a name declared by the enclosing class definition or
 an ancestor reads that field, and anything else is a free variable. The
-ancestors' fields come from a ``HierarchyIndex`` over the raw program.
+ancestors' fields come from the parsed program's hierarchy index.
 ``name := e`` always targets a field and is rejected when no such field is
 visible. ``super`` sends are rejected inside the main expression, and
 identifiers with the reserved ``__`` prefix are rejected everywhere.
@@ -31,7 +31,6 @@ identifiers with the reserved ``__`` prefix are rejected everywhere.
 
 from __future__ import annotations
 
-import operator
 import re
 import string
 import sys
@@ -59,7 +58,7 @@ from .syntax import (
     SuperSend,
     Var,
 )
-from .validate import HierarchyIndex
+from .validate import index_of
 
 _KEYWORDS = (
     "class", "extends", "fields", "method", "protected", "main",
@@ -303,13 +302,12 @@ def _too_deep() -> str:
 
 def _resolve_all(nodes: tuple, fields: frozenset[str], bound: frozenset[str],
                  source: str, room: int) -> tuple:
-    resolved = tuple(_resolve_expr(n, fields, bound, source, room)
-                     for n in nodes)
-    return nodes if all(map(operator.is_, resolved, nodes)) else resolved
+    return tuple(_resolve_expr(n, fields, bound, source, room) for n in nodes)
 
 
 def _resolve_expr(node, fields: frozenset[str], bound: frozenset[str],
                   source: str, room: int) -> Expr:
+    """Resolve ``node``, filling in the parser's sends and lets in place."""
     if room < 1:  # ``room`` counts the frames left, this one included
         raise RecursionError
     kind = type(node)
@@ -317,12 +315,6 @@ def _resolve_expr(node, fields: frozenset[str], bound: frozenset[str],
         if node.name in fields and node.name not in bound:
             return FieldGet(node.name)
         return Var(node.name)
-    if kind is Send:
-        receiver = _resolve_expr(node.receiver, fields, bound, source, room - 1)
-        args = _resolve_all(node.args, fields, bound, source, room - 3)
-        if receiver is node.receiver and args is node.args:
-            return node
-        return Send(receiver, node.selector, args)
     if kind is _RawAssign:
         if node.name not in fields:
             raise ParseError(
@@ -330,17 +322,17 @@ def _resolve_expr(node, fields: frozenset[str], bound: frozenset[str],
                 *_position(source, node.index))
         return FieldSet(node.name, _resolve_expr(node.value, fields, bound,
                                                  source, room - 1))
-    if kind is Let:
-        bound_expr = _resolve_expr(node.bound, fields, bound, source, room - 1)
-        body = _resolve_expr(node.body, fields, bound | {node.var}, source,
-                             room - 1)
-        if bound_expr is node.bound and body is node.body:
-            return node
-        return Let(node.var, bound_expr, body)
-    if kind is SuperSend:
-        args = _resolve_all(node.args, fields, bound, source, room - 3)
-        return node if args is node.args else SuperSend(node.selector, args)
-    return node  # literals, self, new
+    if kind is Send:
+        node.receiver = _resolve_expr(node.receiver, fields, bound, source,
+                                      room - 1)
+        node.args = _resolve_all(node.args, fields, bound, source, room - 3)
+    elif kind is Let:
+        node.bound = _resolve_expr(node.bound, fields, bound, source, room - 1)
+        node.body = _resolve_expr(node.body, fields, bound | {node.var},
+                                  source, room - 1)
+    elif kind is SuperSend:
+        node.args = _resolve_all(node.args, fields, bound, source, room - 3)
+    return node
 
 
 # Frames of the recursion limit kept back from the resolve walk, which counts
@@ -364,34 +356,26 @@ def _resolve_body(body, fields: frozenset[str], bound: frozenset[str],
 
 def _resolve(raw: Program, method_starts: list[int], main_start: int,
              source: str) -> Program:
-    """Resolve bare identifiers and assignments. A node, method or class whose
-    parts all come back unchanged is returned as it is, not rebuilt.
+    """Resolve bare identifiers and assignments in place in the parser's own
+    program, which is returned.
 
     A method sees the fields of its own class definition and those the
-    hierarchy index gives its superclass; an undefined superclass gives none.
-    Errors are positioned from ``source``, not from the token lists, so that
-    the walk holds no reference to the parser."""
-    idx = HierarchyIndex(raw)
+    program's hierarchy index gives its superclass; an undefined superclass
+    gives none. Errors are positioned from ``source``, not from the token
+    lists, so that the walk holds no reference to the parser."""
+    idx = index_of(raw)
     starts = iter(method_starts)
-    classes = []
     for c in raw.classes:
         sname = c.superclass
         defined = sname == ROOT_CLASS or sname in idx.by_name
         fields = frozenset(c.fields).union(
             idx.fields_of(sname) if defined else ())
-        methods = []
         for m in c.methods:
-            body = _resolve_body(m.body, fields, frozenset(m.params),
-                                 next(starts), source)
-            methods.append(m if body is m.body else
-                           MethodDef(m.selector, m.params, body, m.visibility))
-        if all(map(operator.is_, methods, c.methods)):
-            classes.append(c)
-        else:
-            classes.append(ClassDef(c.name, c.superclass, c.fields,
-                                    tuple(methods)))
-    main = _resolve_body(raw.main, frozenset(), frozenset(), main_start, source)
-    return Program(tuple(classes), main)
+            m.body = _resolve_body(m.body, fields, frozenset(m.params),
+                                   next(starts), source)
+    raw.main = _resolve_body(raw.main, frozenset(), frozenset(), main_start,
+                             source)
+    return raw
 
 
 def parse(source: str) -> Program:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownFieldError
+from .errors import UnknownClassError, UnknownFieldError
 from .outcomes import (
     DEFAULT_FUEL,
     ArityMismatch,
@@ -64,7 +64,7 @@ from .syntax import (
     SuperSend,
     Var,
 )
-from .validate import HierarchyIndex
+from .validate import HierarchyIndex, index_of
 from .values import INT_CLASS, NIL, IntVal, Nil, Oid, Value
 
 
@@ -378,7 +378,7 @@ def _reduce(node: Redex, store: Store, idx: HierarchyIndex,
     if t is RNew:
         try:
             fields = idx.fields_of(node.class_name)
-        except Exception:
+        except UnknownClassError:
             return Stuck(UnknownClass(node.class_name))
         return RVal(Oid(store.allocate(node.class_name, fields)))
     if t is RSuperSend:
@@ -425,19 +425,16 @@ def step(redex: Redex, store: Store,
     return result, store
 
 
-def eval_program(program: Program, fuel: int = DEFAULT_FUEL,
-                 idx: HierarchyIndex | None = None) -> EvalResult:
+def eval_program(program: Program, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Run a validated program's main expression to an outcome.
 
     Never raises: translation failures, stuck states, and fuel exhaustion all
-    come back as outcome variants. ``idx`` is the caller's index over
-    ``program``; one is built when omitted. The loop keeps the decomposition
-    path between reductions instead of re-walking the whole redex, and each
+    come back as outcome variants. The loop keeps the decomposition path
+    between reductions instead of re-walking the whole redex, and each
     method's template between activations, which performs the exact same
     reductions in the exact same order as iterating ``step`` from the root.
     """
-    if idx is None:
-        idx = HierarchyIndex(program)
+    idx = index_of(program)
     if fuel <= 0:
         return EvalResult(FuelExhausted(), 0)
     try:

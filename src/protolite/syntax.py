@@ -10,15 +10,22 @@ mangling and are rejected in source.
 
 Nodes are never changed after they are built: lowered code, installs and the
 evaluators share subtrees freely. This holds by convention, and
-``tests/test_immutability.py`` checks it. The nodes are slotted dataclasses,
-not frozen ones, because a frozen dataclass stores each field through
+``tests/test_immutability.py`` checks it, with two exceptions: the parser
+resolves identifiers in the nodes it built, in place, before ``parse``
+returns, and ``Program.index`` is set once, by ``validate.index_of`` or by
+the install that built the program. The nodes are slotted dataclasses, not
+frozen ones, because a frozen dataclass stores each field through
 ``object.__setattr__`` and costs about three times as much to build. Equality
 is by value; the nodes are not hashable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .validate import HierarchyIndex
 
 MANGLE_PREFIX = "__"
 ROOT_CLASS = "Object"
@@ -119,6 +126,9 @@ class ClassDef:
 class Program:
     classes: tuple[ClassDef, ...]
     main: Expr
+    # Never passed in, so a rebuilt program starts without a stale index.
+    index: HierarchyIndex | None = field(default=None, init=False,
+                                         compare=False, repr=False)
 
 
 # --- pretty printing ------------------------------------------------------
@@ -190,23 +200,18 @@ def self_and_super_selectors(e: Expr) -> tuple[set[str], set[str]]:
     an expression."""
     through_self: set[str] = set()
     through_super: set[str] = set()
-
-    def walk(node: Expr) -> None:
+    stack = [e]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Send):
             if isinstance(node.receiver, SelfRef):
                 through_self.add(node.selector)
-            walk(node.receiver)
-            for a in node.args:
-                walk(a)
+            stack += (node.receiver, *node.args)
         elif isinstance(node, SuperSend):
             through_super.add(node.selector)
-            for a in node.args:
-                walk(a)
+            stack.extend(node.args)
         elif isinstance(node, FieldSet):
-            walk(node.value)
+            stack.append(node.value)
         elif isinstance(node, Let):
-            walk(node.bound)
-            walk(node.body)
-
-    walk(e)
+            stack += (node.bound, node.body)
     return through_self, through_super

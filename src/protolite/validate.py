@@ -17,8 +17,8 @@ and the offending member. The rules:
   or protected methods; with exactly two visibilities this cannot fail and is
   retained for completeness of the rule set
 
-``HierarchyIndex`` computes every chain and field set in one pass; the parser
-builds one over its raw program, and each compile one for all its layers.
+``HierarchyIndex`` computes every chain and field set in one pass; a program
+keeps the one ``index_of`` builds for it, and every phase reads that one.
 """
 
 from __future__ import annotations
@@ -56,14 +56,17 @@ class Violation:
         return f"{self.rule}: class '{self.class_name}'{member}{detail}"
 
 
-def validate(program: Program,
-             idx: HierarchyIndex | None = None) -> list[Violation]:
-    """Check every rule; an empty report means the program is valid.
-
-    ``idx`` is the caller's index over ``program``; one is built when omitted.
-    """
+def index_of(program: Program) -> HierarchyIndex:
+    """The program's hierarchy index, built and kept on first use."""
+    idx = program.index
     if idx is None:
-        idx = HierarchyIndex(program)
+        idx = program.index = HierarchyIndex(program)
+    return idx
+
+
+def validate(program: Program) -> list[Violation]:
+    """Check every rule; an empty report means the program is valid."""
+    idx = index_of(program)
     violations: list[Violation] = []
 
     # CLASSESONCE: one violation per duplicate pair in position order, plus
@@ -92,8 +95,8 @@ def validate(program: Program,
 
 def validate_install(idx: HierarchyIndex, class_name: str,
                      selector: str) -> list[Violation]:
-    """``validate`` of ``idx.program``, a valid program plus one method
-    ``selector`` on ``class_name``.
+    """``validate`` of the program ``idx`` indexes, a valid program plus one
+    method ``selector`` on ``class_name``.
 
     Only that class and the descendants that define the selector can break a
     rule, so only they are checked, each once and in program order; every
@@ -182,11 +185,11 @@ def _check_class(c: ClassDef, idx: HierarchyIndex,
 
 
 class HierarchyIndex:
-    """Relation oracle over a program, built once per compile and shared by
-    ``validate``, the rewrite scope, protection roots and lowering; an install
-    derives its image's index from the parent's with ``with_method``. The
-    image keeps it for the reference evaluator; the parser builds one over
-    its raw program for the fields each class sees.
+    """Relation oracle over a program's classes, built once by ``index_of``
+    and kept on the program, with no reference back to it; shared by the
+    parser, ``validate``, the rewrite scope, protection roots, lowering and
+    the reference evaluator. An install derives its program's index from the
+    parent's with ``with_method``.
 
     Answers superclass and ancestor-chain queries, the classes defining a
     selector, transitive field sets, and closest-definition and public
@@ -196,7 +199,6 @@ class HierarchyIndex:
     """
 
     def __init__(self, program: Program):
-        self.program = program
         # First definition per class name; later duplicates are CLASSESONCE
         # violations.
         self.by_name: dict[str, ClassDef] = {}
@@ -233,20 +235,19 @@ class HierarchyIndex:
         self._chains = {name: chains[name] for name in (ROOT_CLASS, *by_name)}
         self._fields = fields
 
-    def with_method(self, program: Program, cdef: ClassDef,
-                    selector: str) -> HierarchyIndex:
-        """The index of ``program``: this index's program with ``cdef``, which
-        adds a method ``selector``, in place of the class of its name.
+    def with_method(self, cdef: ClassDef, selector: str) -> HierarchyIndex:
+        """The index of this index's program with ``cdef``, which adds a
+        method ``selector``, in place of the class of its name. The program
+        must have no duplicated class name, as every valid one has.
 
         Only ``by_name`` and the definers of ``selector`` change; chains and
         field sets are shared, since a method adds no class, field or
         superclass edge.
         """
         idx = copy.copy(self)
-        idx.program = program
-        idx.by_name = {**self.by_name, cdef.name: cdef}
+        idx.by_name = by_name = {**self.by_name, cdef.name: cdef}
         idx._definers = {**self._definers, selector: tuple(
-            c.name for c in program.classes for m in c.methods
+            name for name, c in by_name.items() for m in c.methods
             if m.selector == selector)}
         return idx
 

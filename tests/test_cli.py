@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 
 from protolite import cli, compiler
 from protolite.cli import main
+from protolite.validate import HierarchyIndex
 from tests.conftest import PROGRAMS, program_path
 
 
@@ -62,6 +63,11 @@ def test_run_fuel_flag(capsys):
                            program_path("golden_sum.stl"))
     assert code == 1
     assert "fuel exhausted" in err
+    # A zero budget is valid: it runs out before the first step.
+    code, _, err = run_cli(capsys, "run", "--fuel", "0",
+                           program_path("golden_sum.stl"))
+    assert code == 1
+    assert "fuel exhausted after 0 steps" in err
 
 
 def test_fuel_env_override(capsys, monkeypatch):
@@ -75,6 +81,27 @@ def test_fuel_env_override(capsys, monkeypatch):
                            program_path("golden_sum.stl"))
     assert code == 0
     assert out.strip() == "84"
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["run", "--fuel", "-5", "GOLDEN"], None),
+    (["stats", "--fuel", "-2", "GOLDEN"], None),
+    (["diff", "--seeds", "0..0", "--fuel", "-1"], None),
+    (["bench", "--fuel", "-1", "--invocations", "1", "--iterations", "1",
+      "--warmup", "0", "GOLDEN"], None),
+    (["run", "GOLDEN"], "-3"),
+], ids=["run", "stats", "diff", "bench", "env"])
+def test_negative_fuel_exits_2(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("PROTOLITE_FUEL", env)
+    golden = program_path("golden_sum.stl")
+    with pytest.raises(SystemExit) as exc:
+        main([golden if arg == "GOLDEN" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    source = "PROTOLITE_FUEL" if env is not None else "--fuel"
+    assert f"{source} cannot be negative" in captured.err
 
 
 def test_check_ok_and_violations(capsys):
@@ -150,6 +177,16 @@ def test_diff_single_file(capsys):
     code, out, _ = run_cli(capsys, "diff", program_path("golden_sum.stl"))
     assert code == 0
     assert out.strip() == "1/1 agree"
+
+
+@pytest.mark.parametrize("path", [program_path("golden_sum.stl"),
+                                  "/no/such/file.stl"],
+                         ids=["existing", "missing"])
+def test_diff_rejects_a_file_with_seeds(capsys, path):
+    code, out, err = run_cli(capsys, "diff", path, "--seeds", "0..2")
+    assert code == 2
+    assert out == ""
+    assert "give a file or --seeds, not both" in err
 
 
 def test_worst_case_and_no_protect_exclusive(capsys):
@@ -437,18 +474,27 @@ def test_non_utf8_source_exits_3(capsys, tmp_path):
 ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
 def test_each_command_validates_once_per_compile(capsys, monkeypatch, argv,
                                                  validates):
-    calls = []
+    # Every command also builds one hierarchy index: the parsed program's,
+    # which every later phase reads.
+    calls, builds = [], []
+    real_init = HierarchyIndex.__init__
 
-    def counting(program, idx=None, _validate=compiler.validate):
+    def counting(program, _validate=compiler.validate):
         calls.append(program)
-        return _validate(program, idx)
+        return _validate(program)
+
+    def counting_init(self, program):
+        builds.append(program)
+        real_init(self, program)
 
     monkeypatch.setattr(compiler, "validate", counting)
     monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(HierarchyIndex, "__init__", counting_init)
     code, _, _ = run_cli(capsys, argv[0], program_path("golden_sum.stl"),
                          *argv[1:])
     assert code == 0
     assert len(calls) == validates
+    assert len(builds) == 1
 
 
 def test_invalid_diff_file_fails_before_evaluating(capsys, monkeypatch):

@@ -377,7 +377,7 @@ def test_install_first_protected_into_leaf_touches_only_leaf(two_level_program):
 def test_install_closes_scope_over_template_method(source, class_name, mdef,
                                                    value):
     image = install_method(compile_program(parse(source)), class_name, mdef)
-    scratch = compile_program(image.idx.program)
+    scratch = compile_program(image.program)
     assert images_equal(image, scratch)
     assert run_image(image).outcome == Completed(IntVal(value))
 
@@ -468,12 +468,52 @@ def test_install_stays_local(monkeypatch):
         root = install_method(leaf, "C0", MethodDef("g", (), IntLit(2)))
         monkeypatch.undo()
         assert builds == []
-        assert leaf.idx.chain(f"C{n - 1}") is image.idx.chain(f"C{n - 1}")
-        assert root.idx.definers("g") == ("C0", f"C{n - 1}")
+        assert leaf.program.index.chain(f"C{n - 1}") \
+            is image.program.index.chain(f"C{n - 1}")
+        assert root.program.index.definers("g") == ("C0", f"C{n - 1}")
     assert checked[250] == ["C249", "C0", "C249"]
     assert checked[2000] == ["C1999", "C0", "C1999"]
     assert rebuilt[250] == ["C249", "C0"]
     assert rebuilt[2000] == ["C1999", "C0"]
+
+
+def test_pipeline_builds_one_index_at_parse(monkeypatch):
+    # perfbench's pipeline op, with every compile mode and the reference
+    # evaluator added: the parse builds the program's index, and no later
+    # phase builds another.
+    from perfbench.workloads import compile_large
+    from protolite.validate import validate
+
+    head = compile_large(1)[0]
+    real_init = HierarchyIndex.__init__
+    builds = []
+    counts = {}
+
+    def counting_init(self, program):
+        builds.append(program)
+        real_init(self, program)
+
+    def phase(name, fn, *args):
+        before = len(builds)
+        result = fn(*args)
+        counts[name] = len(builds) - before
+        return result
+
+    monkeypatch.setattr(HierarchyIndex, "__init__", counting_init)
+    program = phase("parse", parse, head.source)
+    assert phase("validate", validate, program) == []
+    for mode in CompileMode:
+        phase(f"compile {mode.value}", compile_program, program, mode)
+    image = compile_program(program)
+    assert len(head.installs) == 2
+    for i, (class_name, mdef) in enumerate(head.installs):
+        image = phase(f"install {i}", install_method, image, class_name, mdef)
+    phase("eval_program", eval_program, program, 2_000)
+    phase("run_image", run_image, image)
+    assert counts == {
+        "parse": 1, "validate": 0, "compile normal": 0, "compile baseline": 0,
+        "compile worst-case": 0, "install 0": 0, "install 1": 0,
+        "eval_program": 0, "run_image": 0}
 
 
 def test_incremental_equals_batch(two_level_program):

@@ -1,12 +1,18 @@
-"""No phase changes the program it is given or the image it reads.
+"""No phase changes the program it is given or the image it reads, and no
+phase leaves work for the cyclic garbage collector.
 
 Syntax and lowered-code nodes are slotted, non-frozen dataclasses (see the
 ``syntax`` module docstring), so nothing stops a phase from assigning to a
 node's field. These tests stand in for that guard: they snapshot a program
-and its images, run every phase over them, and compare.
+and its images, run every phase over them, and compare. A program keeps its
+hierarchy index, so a reference back from the index, or any other cycle a
+phase builds, would keep every parsed program alive until a collection; the
+garbage tests run the pipeline with the collector off and count what it
+finds.
 """
 
 import copy
+import gc
 
 import pytest
 
@@ -21,7 +27,8 @@ from protolite.generator import generate_program
 from protolite.metrics import differential_run
 from protolite.parser import parse
 from protolite.reference import eval_program
-from protolite.syntax import IntLit, MethodDef, Send, SelfRef
+from protolite.syntax import IntLit, MethodDef, Send, SelfRef, pretty_program
+from protolite.validate import validate
 
 from tests.conftest import PROGRAMS
 from tests.oracles import image_fingerprint, run_all_configs
@@ -69,7 +76,7 @@ def _check(program, installs=None):
         for target in (image, grown):
             run_all_configs(target, fuel=FUEL)
             desugar_dump(target)
-    eval_program(program, fuel=FUEL, idx=images[0].idx)
+    eval_program(program, fuel=FUEL)
     differential_run(program, fuel=FUEL)
     assert program == snapshot
     assert [_image_snapshot(image) for image in images] == before
@@ -89,3 +96,46 @@ def test_no_phase_mutates_a_golden_program(name):
 def test_no_phase_mutates_a_pipeline_program(pool):
     head = POOLS[pool](1)[0]
     _check(parse(head.source), head.installs or None)
+
+
+def _pipeline(source, installs=None):
+    """Every phase, from the source text: parse, validate, compile in every
+    mode, installs, runs in every cache configuration, the reference
+    evaluator and a differential run."""
+    program = parse(source)
+    if installs is None:
+        installs = _generated_installs(program)
+    assert validate(program) == []
+    for mode in CompileMode:
+        image = compile_program(program, mode)
+        for class_name, mdef in installs:
+            image = install_method(image, class_name, mdef)
+        run_all_configs(image, fuel=FUEL)
+    eval_program(program, fuel=FUEL)
+    differential_run(program, fuel=FUEL)
+
+
+def _assert_no_cyclic_garbage(source, installs=None):
+    gc.collect()
+    gc.disable()
+    try:
+        _pipeline(source, installs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_no_cyclic_garbage_from_a_generated_program(seed):
+    _assert_no_cyclic_garbage(pretty_program(generate_program(seed)))
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_no_cyclic_garbage_from_a_golden_program(name):
+    _assert_no_cyclic_garbage((PROGRAMS / name).read_text())
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_no_cyclic_garbage_from_a_pipeline_program(pool):
+    head = POOLS[pool](1)[0]
+    _assert_no_cyclic_garbage(head.source, head.installs or None)

@@ -20,7 +20,7 @@ from protolite.metrics import (
 from protolite.outcomes import Completed
 from protolite.parser import parse
 from protolite.runtime import run_image
-from protolite.syntax import PROTECTED
+from protolite.syntax import PROTECTED, Program
 from protolite.validate import validate
 
 from tests.oracles import images_equal, protected_free_three_way
@@ -156,7 +156,8 @@ def test_step_mismatch_breaks_agreement(monkeypatch, programs_dir):
 
 def test_differential_run_builds_one_hierarchy_index(monkeypatch,
                                                      two_level_program):
-    # The reference evaluator reuses the index the image was compiled from.
+    # The compile and the reference evaluator share the program's index: a
+    # parsed program brings its own, and one built afresh gets exactly one.
     from protolite.validate import HierarchyIndex
 
     builds = []
@@ -166,9 +167,13 @@ def test_differential_run_builds_one_hierarchy_index(monkeypatch,
         builds.append(program)
         real_init(self, program)
 
+    p = two_level_program
     monkeypatch.setattr(HierarchyIndex, "__init__", counting_init)
-    assert differential_run(two_level_program).agree
-    assert builds == [two_level_program]
+    assert differential_run(p).agree
+    assert builds == []
+    fresh = Program(p.classes, p.main)
+    assert differential_run(fresh).agree
+    assert len(builds) == 1 and builds[0] is fresh
 
 
 def Completed_int(n):

@@ -21,7 +21,7 @@ from protolite.syntax import (
     pretty_program,
     self_and_super_selectors,
 )
-from protolite.validate import HierarchyIndex, validate
+from protolite.validate import HierarchyIndex, index_of, validate
 
 from tests.conftest import methods_with, visibility
 from tests.oracles import (
@@ -277,7 +277,7 @@ def _random_install(rng, program, image):
     install, or for ``sibling-retag`` the three that set up its case."""
     from protolite.syntax import IntLit, MethodDef, SelfRef
 
-    idx = image.idx
+    idx = index_of(image.program)
     target = rng.choice(program.classes)
     kind = rng.choice(_INSTALL_KINDS)
     above = [idx.by_name[a] for a in idx.chain(target.name)[1:]
@@ -406,8 +406,8 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
             for node in _image_sends(installed):
                 assert node.site.selector.text == node.selector
                 assert node.site.selector in own
-            assert installed.idx.program == grown
-            idx, fresh = installed.idx, scratch.idx
+            assert installed.program == grown
+            idx, fresh = installed.program.index, scratch.program.index
             assert idx.by_name == fresh.by_name
             selectors = {m.selector for c in grown.classes for m in c.methods}
             for name in fresh.by_name:
