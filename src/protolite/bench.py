@@ -161,7 +161,10 @@ def repeat_main(program: Program, times: int) -> Program:
     body: Expr = program.main
     for i in range(times - 1):
         body = Let(f"_r{i}", program.main, body)
-    return Program(program.classes, body)
+    repeated = Program(program.classes, body)
+    # The index reads only the classes, which the two programs share.
+    repeated.index = program.index
+    return repeated
 
 
 def deep_send_workload(depth: int = 8, repeats: int = 100,

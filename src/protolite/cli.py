@@ -13,7 +13,9 @@ Commands::
 Exit codes: 0 success, 1 runtime error (including fuel exhaustion), 2 parse or
 validation failure (argparse usage errors and a negative step budget also
 exit 2), 3 I/O failure. The ``PROTOLITE_FUEL`` environment variable overrides
-the default step budget; an explicit ``--fuel`` beats both.
+each command's own default step budget: ``DEFAULT_FUEL`` (1,000,000) for
+``run`` and ``stats``, ``DIFF_FUEL`` (3,000) for ``diff``, and ``BENCH_FUEL``
+(5,000,000) for ``bench``. An explicit ``--fuel`` beats both.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ import sys
 import time
 from collections import Counter
 
-from .bench import BenchConfig, BenchReport, bench_pair, repeat_main
+from .bench import (
+    BENCH_FUEL,
+    BenchConfig,
+    BenchReport,
+    bench_pair,
+    repeat_main,
+)
 from .compiler import CompileMode, compile_program, desugar_dump
 from .errors import LangError, ParseError, ProgramInvalidError
 from .metrics import (
@@ -76,13 +84,13 @@ def _mode(args) -> CompileMode:
     return CompileMode.NORMAL
 
 
-def _fuel(args) -> int:
+def _fuel(args, default: int) -> int:
     fuel, source = args.fuel, "--fuel"
     if fuel is None:
         source = "PROTOLITE_FUEL"
         env = os.environ.get(source)
         if env is None:
-            return DEFAULT_FUEL
+            return default
         try:
             fuel = int(env)
         except ValueError:
@@ -100,7 +108,7 @@ def _run_interpreter(args, image):
         image,
         global_cache_on=not args.no_global_cache,
         inline_cache_on=not args.no_inline_cache,
-        fuel=_fuel(args),
+        fuel=_fuel(args, DEFAULT_FUEL),
     )
     return interp, interp.run()
 
@@ -152,7 +160,7 @@ def cmd_desugar(args) -> int:
 def cmd_diff(args) -> int:
     from .generator import generate_program
 
-    fuel = _fuel(args) if args.fuel is not None else DIFF_FUEL
+    fuel = _fuel(args, DIFF_FUEL)
     if bool(args.seeds) == bool(args.file):
         both = ", not both" if args.file else ""
         print(f"error: give a file or --seeds{both}", file=sys.stderr)
@@ -213,7 +221,7 @@ def cmd_bench(args) -> int:
         warmup=args.warmup,
         global_cache_on=not args.no_global_cache,
         inline_cache_on=not args.no_inline_cache,
-        fuel=_fuel(args) if args.fuel is not None else BenchConfig().fuel,
+        fuel=_fuel(args, BENCH_FUEL),
     )
     baseline, measured = bench_pair(
         program,
@@ -296,7 +304,8 @@ def cmd_stats(args) -> int:
 def _add_common(p: argparse.ArgumentParser, cache_flags: bool = True,
                 compile_flags: bool = True) -> None:
     p.add_argument("--fuel", type=int, default=None,
-                   help="step budget (default 1,000,000 or PROTOLITE_FUEL)")
+                   help="step budget (default PROTOLITE_FUEL, else the "
+                        "command's own)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     if cache_flags:
         p.add_argument("--no-global-cache", action="store_true")

@@ -27,6 +27,17 @@ ancestors' fields come from the parsed program's hierarchy index.
 ``name := e`` always targets a field and is rejected when no such field is
 visible. ``super`` sends are rejected inside the main expression, and
 identifiers with the reserved ``__`` prefix are rejected everywhere.
+
+Nesting is bounded by ``MAX_NESTING`` levels, counted twice. The descent
+counts the expressions it has open in ``_Parser.expr``, which every recursive
+path of the descent goes through (parentheses, ``let``, ``:=``, arguments);
+past the limit it raises a ``ParseError`` at the token where it stopped. Name
+resolution counts tree levels, one per level for every node kind, because a
+``+`` or send chain is read in a loop yet builds a left-nested tree; past the
+limit it raises a ``ParseError`` at the method or main block that holds the
+body. The descent spends at most 5 frames a level and every later walk over
+the tree at most 3, so under Python's default recursion limit of 1,000 frames
+any caller up to 200 frames deep gets the same verdict.
 """
 
 from __future__ import annotations
@@ -103,6 +114,14 @@ def _tokenize(source: str) -> tuple[list[str], list[str]]:
     return kinds, texts
 
 
+# Levels of nesting a body may have; see the module docstring.
+MAX_NESTING = 150
+
+_TOO_DEEP = (f"expression nested too deeply: more than {MAX_NESTING} levels, "
+             "the nesting limit that keeps every walk over the tree clear of "
+             "Python's RecursionError")
+
+
 def _found(text: str) -> str:
     return repr(text or "end of input")
 
@@ -125,6 +144,7 @@ class _Parser:
         self.source = source
         self.kinds, self.texts = _tokenize(source)
         self.pos = 0
+        self.level = 0  # expressions open in ``expr``
         # Token index of each method's start, in source order, so that a body
         # too deep for the resolve walk is reported where it is defined.
         self.method_starts: list[int] = []
@@ -208,13 +228,19 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def expr(self, allow_super: bool):
+        level = self.level
+        if level > MAX_NESTING:
+            raise self.error(_TOO_DEEP)
+        self.level = level + 1
         pos = self.pos
         if self.kinds[pos] == "ident" and self.kinds[pos + 1] == ":=":
             target = self.name("field name")
             self.pos += 1  # ':='
-            value = self.expr(allow_super)
-            return _RawAssign(target, value, pos)
-        return self.sum(allow_super)
+            node = _RawAssign(target, self.expr(allow_super), pos)
+        else:
+            node = self.sum(allow_super)
+        self.level = level
+        return node
 
     def sum(self, allow_super: bool):
         node = self.postfix(allow_super)
@@ -295,63 +321,56 @@ class _Parser:
 # -- identifier resolution ---------------------------------------------------
 
 
-def _too_deep() -> str:
-    return ("expression nested too deeply: RecursionError at the nesting limit, "
-            f"the Python recursion limit of {sys.getrecursionlimit()} frames")
+class _TooDeep(Exception):
+    """A body deeper than ``MAX_NESTING`` tree levels, reported by
+    ``_resolve_body`` at the method or main block that holds it."""
 
 
 def _resolve_all(nodes: tuple, fields: frozenset[str], bound: frozenset[str],
-                 source: str, room: int) -> tuple:
-    return tuple(_resolve_expr(n, fields, bound, source, room) for n in nodes)
+                 source: str, level: int) -> tuple:
+    return tuple(_resolve_expr(n, fields, bound, source, level) for n in nodes)
 
 
 def _resolve_expr(node, fields: frozenset[str], bound: frozenset[str],
-                  source: str, room: int) -> Expr:
+                  source: str, level: int) -> Expr:
     """Resolve ``node``, filling in the parser's sends and lets in place."""
-    if room < 1:  # ``room`` counts the frames left, this one included
-        raise RecursionError
+    if level > MAX_NESTING:
+        raise _TooDeep
     kind = type(node)
     if kind is _RawIdent:
         if node.name in fields and node.name not in bound:
             return FieldGet(node.name)
         return Var(node.name)
+    level += 1
     if kind is _RawAssign:
         if node.name not in fields:
             raise ParseError(
                 f"assignment target {node.name!r} is not a visible field",
                 *_position(source, node.index))
         return FieldSet(node.name, _resolve_expr(node.value, fields, bound,
-                                                 source, room - 1))
+                                                 source, level))
     if kind is Send:
         node.receiver = _resolve_expr(node.receiver, fields, bound, source,
-                                      room - 1)
-        node.args = _resolve_all(node.args, fields, bound, source, room - 3)
+                                      level)
+        node.args = _resolve_all(node.args, fields, bound, source, level)
     elif kind is Let:
-        node.bound = _resolve_expr(node.bound, fields, bound, source, room - 1)
+        node.bound = _resolve_expr(node.bound, fields, bound, source, level)
         node.body = _resolve_expr(node.body, fields, bound | {node.var},
-                                  source, room - 1)
+                                  source, level)
     elif kind is SuperSend:
-        node.args = _resolve_all(node.args, fields, bound, source, room - 3)
+        node.args = _resolve_all(node.args, fields, bound, source, level)
     return node
-
-
-# Frames of the recursion limit kept back from the resolve walk, which counts
-# its own (an argument costs three), for the caller and for the later walks
-# over the tree, which start deeper and spend at most as many frames per
-# level. So how deep a body may nest does not depend on the caller's stack.
-_HEADROOM = 90
 
 
 def _resolve_body(body, fields: frozenset[str], bound: frozenset[str],
                   start: int, source: str) -> Expr:
     # The descent reads a '+' chain in a loop, but the chain is a left-nested
-    # tree, so a body the parser read can still be too deep for this walk;
-    # report the method or main block that holds it, not the end of input.
+    # tree, so a body the descent accepted can still be too deep; report the
+    # method or main block that holds it, not the end of input.
     try:
-        return _resolve_expr(body, fields, bound, source,
-                             sys.getrecursionlimit() - _HEADROOM)
-    except RecursionError:
-        raise ParseError(_too_deep(), *_position(source, start)) from None
+        return _resolve_expr(body, fields, bound, source, 0)
+    except _TooDeep:
+        raise ParseError(_TOO_DEEP, *_position(source, start)) from None
 
 
 def _resolve(raw: Program, method_starts: list[int], main_start: int,
@@ -380,9 +399,5 @@ def _resolve(raw: Program, method_starts: list[int], main_start: int,
 
 def parse(source: str) -> Program:
     """Parse source text into a Program. Raises ParseError on malformed input,
-    including input nested deeper than the recursive descent can follow."""
-    parser = _Parser(source)
-    try:
-        return parser.program()
-    except RecursionError:
-        raise parser.error(_too_deep()) from None
+    including a body nested more than ``MAX_NESTING`` levels deep."""
+    return _Parser(source).program()

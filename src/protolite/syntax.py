@@ -12,11 +12,12 @@ Nodes are never changed after they are built: lowered code, installs and the
 evaluators share subtrees freely. This holds by convention, and
 ``tests/test_immutability.py`` checks it, with two exceptions: the parser
 resolves identifiers in the nodes it built, in place, before ``parse``
-returns, and ``Program.index`` is set once, by ``validate.index_of`` or by
-the install that built the program. The nodes are slotted dataclasses, not
-frozen ones, because a frozen dataclass stores each field through
-``object.__setattr__`` and costs about three times as much to build. Equality
-is by value; the nodes are not hashable.
+returns, and ``Program.index`` is set once, by ``validate.index_of``, by
+the install that built the program, or by ``bench.repeat_main``, which shares
+its source program's. The nodes are slotted dataclasses, not frozen ones,
+because a frozen dataclass stores each field through ``object.__setattr__``
+and costs about three times as much to build. Equality is by value; the nodes
+are not hashable.
 """
 
 from __future__ import annotations

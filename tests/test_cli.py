@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 
 from protolite import cli, compiler
 from protolite.cli import main
+from protolite.parser import MAX_NESTING
 from protolite.validate import HierarchyIndex
 from tests.conftest import PROGRAMS, program_path
 
@@ -90,7 +91,10 @@ def test_fuel_env_override(capsys, monkeypatch):
     (["bench", "--fuel", "-1", "--invocations", "1", "--iterations", "1",
       "--warmup", "0", "GOLDEN"], None),
     (["run", "GOLDEN"], "-3"),
-], ids=["run", "stats", "diff", "bench", "env"])
+    (["diff", "--seeds", "0..0"], "-3"),
+    (["bench", "--invocations", "1", "--iterations", "1", "--warmup", "0",
+      "GOLDEN"], "-3"),
+], ids=["run", "stats", "diff", "bench", "env", "env-diff", "env-bench"])
 def test_negative_fuel_exits_2(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("PROTOLITE_FUEL", env)
@@ -102,6 +106,18 @@ def test_negative_fuel_exits_2(capsys, monkeypatch, argv, env):
     assert captured.out == ""
     source = "PROTOLITE_FUEL" if env is not None else "--fuel"
     assert f"{source} cannot be negative" in captured.err
+
+
+def test_env_fuel_overrides_diff_and_bench_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("PROTOLITE_FUEL", "1")
+    golden = program_path("golden_sum.stl")
+    code, out, _ = run_cli(capsys, "diff", "--json", golden)
+    assert code == 0
+    assert json.loads(out)["outcomes"] == {"FuelExhausted": 1}
+    code, out, err = run_cli(capsys, "bench", "--invocations", "1",
+                             "--iterations", "1", "--warmup", "0", golden)
+    assert code == 2
+    assert "did not complete" in err
 
 
 def test_check_ok_and_violations(capsys):
@@ -374,33 +390,96 @@ def test_deep_input_exits_2_without_traceback(capsys, tmp_path, main_expr):
     assert "Traceback" not in err
 
 
+def _run_main(argv):
+    """``main``'s exit code, stdout and stderr, with SystemExit caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+NESTING_COMMANDS = ("check", "run", "desugar", "diff", "stats")
+
+
 @pytest.mark.parametrize("where", ["main", "method"])
 def test_plus_chains_get_one_parse_verdict_from_every_command(tmp_path, where):
-    # The limit counts the resolve walk's own frames, so the verdict cannot
-    # depend on how deep each command calls the parser, and the later walks
-    # (translation at activation, lowering, printing) fit under it.
+    # A '+' chain is read in a loop; name resolution counts its tree levels,
+    # so every command takes MAX_NESTING levels (one term more) and rejects
+    # one more.
     verdicts = {}
-    for terms in (900, 908, 909, 986, 987, 1200):
-        chain = " + ".join(["1"] * terms)
-        path = tmp_path / f"chain{terms}.stl"
+    for levels in (MAX_NESTING, MAX_NESTING + 1, 1200):
+        chain = " + ".join(["1"] * (levels + 1))
+        path = tmp_path / f"chain{levels}.stl"
         path.write_text(
             f"main {{ {chain} }}\n" if where == "main" else
             f"class A extends Object {{ method m() {{ {chain} }} }}\n"
             "main { (new A).m() }\n")
-        for command in ("check", "run", "desugar", "diff", "stats"):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                try:
-                    code = main([command, str(path)])
-                except SystemExit as exc:
-                    code = exc.code
-            assert code in (0, 2), (terms, command, err.getvalue())
-            assert (code == 2) == ("nesting limit" in err.getvalue())
-            assert "Traceback" not in out.getvalue() + err.getvalue()
-            verdicts.setdefault(terms, set()).add(code)
-    assert verdicts == {900: {0}, 908: {0}, 909: {2}, 986: {2}, 987: {2},
-                        1200: {2}}
+        for command in NESTING_COMMANDS:
+            code, out, err = _run_main([command, str(path)])
+            assert code in (0, 2), (levels, command, err)
+            assert (code == 2) == ("nesting limit" in err)
+            assert "Traceback" not in out + err
+            verdicts.setdefault(levels, set()).add(code)
+    assert verdicts == {MAX_NESTING: {0}, MAX_NESTING + 1: {2}, 1200: {2}}
+
+
+# Each shape nests ``n`` levels: its deepest node is n levels below the body's
+# root, and n expressions deep in the descent where the shape opens any. The
+# last three need a method: ``self`` is nil in main, and main has no super
+# or fields.
+NESTING_SHAPES = {
+    "parentheses": lambda n: "(" * n + "1" + ")" * n,
+    "object-send-arguments": lambda n: "new B.m(" * n + "1" + ")" * n,
+    "plus-chain": lambda n: " + ".join(["1"] * (n + 1)),
+    "receiver-chain": lambda n: "new B" + ".id()" * n,
+    "let-bound": lambda n: "let x = " * n + "1" + " in x" * n,
+    "let-body": lambda n: "let x = 1 in " * n + "x",
+    "self-send-arguments": lambda n: "self.m(" * n + "1" + ")" * n,
+    "super-send-arguments": lambda n: "super.m(" * n + "1" + ")" * n,
+    "assignment": lambda n: "f := " * n + "1",
+}
+METHOD_ONLY_SHAPES = ("self-send-arguments", "super-send-arguments",
+                      "assignment")
+CALLER_DEPTH = 200
+
+
+def _stack_depth():
+    """Frames on the stack, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _main_at_depth(depth, argv):
+    """``_run_main(argv)`` with ``main`` called ``depth`` frames below the
+    top of the stack."""
+    if _stack_depth() < depth - 2:
+        return _main_at_depth(depth, argv)
+    return _run_main(argv)
+
+
+@pytest.mark.parametrize("shape, where", [
+    (shape, where) for shape in NESTING_SHAPES for where in ("main", "method")
+    if where == "method" or shape not in METHOD_ONLY_SHAPES])
+def test_every_command_gives_one_nesting_verdict_from_a_deep_caller(
+        tmp_path, shape, where):
+    for levels, expected in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+        body = NESTING_SHAPES[shape](levels)
+        path = tmp_path / f"{levels}.stl"
+        path.write_text(
+            "class B extends Object { method m(x) { x } method id() { self } }\n"
+            + (f"main {{ {body} }}\n" if where == "main" else
+               f"class A extends B {{ fields: f; method go() {{ {body} }} }}\n"
+               "main { (new A).go() }\n"))
+        for command in NESTING_COMMANDS:
+            code, out, err = _main_at_depth(CALLER_DEPTH, [command, str(path)])
+            assert code == expected, (levels, command, err[-300:])
+            assert ("nesting limit" in err) == (expected == 2)
+            assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("source, positions", [
@@ -471,7 +550,11 @@ def test_non_utf8_source_exits_3(capsys, tmp_path):
     # The baseline's compile and the measured mode's.
     (["bench", "--invocations", "1", "--iterations", "1", "--warmup", "0"],
      2),
-], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    # The repeated program shares the parsed program's index.
+    (["bench", "--invocations", "1", "--iterations", "1", "--warmup", "0",
+      "--repeat", "3"], 2),
+], ids=lambda v: ("-".join(a.lstrip("-") for a in v[:1] + v[7:])
+                  if isinstance(v, list) else str(v)))
 def test_each_command_validates_once_per_compile(capsys, monkeypatch, argv,
                                                  validates):
     # Every command also builds one hierarchy index: the parsed program's,

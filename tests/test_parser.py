@@ -1,7 +1,7 @@
 import pytest
 
 from protolite.errors import ParseError, ReservedSelectorError
-from protolite.parser import parse
+from protolite.parser import MAX_NESTING, parse
 from protolite.syntax import (
     PROTECTED,
     PUBLIC,
@@ -288,23 +288,24 @@ def test_duplicate_definitions_parse_but_do_not_crash():
 
 
 def test_too_deep_parentheses_point_into_the_nesting():
-    # The descent itself overflows, so the position is where it gave up,
-    # inside the parentheses on line 3.
+    # The descent counts the levels it has open, so the position is where it
+    # stopped: the first expression past the limit, on line 3.
     deep = "(" * 400 + "1" + ")" * 400
     with pytest.raises(ParseError) as err:
         parse(f"class A extends Object {{ }}\n\nmain {{ {deep} }}\n")
     assert "RecursionError" in str(err.value)
     assert "nesting limit" in str(err.value)
-    assert err.value.line == 3 and err.value.col > len("main { ")
+    assert err.value.line == 3
+    assert err.value.col == len("main { ") + MAX_NESTING + 2
 
 
 @pytest.mark.parametrize("body, spine, length", [
-    ("(" * 200 + "1" + ")" * 200, "receiver", 0),
-    ("let x = 1 in " * 200 + "x", "body", 200),
-    (" + ".join(["1"] * 900), "receiver", 899),
+    ("(" * MAX_NESTING + "1" + ")" * MAX_NESTING, "receiver", 0),
+    ("let x = 1 in " * MAX_NESTING + "x", "body", MAX_NESTING),
+    (" + ".join(["1"] * (MAX_NESTING + 1)), "receiver", MAX_NESTING),
 ], ids=["parentheses", "nested-lets", "plus-chain"])
 def test_documented_nesting_depths_parse(body, spine, length):
-    # The README promises these depths under the default recursion limit.
+    # The README promises MAX_NESTING levels of every kind of nesting.
     # The trees are walked in a loop: comparing them would recurse as deep.
     program = parse(f"class A extends Object {{ method m() {{ {body} }} }}\n"
                     f"main {{ {body} }}")
@@ -317,9 +318,9 @@ def test_documented_nesting_depths_parse(body, spine, length):
 
 
 def test_too_deep_plus_chain_points_at_its_method():
-    # A '+' chain is read in a loop and overflows only in name resolution,
-    # after the whole input is read; the error names the method holding it,
-    # not the end of input.
+    # A '+' chain is read in a loop and its levels are counted only in name
+    # resolution, after the whole input is read; the error names the method
+    # holding it, not the end of input.
     chain = " + ".join(["1"] * 1200)
     source = ("class A extends Object {\n"
               "  method ok() { 1 }\n"
