@@ -180,11 +180,14 @@ def cmd_diff(args) -> int:
 
     disagreements = []
     mix: Counter[str] = Counter()
+    steps: Counter[str] = Counter()  # reference steps per outcome kind
     for pid, program in programs:
         result = differential_run(program, fuel=fuel, program_id=pid)
         outcome = result.reference_outcome
-        mix[outcome.reason.kind if isinstance(outcome, Errored)
-            else type(outcome).__name__] += 1
+        kind = (outcome.reason.kind if isinstance(outcome, Errored)
+                else type(outcome).__name__)
+        mix[kind] += 1
+        steps[kind] += result.reference_steps
         if not result.agree:
             disagreements.append((pid, program, result))
     total = sum(mix.values())
@@ -198,6 +201,7 @@ def cmd_diff(args) -> int:
                 for pid, _, r in disagreements
             ],
             "outcomes": dict(mix.most_common()),
+            "steps": {kind: steps[kind] for kind, _ in mix.most_common()},
         }))
     else:
         print(f"{agreeing}/{total} agree")

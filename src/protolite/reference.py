@@ -19,13 +19,22 @@ Method activation fills a template. A method body is translated once per run
 for the class where it was found, with the receiver left as an owner hole and
 the parameters left as variables; each activation fills the hole with the
 receiver and the parameters with the argument values in one pass (``_fill``,
-which also reduces ``let``). A redex with no applicable rule is *stuck* and
+which also reduces ``let``). Which method a send activates is resolved once
+per run too: a send table maps each (send kind, receiver class, selector) --
+for a super-send, its defining class in place of the receiver's -- to the
+class the walk starts at and what it finds there, a miss included. Both
+tables live for one ``eval_program`` call and never on the hierarchy index,
+which an install copies. A redex with no applicable rule is *stuck* and
 reports a structured reason.
 
 Evaluation positions follow a fixed order: field-write right-hand side, then
-send receiver, then arguments left to right, then let bindings. The step
-function decomposes the redex along that order, reduces the focus, and plugs
-the result back; no context value is ever materialised in the API.
+send receiver, then arguments left to right, then let bindings. The order is
+written in ``_next_hole``: the definitional ``step`` decomposes the redex with
+it from the root, reduces the focus, and plugs the result back; no context
+value is ever materialised in the API. ``eval_program``'s loop keeps the path
+between reductions and descends in the same order inline. The corpus test in
+``tests/test_reference.py`` pins the loop to iterated ``step`` on outcome,
+step count and final store.
 """
 
 from __future__ import annotations
@@ -150,7 +159,7 @@ class Stuck:
 _OWNER_HOLE = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectRecord:
     class_name: str
     fields: dict[str, Value]
@@ -166,11 +175,9 @@ class Store:
     def allocate(self, class_name: str, field_names: tuple[str, ...]) -> int:
         oid = self.next_oid
         self.next_oid += 1
-        self.records[oid] = ObjectRecord(class_name, {f: NIL for f in field_names})
+        self.records[oid] = ObjectRecord(class_name,
+                                         dict.fromkeys(field_names, NIL))
         return oid
-
-    def __getitem__(self, oid: int) -> ObjectRecord:
-        return self.records[oid]
 
 
 # --- translation and filling --------------------------------------------------
@@ -229,29 +236,33 @@ def _fill(r: Redex, owner: Value | None, env: dict[str, Value]) -> Redex:
     parameters; reducing ``let`` passes no owner (None) and one binding.
     """
     t = type(r)
+    if t is RSelfSend or t is RSuperSend:
+        args = r.args
+        if args:
+            args = tuple([_fill(a, owner, env) for a in args])
+        return t(owner if r.owner is _OWNER_HOLE else r.owner,
+                 r.defining_class, r.selector, args)
+    if t is RObjectSend:
+        args = r.args
+        if args:
+            args = tuple([_fill(a, owner, env) for a in args])
+        return RObjectSend(_fill(r.receiver, owner, env), r.selector, args)
     if t is RVal:
         return RVal(owner) if r.value is _OWNER_HOLE else r
-    if t is RVar:
-        return RVal(env[r.name]) if r.name in env else r
-    if t is RObjectSend:
-        return RObjectSend(_fill(r.receiver, owner, env), r.selector,
-                           tuple([_fill(a, owner, env) for a in r.args]))
-    if t is RSelfSend or t is RSuperSend:
-        return t(owner if r.owner is _OWNER_HOLE else r.owner,
-                 r.defining_class, r.selector,
-                 tuple([_fill(a, owner, env) for a in r.args]))
+    if t is RNew:
+        return r
     if t is RLet:
         bound = _fill(r.bound, owner, env)
         if r.var in env:
             env = {k: v for k, v in env.items() if k != r.var}
         return RLet(r.var, bound, _fill(r.body, owner, env))
-    if t is RFieldGet:
-        return RFieldGet(owner, r.field) if r.owner is _OWNER_HOLE else r
     if t is RFieldSet:
         return RFieldSet(owner if r.owner is _OWNER_HOLE else r.owner, r.field,
                          _fill(r.rhs, owner, env))
-    if t is RNew:
-        return r
+    if t is RFieldGet:
+        return RFieldGet(owner, r.field) if r.owner is _OWNER_HOLE else r
+    if t is RVar:
+        return RVal(env[r.name]) if r.name in env else r
     raise TypeError(f"not a redex: {r!r}")
 
 
@@ -297,31 +308,25 @@ def _set_slot(node: Redex, slot: int, child: Redex) -> Redex:
     raise TypeError(f"no slot {slot} on {node!r}")
 
 
-def _activate(mdef: MethodDef, found_class: str, receiver: Value,
-              args: tuple[Value, ...], idx: HierarchyIndex,
-              lookup_class: str, selector: str,
-              templates: dict) -> Redex | Stuck:
-    """Fill the template of ``mdef`` as found in ``found_class``.
+def _resolve(key: tuple,
+             idx: HierarchyIndex) -> tuple[str, tuple[str, MethodDef] | None]:
+    """Resolve a send key ``(kind, class, selector)``, whose kind is the
+    send's redex type: the class the walk starts at, and the index's
+    ``(found class, definition)`` there or None.
 
-    ``templates`` maps (found class, selector) to the translated body, or to
-    the Stuck of a field the body may not name; the key is unique because the
-    index's lookups return a class's first definition of a selector.
+    An object-send sees public definitions only and a self-send any, both
+    from the receiver's class. A super-send is keyed by its defining class
+    and walks from that class's superclass; above ``Object`` nothing
+    answers.
     """
-    params = mdef.params
-    if len(params) != len(args):
-        return Stuck(ArityMismatch(lookup_class, selector,
-                                   len(params), len(args)))
-    key = (found_class, selector)
-    template = templates.get(key)
-    if template is None:
-        try:
-            template = translate(mdef.body, _OWNER_HOLE, found_class, idx)
-        except UnknownFieldError as err:
-            template = Stuck(UnknownField(err.class_name, err.field))
-        templates[key] = template
-    if type(template) is Stuck:
-        return template
-    return _fill(template, receiver, dict(zip(params, args)))
+    kind, name, selector = key
+    if kind is RObjectSend:
+        return name, idx.public_lookup(name, selector)
+    if kind is RSuperSend:
+        name = idx.superclass(name)
+        if name is None:
+            return ROOT_CLASS, None
+    return name, idx.closest_def(name, selector)
 
 
 def _int_builtin(selector: str, args: tuple[Value, ...],
@@ -337,40 +342,69 @@ def _int_builtin(selector: str, args: tuple[Value, ...],
 
 
 def _reduce(node: Redex, store: Store, idx: HierarchyIndex,
-            templates: dict) -> Redex | Stuck:
+            sends: dict, templates: dict) -> Redex | Stuck:
+    """Reduce a redex whose children are all values.
+
+    ``sends`` maps a send key (``_resolve``) to its resolution. An
+    activation checks arity first, then fills the template of the method as
+    found: ``templates`` maps (found class, selector) to the translated
+    body, or to the Stuck of a field the body may not name; the key is
+    unique because the index's lookups return a class's first definition of
+    a selector. Both tables answer for one index only.
+    """
     t = type(node)
-    if t is RObjectSend or t is RSelfSend:
-        object_send = t is RObjectSend
-        receiver = (node.receiver.value  # type: ignore[union-attr]
-                    if object_send else node.owner)
-        args = tuple([a.value for a in node.args])  # type: ignore[union-attr]
-        rt = type(receiver)
-        if rt is Nil:
-            return Stuck(NilReceiver(node.selector))
-        if rt is IntVal:
-            return _int_builtin(node.selector, args, receiver)
-        cls = store[receiver.oid].class_name
-        lookup = idx.public_lookup if object_send else idx.closest_def
-        found = lookup(cls, node.selector)
+    if t is RObjectSend or t is RSelfSend or t is RSuperSend:
+        selector = node.selector
+        args = node.args
+        if args:
+            args = tuple([a.value for a in args])  # type: ignore[union-attr]
+        if t is RSuperSend:
+            receiver = node.owner
+            key = (t, node.defining_class, selector)
+        else:
+            receiver = (node.receiver.value  # type: ignore[union-attr]
+                        if t is RObjectSend else node.owner)
+            rt = type(receiver)
+            if rt is Nil:
+                return Stuck(NilReceiver(selector))
+            if rt is IntVal:
+                return _int_builtin(selector, args, receiver)
+            key = (t, store.records[receiver.oid].class_name, selector)
+        resolved = sends.get(key)
+        if resolved is None:
+            resolved = sends[key] = _resolve(key, idx)
+        lookup_class, found = resolved
         if found is None:
-            return Stuck(DoesNotUnderstand(cls, node.selector))
+            return Stuck(DoesNotUnderstand(lookup_class, selector))
         found_class, mdef = found
-        return _activate(mdef, found_class, receiver, args, idx, cls,
-                         node.selector, templates)
+        params = mdef.params
+        if len(params) != len(args):
+            return Stuck(ArityMismatch(lookup_class, selector,
+                                       len(params), len(args)))
+        template = templates.get((found_class, selector))
+        if template is None:
+            try:
+                template = translate(mdef.body, _OWNER_HOLE, found_class, idx)
+            except UnknownFieldError as err:
+                template = Stuck(UnknownField(err.class_name, err.field))
+            templates[found_class, selector] = template
+        if type(template) is Stuck:
+            return template
+        return _fill(template, receiver, dict(zip(params, args)))
     if t is RLet:
         return _fill(node.body, None,
                      {node.var: node.bound.value})  # type: ignore[union-attr]
     if t is RFieldGet:
         if type(node.owner) is not Oid:
             return Stuck(UnknownField("<nil>", node.field))
-        record = store[node.owner.oid]
+        record = store.records[node.owner.oid]
         if node.field not in record.fields:
             return Stuck(UnknownField(record.class_name, node.field))
         return RVal(record.fields[node.field])
     if t is RFieldSet:
         if type(node.owner) is not Oid:
             return Stuck(UnknownField("<nil>", node.field))
-        record = store[node.owner.oid]
+        record = store.records[node.owner.oid]
         if node.field not in record.fields:
             return Stuck(UnknownField(record.class_name, node.field))
         record.fields[node.field] = node.rhs.value  # type: ignore[union-attr]
@@ -381,17 +415,6 @@ def _reduce(node: Redex, store: Store, idx: HierarchyIndex,
         except UnknownClassError:
             return Stuck(UnknownClass(node.class_name))
         return RVal(Oid(store.allocate(node.class_name, fields)))
-    if t is RSuperSend:
-        args = tuple([a.value for a in node.args])  # type: ignore[union-attr]
-        start = idx.superclass(node.defining_class)
-        if start is None:
-            return Stuck(DoesNotUnderstand(ROOT_CLASS, node.selector))
-        found = idx.closest_def(start, node.selector)
-        if found is None:
-            return Stuck(DoesNotUnderstand(start, node.selector))
-        found_class, mdef = found
-        return _activate(mdef, found_class, node.owner, args, idx, start,
-                         node.selector, templates)
     if t is RVar:
         return Stuck(UnknownVariable(node.name))
     raise TypeError(f"not a reducible redex: {node!r}")
@@ -403,9 +426,9 @@ def step(redex: Redex, store: Store,
 
     Returns the new redex and store, a ``Stuck`` describing why no rule
     applies, or ``None`` when the redex is already a value (normal form).
-    The store is updated in place and returned for convenience. An
-    activation translates the method body afresh; only ``eval_program``'s
-    loop keeps templates across steps.
+    The store is updated in place and returned for convenience. Each call
+    decomposes from the root with ``_next_hole`` and resolves and translates
+    afresh; only ``eval_program``'s loop keeps its tables across steps.
     """
     if type(redex) is RVal:
         return None
@@ -417,7 +440,7 @@ def step(redex: Redex, store: Store,
             break
         path.append((node, hole[0]))
         node = hole[1]
-    result = _reduce(node, store, idx, {})
+    result = _reduce(node, store, idx, {}, {})
     if type(result) is Stuck:
         return result
     for parent, slot in reversed(path):
@@ -429,10 +452,9 @@ def eval_program(program: Program, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Run a validated program's main expression to an outcome.
 
     Never raises: translation failures, stuck states, and fuel exhaustion all
-    come back as outcome variants. The loop keeps the decomposition path
-    between reductions instead of re-walking the whole redex, and each
-    method's template between activations, which performs the exact same
-    reductions in the exact same order as iterating ``step`` from the root.
+    come back as outcome variants. The loop (``_eval_loop``) performs the
+    exact same reductions in the exact same order as iterating ``step`` from
+    the root.
     """
     idx = index_of(program)
     if fuel <= 0:
@@ -448,31 +470,63 @@ def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
                fuel: int) -> EvalResult:
     """Reduction loop with the decomposition path kept on an explicit stack.
 
-    Instead of rebuilding the whole redex after each reduction and descending
-    again from the root, the enclosing nodes wait on ``frames``; when the
-    focused subterm becomes a value it is plugged one level up. Method
-    templates live in ``templates`` for this run only. The sequence of
-    ``_reduce`` calls -- and therefore the step count, the store, and the
-    outcome -- is identical to iterating ``step`` from the root.
+    The enclosing nodes wait on ``frames``, each followed by the slot its
+    focus fills, instead of the whole redex being rebuilt after each
+    reduction and decomposed again from the root. When the focus is a value
+    it is plugged one level up, and the descent resumes at the parent's next
+    slot. The descent is ``_next_hole``'s order written inline: slot -1 (the
+    receiver, the right-hand side or the binding), then the arguments left
+    to right. ``sends`` and ``templates`` live for this run only, so each
+    send key is resolved, and each found method translated, once per run.
+    The ``_reduce`` calls -- and so the step count, the store and the
+    outcome -- are those of iterating ``step`` from the root;
+    ``test_on_step_path_matches_fast_path_on_generated_corpus`` compares
+    all three.
     """
+    sends: dict = {}
     templates: dict = {}
-    frames: list[tuple[Redex, int]] = []
+    frames: list = []  # parent, slot, parent, slot, ...
+    push, pop = frames.append, frames.pop
     steps = 0
     while True:
-        hole = _next_hole(focus)
-        if hole is not None:
-            frames.append((focus, hole[0]))
-            focus = hole[1]
-            continue
-        if type(focus) is RVal:
+        t = type(focus)
+        if t is RVal:
             if not frames:
                 return EvalResult(Completed(focus.value), steps)
-            parent, slot = frames.pop()
-            focus = _set_slot(parent, slot, focus)
-            continue
+            slot = pop()
+            focus = _set_slot(pop(), slot, focus)
+            t = type(focus)
+            i = slot + 1  # the first slot that may still hold a hole
+        else:
+            i = -1
+        if i < 0:
+            if t is RObjectSend:
+                child = focus.receiver
+            elif t is RFieldSet:
+                child = focus.rhs
+            elif t is RLet:
+                child = focus.bound
+            else:
+                child = None
+            if child is not None and type(child) is not RVal:
+                push(focus)
+                push(-1)
+                focus = child
+                continue
+            i = 0
+        if t is RObjectSend or t is RSelfSend or t is RSuperSend:
+            args = focus.args
+            n = len(args)
+            while i < n and type(args[i]) is RVal:
+                i += 1
+            if i < n:
+                push(focus)
+                push(i)
+                focus = args[i]
+                continue
         if steps >= fuel:
             return EvalResult(FuelExhausted(), steps)
-        result = _reduce(focus, store, idx, templates)
+        result = _reduce(focus, store, idx, sends, templates)
         if type(result) is Stuck:
             return EvalResult(Errored(result.reason), steps)
         steps += 1

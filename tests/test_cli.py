@@ -181,6 +181,27 @@ def test_diff_seed_range(capsys):
     assert list(payload["outcomes"].items()) == expected.most_common()
 
 
+def test_diff_json_sums_reference_steps_per_outcome_kind(capsys):
+    from collections import Counter
+
+    from protolite.generator import generate_program
+    from protolite.metrics import DIFF_FUEL
+    from protolite.outcomes import Errored
+    from protolite.reference import eval_program
+
+    expected: Counter[str] = Counter()
+    for seed in range(20):
+        result = eval_program(generate_program(seed), fuel=DIFF_FUEL)
+        o = result.outcome
+        expected[o.reason.kind if isinstance(o, Errored)
+                 else type(o).__name__] += result.steps
+    code, out, _ = run_cli(capsys, "diff", "--seeds", "0..19", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["steps"] == dict(expected)
+    assert list(payload["steps"]) == list(payload["outcomes"])
+
+
 @pytest.mark.parametrize("seeds", ["5..4", "20..0", "0-9", "a..b"])
 def test_diff_rejects_an_empty_or_malformed_seed_range(capsys, seeds):
     code, out, err = run_cli(capsys, "diff", "--seeds", seeds)

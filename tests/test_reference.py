@@ -26,6 +26,7 @@ from protolite.reference import (
     RVar,
     Store,
     Stuck,
+    _eval_loop,
     _fill,
     _reduce,
     eval_program,
@@ -42,7 +43,7 @@ from protolite.syntax import (
     SelfRef,
     SuperSend,
 )
-from protolite.validate import HierarchyIndex
+from protolite.validate import HierarchyIndex, index_of
 from protolite.values import NIL, IntVal, Oid
 
 
@@ -134,7 +135,7 @@ def test_new_allocates_all_fields_nil():
     assert result is not None and not isinstance(result, Stuck)
     redex, store = result
     assert redex == RVal(Oid(1))
-    record = store[1]
+    record = store.records[1]
     assert record.class_name == "B"
     assert record.fields == {"a": NIL, "b": NIL}
 
@@ -147,7 +148,7 @@ def test_field_set_reduces_to_assigned_value():
     result = step(RFieldSet(Oid(oid), "f", RVal(IntVal(5))), store, cidx)
     redex, store2 = result
     assert redex == RVal(IntVal(5))  # not nil
-    assert store2[oid].fields["f"] == IntVal(5)
+    assert store2.records[oid].fields["f"] == IntVal(5)
 
 
 def test_let_substitutes_bound_value(idx):
@@ -274,19 +275,33 @@ def test_determinism(two_level_program):
 
 def _step_from_root(program, fuel=100_000, on_step=lambda redex, store: None):
     """Iterate ``step`` from the root, calling ``on_step(redex, store)``
-    after every reduction: the definition ``eval_program``'s loop keeps."""
+    after every reduction: the definition ``eval_program``'s loop keeps.
+    Returns the result and the final store."""
     idx, store, steps = HierarchyIndex(program), Store(), 0
     redex = translate(program.main, NIL, ROOT_CLASS, idx)
     while type(redex) is not RVal:
         if steps >= fuel:
-            return EvalResult(FuelExhausted(), steps)
+            return EvalResult(FuelExhausted(), steps), store
         result = step(redex, store, idx)
         if type(result) is Stuck:
-            return EvalResult(Errored(result.reason), steps)
+            return EvalResult(Errored(result.reason), steps), store
         redex, store = result
         steps += 1
         on_step(redex, store)
-    return EvalResult(Completed(redex.value), steps)
+    return EvalResult(Completed(redex.value), steps), store
+
+
+def _loop_from_root(program, fuel):
+    """``eval_program``'s loop, returning its result and its final store."""
+    idx, store = index_of(program), Store()
+    redex = translate(program.main, NIL, ROOT_CLASS, idx)
+    return _eval_loop(redex, store, idx, fuel), store
+
+
+def _heap(store):
+    """Class and field values of every oid."""
+    return {oid: (record.class_name, record.fields)
+            for oid, record in store.records.items()}
 
 
 def test_store_shape_invariant_along_a_run():
@@ -307,7 +322,7 @@ def test_store_shape_invariant_along_a_run():
         for record in store.records.values():
             assert set(record.fields) == fields_of[record.class_name]
 
-    result = _step_from_root(p, on_step=check)
+    result, _ = _step_from_root(p, on_step=check)
     assert isinstance(result.outcome, Completed)
 
 
@@ -318,20 +333,23 @@ ON_STEP_CORPUS_FUEL = 500
 
 
 def test_on_step_path_matches_fast_path_on_generated_corpus():
-    # Iterated from the root, every activation is translated afresh by
-    # ``step``; ``eval_program``'s loop fills each method's template. Both
-    # must perform the same reductions.
+    # Iterated from the root, ``step`` decomposes with ``_next_hole`` and
+    # resolves and translates every send afresh; ``eval_program``'s loop
+    # descends inline and keeps its send table and templates. Both must
+    # perform the same reductions: same outcome, steps and final heap.
     for seed in range(200):
         program = generate_program(seed)
-        fast = eval_program(program, ON_STEP_CORPUS_FUEL)
-        slow = _step_from_root(program, ON_STEP_CORPUS_FUEL)
+        fast, fast_store = _loop_from_root(program, ON_STEP_CORPUS_FUEL)
+        assert fast == eval_program(program, ON_STEP_CORPUS_FUEL), seed
+        slow, slow_store = _step_from_root(program, ON_STEP_CORPUS_FUEL)
         assert (slow.outcome, slow.steps) == (fast.outcome, fast.steps), seed
+        assert _heap(slow_store) == _heap(fast_store), seed
 
 
 def test_on_step_path_matches_fast_path(two_level_program):
     seen = []
-    slow = _step_from_root(two_level_program,
-                           on_step=lambda r, s: seen.append(1))
+    slow, _ = _step_from_root(two_level_program,
+                              on_step=lambda r, s: seen.append(1))
     fast = eval_program(two_level_program)
     assert slow == fast
     assert len(seen) == fast.steps
@@ -422,9 +440,9 @@ def test_unknown_field_template_is_stuck_on_every_activation():
     cidx = HierarchyIndex(program)
     store = Store()
     send = RObjectSend(RVal(Oid(store.allocate("C", ()))), "m", ())
-    templates = {}
-    first = _reduce(send, store, cidx, templates)
-    second = _reduce(send, store, cidx, templates)
+    sends, templates = {}, {}
+    first = _reduce(send, store, cidx, sends, templates)
+    second = _reduce(send, store, cidx, sends, templates)
     assert first == second == Stuck(UF("C", "zz"))
     assert templates == {("C", "m"): Stuck(UF("C", "zz"))}
 
@@ -438,12 +456,64 @@ def test_arity_mismatch_wins_over_unknown_field():
     cidx = HierarchyIndex(program)
     store = Store()
     receiver = RVal(Oid(store.allocate("C", ())))
-    templates = {}
+    sends, templates = {}, {}
     right = RObjectSend(receiver, "m", (RVal(NIL),))
-    assert _reduce(right, store, cidx, templates) == Stuck(UF("C", "zz"))
+    assert _reduce(right, store, cidx, sends, templates) == \
+        Stuck(UF("C", "zz"))
     wrong = RObjectSend(receiver, "m", ())
-    assert _reduce(wrong, store, cidx, templates) == \
+    assert _reduce(wrong, store, cidx, sends, templates) == \
         Stuck(ArityMismatch("C", "m", 1, 0))
+
+
+# -- the send table ----------------------------------------------------------------
+
+
+def test_each_send_is_resolved_once_per_run(monkeypatch):
+    resolved = []
+    for name in ("closest_def", "public_lookup"):
+        def counting(self, cls, selector, real=getattr(HierarchyIndex, name),
+                     name=name):
+            resolved.append((name, cls, selector))
+            return real(self, cls, selector)
+
+        monkeypatch.setattr(HierarchyIndex, name, counting)
+    p = parse("""
+        class C extends Object {
+          method id(n) { n }
+          method inc(n) { self.id(n) + 1 }
+        }
+        class D extends C { method inc(n) { super.inc(n) } }
+        main { let d = new D in d.inc(d.inc(d.inc(0))) }
+    """)
+    once = [("public_lookup", "D", "inc"),  # object-send from main
+            ("closest_def", "C", "inc"),  # super-send from D, walk from C
+            ("closest_def", "D", "id")]  # self-send, receiver's class
+    resolved.clear()
+    assert eval_program(p).outcome == Completed(IntVal(3))
+    assert resolved == once
+    assert eval_program(p).outcome == Completed(IntVal(3))
+    assert resolved == once + once  # the table lives for one run only
+
+
+def test_installed_override_answers_after_a_run():
+    # The first run resolves ``who`` on B to A's definition; an install
+    # copies the index, so a table kept on it would answer the new program
+    # with A's method.
+    from protolite.compiler import compile_program, install_method
+    from protolite.syntax import MethodDef
+
+    p = parse("""
+        class A extends Object {
+          method who() { 1 }
+          method ask() { self.who() }
+        }
+        class B extends A { }
+        main { let b = new B in b.ask() + b.who() }
+    """)
+    assert eval_program(p).outcome == Completed(IntVal(2))
+    image = install_method(compile_program(p), "B",
+                           MethodDef("who", (), IntLit(20)))
+    assert eval_program(image.program).outcome == Completed(IntVal(40))
 
 
 def test_new_of_undefined_class_is_stuck():
