@@ -42,9 +42,9 @@ def main() -> int:
     ):
         baseline, worst = bench_pair(
             workload,
-            BenchConfig(label="baseline", mode=CompileMode.BASELINE,
+            BenchConfig(mode=CompileMode.BASELINE,
                         global_cache_on=gc_on, inline_cache_on=ic_on, **shared),
-            BenchConfig(label="worst-case", mode=CompileMode.WORST_CASE,
+            BenchConfig(mode=CompileMode.WORST_CASE,
                         global_cache_on=gc_on, inline_cache_on=ic_on, **shared))
         print(f"\n[{caches}]")
         print(f"  baseline   median {baseline.median * 1e3:8.3f} ms  "

@@ -39,7 +39,6 @@ BENCH_FUEL = 5_000_000
 
 @dataclass(frozen=True)
 class BenchConfig:
-    label: str = "normal"
     mode: CompileMode = CompileMode.NORMAL
     global_cache_on: bool = True
     inline_cache_on: bool = True
@@ -51,7 +50,7 @@ class BenchConfig:
 
 @dataclass
 class BenchReport:
-    label: str
+    label: str  # the compile mode's value
     invocations: int
     iterations: int
     warmup: int
@@ -115,7 +114,7 @@ class _Measurement:
     def report(self) -> BenchReport:
         config = self.config
         return BenchReport(
-            label=config.label,
+            label=config.mode.value,
             invocations=config.invocations,
             iterations=config.iterations,
             warmup=config.warmup,

@@ -229,8 +229,8 @@ def cmd_bench(args) -> int:
     )
     baseline, measured = bench_pair(
         program,
-        BenchConfig(label="baseline", mode=CompileMode.BASELINE, **common),
-        BenchConfig(label=_mode(args).value, mode=_mode(args), **common))
+        BenchConfig(mode=CompileMode.BASELINE, **common),
+        BenchConfig(mode=_mode(args), **common))
     if args.json:
         print(json.dumps({"baseline": baseline.to_json(),
                           "measured": measured.to_json()}))

@@ -198,7 +198,7 @@ class DeferredSite:
     selector: str
 
 
-@dataclass
+@dataclass(eq=False)
 class ImageClass:
     name: str
     superclass: str | None  # None only for Object
@@ -207,12 +207,14 @@ class ImageClass:
     class_id: int
 
 
-@dataclass
+@dataclass(eq=False)
 class RuntimeImage:
     """Compiled classes plus everything needed to run and account for them.
 
     Immutable by convention after construction; ``install_method`` returns a
-    new image sharing untouched classes with the old one.
+    new image sharing untouched classes with the old one. Images and their
+    classes compare by identity: their dictionaries are keyed by symbols,
+    which hash by identity, so no two compiles could compare equal.
     """
 
     mode: CompileMode
@@ -223,12 +225,11 @@ class RuntimeImage:
     deferred_sites: tuple[DeferredSite, ...]
     site_count: int
     # The program the image was compiled from; its index is the one the
-    # compile used. Not part of equality.
-    program: Program = field(repr=False, compare=False)
+    # compile used.
+    program: Program = field(repr=False)
     # The runtime's code arrays, lowered lazily from the bodies above: keyed
-    # by CompiledMethod (identity), with None for main. Not part of equality.
-    code_arrays: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    # by CompiledMethod (identity), with None for main.
+    code_arrays: dict = field(default_factory=dict, init=False, repr=False)
 
 
 # --- scope --------------------------------------------------------------------

@@ -15,26 +15,29 @@ one reduction at the leftmost reducible position:
 * a super-send starts that walk at the superclass of the annotated class
 * ``let`` puts the bound value in place of its variable in the body
 
-Method activation fills a template. A method body is translated once per run
-for the class where it was found, with the receiver left as an owner hole and
-the parameters left as variables; each activation fills the hole with the
+Method activation fills a template: the method's body translated for the
+class where it was found, with the receiver left as an owner hole and the
+parameters left as variables. An activation fills the hole with the
 receiver and the parameters with the argument values in one pass (``_fill``,
-which also reduces ``let``). Which method a send activates is resolved once
-per run too: a send table maps each (send kind, receiver class, selector) --
-for a super-send, its defining class in place of the receiver's -- to the
-class the walk starts at and what it finds there, a miss included. Both
-tables live for one ``eval_program`` call and never on the hierarchy index,
+which also reduces ``let``). One per-run table, the send table, maps each
+(send kind, receiver class, selector) -- for a super-send, its defining class
+in place of the receiver's -- to what it activates (``_activation``): the
+class the walk starts at, the parameters and the template, or the stuck
+state of a miss. A send key is resolved, and its method translated, once per
+run; a method reached through several keys is translated once for each. The
+table lives for one ``eval_program`` call and never on the hierarchy index,
 which an install copies. A redex with no applicable rule is *stuck* and
 reports a structured reason.
 
-Evaluation positions follow a fixed order: field-write right-hand side, then
-send receiver, then arguments left to right, then let bindings. The order is
-written in ``_next_hole``: the definitional ``step`` decomposes the redex with
-it from the root, reduces the focus, and plugs the result back; no context
-value is ever materialised in the API. ``eval_program``'s loop keeps the path
-between reductions and descends in the same order inline. The corpus test in
-``tests/test_reference.py`` pins the loop to iterated ``step`` on outcome,
-step count and final store.
+Evaluation positions follow a fixed order: field-write right-hand side, send
+receiver or let binding first, then arguments left to right. The order is
+written once, in ``_descend``, following refocusing (Danvy & Nielsen,
+"Refocusing in reduction semantics", 2004): the definitional ``step``
+descends from the root, reduces the focus, and plugs the result back; no
+context value is ever materialised in the API. ``eval_program``'s loop keeps
+the path between reductions and resumes the same descent where it plugged.
+The corpus test in ``tests/test_reference.py`` pins the loop to iterated
+``step`` on outcome, step count and final store.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from .syntax import (
     FieldSet,
     IntLit,
     Let,
-    MethodDef,
     New,
     NilLit,
     Program,
@@ -269,26 +271,54 @@ def _fill(r: Redex, owner: Value | None, env: dict[str, Value]) -> Redex:
 # --- one reduction step ------------------------------------------------------
 
 
-def _next_hole(node: Redex) -> tuple[int, Redex] | None:
-    """The first unevaluated child in evaluation order, or None.
+def _descend(focus: Redex, frames: list, i: int) -> Redex:
+    """The redex to reduce next under ``focus``, searching its slots from
+    ``i`` in evaluation order.
 
-    Returns ``(slot, child)``: slot -1 is the field-write right-hand side,
-    the send receiver or the let binding; slot i >= 0 is argument i.
+    Slot -1 is the send receiver, the field-write right-hand side or the let
+    binding; slot i >= 0 is argument i, left to right. Each parent the search
+    passes through is pushed on ``frames``, followed by the slot it entered,
+    so that the caller can plug the reduced result back. Searching from -1
+    finds the leftmost reducible position; after a value is plugged into
+    slot k, searching the parent from k + 1 resumes where the search left.
+    A redex whose slots all hold values is returned itself.
     """
-    t = type(node)
-    if t is RObjectSend:
-        if type(node.receiver) is not RVal:
-            return -1, node.receiver
-    elif t is RFieldSet:
-        return None if type(node.rhs) is RVal else (-1, node.rhs)
-    elif t is RLet:
-        return None if type(node.bound) is RVal else (-1, node.bound)
-    elif t is not RSelfSend and t is not RSuperSend:
-        return None
-    for i, a in enumerate(node.args):
-        if type(a) is not RVal:
-            return i, a
-    return None
+    while True:
+        t = type(focus)
+        if t is RObjectSend:
+            if i < 0:
+                child = focus.receiver
+                if type(child) is not RVal:
+                    frames.append(focus)
+                    frames.append(-1)
+                    focus = child
+                    continue
+                i = 0
+        elif t is RSelfSend or t is RSuperSend:
+            if i < 0:
+                i = 0
+        elif t is RFieldSet or t is RLet:
+            if i < 0:
+                child = focus.rhs if t is RFieldSet else focus.bound
+                if type(child) is not RVal:
+                    frames.append(focus)
+                    frames.append(-1)
+                    focus = child
+                    continue
+            return focus
+        else:
+            return focus
+        # A send's arguments, left to right.
+        args = focus.args
+        n = len(args)
+        while i < n and type(args[i]) is RVal:
+            i += 1
+        if i == n:
+            return focus
+        frames.append(focus)
+        frames.append(i)
+        focus = args[i]
+        i = -1
 
 
 def _set_slot(node: Redex, slot: int, child: Redex) -> Redex:
@@ -308,25 +338,36 @@ def _set_slot(node: Redex, slot: int, child: Redex) -> Redex:
     raise TypeError(f"no slot {slot} on {node!r}")
 
 
-def _resolve(key: tuple,
-             idx: HierarchyIndex) -> tuple[str, tuple[str, MethodDef] | None]:
-    """Resolve a send key ``(kind, class, selector)``, whose kind is the
-    send's redex type: the class the walk starts at, and the index's
-    ``(found class, definition)`` there or None.
+def _activation(key: tuple, idx: HierarchyIndex) -> tuple | Stuck:
+    """What a send key ``(kind, class, selector)`` activates; its kind is
+    the send's redex type.
 
     An object-send sees public definitions only and a self-send any, both
     from the receiver's class. A super-send is keyed by its defining class
     and walks from that class's superclass; above ``Object`` nothing
-    answers.
+    answers. A miss is the ``Stuck`` of ``DoesNotUnderstand`` at the class
+    the walk started at. A hit is ``(that class, parameters, template)``:
+    the template is the body translated for the class where the method was
+    found, with the receiver as ``_OWNER_HOLE``, or the ``Stuck`` of a field
+    the body may not name.
     """
     kind, name, selector = key
-    if kind is RObjectSend:
-        return name, idx.public_lookup(name, selector)
     if kind is RSuperSend:
         name = idx.superclass(name)
-        if name is None:
-            return ROOT_CLASS, None
-    return name, idx.closest_def(name, selector)
+    if name is None:
+        name, found = ROOT_CLASS, None
+    elif kind is RObjectSend:
+        found = idx.public_lookup(name, selector)
+    else:
+        found = idx.closest_def(name, selector)
+    if found is None:
+        return Stuck(DoesNotUnderstand(name, selector))
+    found_class, mdef = found
+    try:
+        template = translate(mdef.body, _OWNER_HOLE, found_class, idx)
+    except UnknownFieldError as err:
+        template = Stuck(UnknownField(err.class_name, err.field))
+    return name, mdef.params, template
 
 
 def _int_builtin(selector: str, args: tuple[Value, ...],
@@ -342,15 +383,14 @@ def _int_builtin(selector: str, args: tuple[Value, ...],
 
 
 def _reduce(node: Redex, store: Store, idx: HierarchyIndex,
-            sends: dict, templates: dict) -> Redex | Stuck:
+            sends: dict) -> Redex | Stuck:
     """Reduce a redex whose children are all values.
 
-    ``sends`` maps a send key (``_resolve``) to its resolution. An
-    activation checks arity first, then fills the template of the method as
-    found: ``templates`` maps (found class, selector) to the translated
-    body, or to the Stuck of a field the body may not name; the key is
-    unique because the index's lookups return a class's first definition of
-    a selector. Both tables answer for one index only.
+    ``sends`` maps a send key to its ``_activation``, filled on first use,
+    so an activation costs one lookup in it. Arity is checked before the
+    template is used, so a wrong-arity send is an ``ArityMismatch`` even
+    where the body names an unknown field. The table answers for one index
+    only.
     """
     t = type(node)
     if t is RObjectSend or t is RSelfSend or t is RSuperSend:
@@ -370,24 +410,15 @@ def _reduce(node: Redex, store: Store, idx: HierarchyIndex,
             if rt is IntVal:
                 return _int_builtin(selector, args, receiver)
             key = (t, store.records[receiver.oid].class_name, selector)
-        resolved = sends.get(key)
-        if resolved is None:
-            resolved = sends[key] = _resolve(key, idx)
-        lookup_class, found = resolved
-        if found is None:
-            return Stuck(DoesNotUnderstand(lookup_class, selector))
-        found_class, mdef = found
-        params = mdef.params
+        activation = sends.get(key)
+        if activation is None:
+            activation = sends[key] = _activation(key, idx)
+        if type(activation) is Stuck:
+            return activation
+        lookup_class, params, template = activation
         if len(params) != len(args):
             return Stuck(ArityMismatch(lookup_class, selector,
                                        len(params), len(args)))
-        template = templates.get((found_class, selector))
-        if template is None:
-            try:
-                template = translate(mdef.body, _OWNER_HOLE, found_class, idx)
-            except UnknownFieldError as err:
-                template = Stuck(UnknownField(err.class_name, err.field))
-            templates[found_class, selector] = template
         if type(template) is Stuck:
             return template
         return _fill(template, receiver, dict(zip(params, args)))
@@ -427,24 +458,18 @@ def step(redex: Redex, store: Store,
     Returns the new redex and store, a ``Stuck`` describing why no rule
     applies, or ``None`` when the redex is already a value (normal form).
     The store is updated in place and returned for convenience. Each call
-    decomposes from the root with ``_next_hole`` and resolves and translates
-    afresh; only ``eval_program``'s loop keeps its tables across steps.
+    decomposes from the root with ``_descend``, reduces with a fresh send
+    table, and plugs the result back along the path.
     """
     if type(redex) is RVal:
         return None
-    path: list[tuple[Redex, int]] = []
-    node = redex
-    while True:
-        hole = _next_hole(node)
-        if hole is None:
-            break
-        path.append((node, hole[0]))
-        node = hole[1]
-    result = _reduce(node, store, idx, {}, {})
+    frames: list = []
+    result = _reduce(_descend(redex, frames, -1), store, idx, {})
     if type(result) is Stuck:
         return result
-    for parent, slot in reversed(path):
-        result = _set_slot(parent, slot, result)
+    while frames:
+        slot = frames.pop()
+        result = _set_slot(frames.pop(), slot, result)
     return result, store
 
 
@@ -468,65 +493,34 @@ def eval_program(program: Program, fuel: int = DEFAULT_FUEL) -> EvalResult:
 
 def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
                fuel: int) -> EvalResult:
-    """Reduction loop with the decomposition path kept on an explicit stack.
+    """Reduction loop that keeps the decomposition path between reductions.
 
     The enclosing nodes wait on ``frames``, each followed by the slot its
     focus fills, instead of the whole redex being rebuilt after each
-    reduction and decomposed again from the root. When the focus is a value
-    it is plugged one level up, and the descent resumes at the parent's next
-    slot. The descent is ``_next_hole``'s order written inline: slot -1 (the
-    receiver, the right-hand side or the binding), then the arguments left
-    to right. ``sends`` and ``templates`` live for this run only, so each
-    send key is resolved, and each found method translated, once per run.
-    The ``_reduce`` calls -- and so the step count, the store and the
-    outcome -- are those of iterating ``step`` from the root;
+    reduction and decomposed again from the root. A reduced focus is
+    descended into from slot -1; a value is plugged one level up and
+    ``_descend`` resumes at the parent's next slot. ``sends`` lives for this
+    run only, so each send key is resolved, and its method translated, once
+    per run. The ``_reduce`` calls -- and so the step count, the store and
+    the outcome -- are those of iterating ``step`` from the root;
     ``test_on_step_path_matches_fast_path_on_generated_corpus`` compares
     all three.
     """
     sends: dict = {}
-    templates: dict = {}
     frames: list = []  # parent, slot, parent, slot, ...
-    push, pop = frames.append, frames.pop
+    pop = frames.pop
     steps = 0
     while True:
-        t = type(focus)
-        if t is RVal:
+        if type(focus) is RVal:
             if not frames:
                 return EvalResult(Completed(focus.value), steps)
             slot = pop()
-            focus = _set_slot(pop(), slot, focus)
-            t = type(focus)
-            i = slot + 1  # the first slot that may still hold a hole
+            focus = _descend(_set_slot(pop(), slot, focus), frames, slot + 1)
         else:
-            i = -1
-        if i < 0:
-            if t is RObjectSend:
-                child = focus.receiver
-            elif t is RFieldSet:
-                child = focus.rhs
-            elif t is RLet:
-                child = focus.bound
-            else:
-                child = None
-            if child is not None and type(child) is not RVal:
-                push(focus)
-                push(-1)
-                focus = child
-                continue
-            i = 0
-        if t is RObjectSend or t is RSelfSend or t is RSuperSend:
-            args = focus.args
-            n = len(args)
-            while i < n and type(args[i]) is RVal:
-                i += 1
-            if i < n:
-                push(focus)
-                push(i)
-                focus = args[i]
-                continue
+            focus = _descend(focus, frames, -1)
         if steps >= fuel:
             return EvalResult(FuelExhausted(), steps)
-        result = _reduce(focus, store, idx, sends, templates)
+        result = _reduce(focus, store, idx, sends)
         if type(result) is Stuck:
             return EvalResult(Errored(result.reason), steps)
         steps += 1

@@ -270,8 +270,8 @@ def test_criterion_7_overhead_bound():
     # machine cannot land on one side's block alone.
     baseline, worst = bench_pair(
         workload,
-        BenchConfig(label="baseline", mode=CompileMode.BASELINE, **config),
-        BenchConfig(label="worst-case", mode=CompileMode.WORST_CASE, **config))
+        BenchConfig(mode=CompileMode.BASELINE, **config),
+        BenchConfig(mode=CompileMode.WORST_CASE, **config))
     elapsed = time.monotonic() - started
     assert elapsed < OVERHEAD_TIME_BUDGET_S
     assert worst.relative_overhead is not None

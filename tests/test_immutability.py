@@ -7,12 +7,13 @@ node's field. These tests stand in for that guard: they snapshot a program
 and its images, run every phase over them, and compare. A program keeps its
 hierarchy index, so a reference back from the index, or any other cycle a
 phase builds, would keep every parsed program alive until a collection; the
-garbage tests run the pipeline with the collector off and count what it
-finds.
+same pass runs with the collector off, and the garbage tests count what it
+finds afterwards.
 """
 
 import copy
 import gc
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,86 +60,95 @@ def _image_snapshot(image):
     return image_fingerprint(image), desugar_dump(image)
 
 
-def _check(program, installs=None):
-    if installs is None:
-        installs = _generated_installs(program)
-    snapshot = copy.deepcopy(program)
-    # Compiled from the copy, these images share no node with the ones the
-    # phases below read, so their fingerprints are the "before" values.
-    before = [_image_snapshot(compile_program(snapshot, mode))
-              for mode in CompileMode]
-    images = [compile_program(program, mode) for mode in CompileMode]
-    assert [_image_snapshot(image) for image in images] == before
-    for image in images:
-        grown = image
-        for class_name, mdef in installs:
-            grown = install_method(grown, class_name, mdef)
-        for target in (image, grown):
-            run_all_configs(target, fuel=FUEL)
-            desugar_dump(target)
-    eval_program(program, fuel=FUEL)
-    differential_run(program, fuel=FUEL)
-    assert program == snapshot
-    assert [_image_snapshot(image) for image in images] == before
+def _pipeline_pass(source, installs=None):
+    """Every phase, once, from the source text: parse, validate, compile in
+    every mode, installs, runs in every cache configuration, the reference
+    evaluator and a differential run.
 
-
-@pytest.mark.parametrize("seed", range(200))
-def test_no_phase_mutates_a_generated_program(seed):
-    _check(generate_program(seed))
-
-
-@pytest.mark.parametrize("name", GOLDEN)
-def test_no_phase_mutates_a_golden_program(name):
-    _check(parse((PROGRAMS / name).read_text()))
-
-
-@pytest.mark.parametrize("pool", sorted(POOLS))
-def test_no_phase_mutates_a_pipeline_program(pool):
-    head = POOLS[pool](1)[0]
-    _check(parse(head.source), head.installs or None)
-
-
-def _pipeline(source, installs=None):
-    """Every phase, from the source text: parse, validate, compile in every
-    mode, installs, runs in every cache configuration, the reference
-    evaluator and a differential run."""
-    program = parse(source)
-    if installs is None:
-        installs = _generated_installs(program)
-    assert validate(program) == []
-    for mode in CompileMode:
-        image = compile_program(program, mode)
-        for class_name, mdef in installs:
-            image = install_method(image, class_name, mdef)
-        run_all_configs(image, fuel=FUEL)
-    eval_program(program, fuel=FUEL)
-    differential_run(program, fuel=FUEL)
-
-
-def _assert_no_cyclic_garbage(source, installs=None):
-    # Frozen objects are never scanned, so the count covers only what the
-    # pipeline built, without first collecting the whole test session's heap.
+    Returns the checks that failed: ``changed`` names each comparison of a
+    program or image with its snapshot that no longer holds, and
+    ``garbage`` is what the cyclic collector finds after the pass. The
+    whole pass, comparisons included, runs with the collector off; frozen
+    objects are never scanned, so the count covers only what the pass
+    built, without first collecting the whole test session's heap.
+    """
     gc.freeze()
     gc.disable()
     try:
-        _pipeline(source, installs)
-        assert gc.collect() == 0
+        program = parse(source)
+        if installs is None:
+            installs = _generated_installs(program)
+        assert validate(program) == []
+        snapshot = copy.deepcopy(program)
+        # Compiled from the copy, these images share no node with the ones
+        # the phases below read, so their fingerprints are the "before"
+        # values.
+        before = [_image_snapshot(compile_program(snapshot, mode))
+                  for mode in CompileMode]
+        images = [compile_program(program, mode) for mode in CompileMode]
+        changed = []
+        if [_image_snapshot(image) for image in images] != before:
+            changed.append("images after compile")
+        for image in images:
+            grown = image
+            for class_name, mdef in installs:
+                grown = install_method(grown, class_name, mdef)
+            for target in (image, grown):
+                run_all_configs(target, fuel=FUEL)
+                desugar_dump(target)
+        eval_program(program, fuel=FUEL)
+        differential_run(program, fuel=FUEL)
+        if program != snapshot:
+            changed.append("program")
+        if [_image_snapshot(image) for image in images] != before:
+            changed.append("images after every phase")
+        garbage = gc.collect()
     finally:
         gc.enable()
         gc.unfreeze()
+    return SimpleNamespace(changed=changed, garbage=garbage)
 
 
-@pytest.mark.parametrize("seed", range(200))
-def test_no_cyclic_garbage_from_a_generated_program(seed):
-    _assert_no_cyclic_garbage(pretty_program(generate_program(seed)))
+# Each fixture runs one pass per program; both families read it. Module
+# scope makes pytest run the two tests of a program next to each other and
+# drop the pass before the next program's.
 
 
-@pytest.mark.parametrize("name", GOLDEN)
-def test_no_cyclic_garbage_from_a_golden_program(name):
-    _assert_no_cyclic_garbage((PROGRAMS / name).read_text())
+@pytest.fixture(scope="module", params=range(200))
+def generated(request):
+    return _pipeline_pass(pretty_program(generate_program(request.param)))
 
 
-@pytest.mark.parametrize("pool", sorted(POOLS))
-def test_no_cyclic_garbage_from_a_pipeline_program(pool):
-    head = POOLS[pool](1)[0]
-    _assert_no_cyclic_garbage(head.source, head.installs or None)
+@pytest.fixture(scope="module", params=GOLDEN)
+def golden(request):
+    return _pipeline_pass((PROGRAMS / request.param).read_text())
+
+
+@pytest.fixture(scope="module", params=sorted(POOLS))
+def pooled(request):
+    head = POOLS[request.param](1)[0]
+    return _pipeline_pass(head.source, head.installs or None)
+
+
+def test_no_phase_mutates_a_generated_program(generated):
+    assert generated.changed == []
+
+
+def test_no_phase_mutates_a_golden_program(golden):
+    assert golden.changed == []
+
+
+def test_no_phase_mutates_a_pipeline_program(pooled):
+    assert pooled.changed == []
+
+
+def test_no_cyclic_garbage_from_a_generated_program(generated):
+    assert generated.garbage == 0
+
+
+def test_no_cyclic_garbage_from_a_golden_program(golden):
+    assert golden.garbage == 0
+
+
+def test_no_cyclic_garbage_from_a_pipeline_program(pooled):
+    assert pooled.garbage == 0

@@ -221,10 +221,10 @@ def test_images_equal_detects_differences(two_level_program):
 # -- bench ------------------------------------------------------------------------
 
 
-def quick(label="normal", **kw):
+def quick(**kw):
     defaults = dict(invocations=2, iterations=4, warmup=1, fuel=2_000_000)
     defaults.update(kw)
-    return BenchConfig(label=label, **defaults)
+    return BenchConfig(**defaults)
 
 
 def test_bench_rejects_empty_budgets(two_level_program):
@@ -247,8 +247,8 @@ def test_bench_rejects_non_terminating_workload():
 def test_bench_reports_medians_and_overhead(two_level_program):
     program = repeat_main(two_level_program, 50)
     baseline, measured = bench_pair(
-        program, quick("baseline", mode=CompileMode.BASELINE),
-        quick("worst", mode=CompileMode.WORST_CASE))
+        program, quick(mode=CompileMode.BASELINE),
+        quick(mode=CompileMode.WORST_CASE))
     assert len(baseline.samples) == 2 * (4 - 1)
     assert measured.median > 0
     assert measured.relative_overhead is not None

@@ -26,6 +26,7 @@ from protolite.reference import (
     RVar,
     Store,
     Stuck,
+    _descend,
     _eval_loop,
     _fill,
     _reduce,
@@ -203,6 +204,50 @@ def test_leftmost_evaluation_order():
     assert result.outcome == Completed(Oid(1))
 
 
+def test_descend_follows_evaluation_order():
+    a, b, c = RNew("A"), RNew("B"), RNew("C")
+    # The receiver comes before any argument.
+    send = RObjectSend(a, "m", (b, c))
+    frames = []
+    assert _descend(send, frames, -1) is a
+    assert frames == [send, -1]
+    # Arguments go left to right, past those already values.
+    send = RObjectSend(RVal(NIL), "m", (RVal(NIL), b, c))
+    frames = []
+    assert _descend(send, frames, -1) is b
+    assert frames == [send, 1]
+    # Resuming from slot + 1 after a plug finds the next hole, or the parent
+    # itself once every slot holds a value.
+    frames = []
+    assert _descend(send, frames, 2) is c
+    assert frames == [send, 2]
+    frames = []
+    assert _descend(send, frames, 3) is send and frames == []
+    # Self- and super-sends have arguments only.
+    for node in (RSelfSend(NIL, "C", "m", (b,)),
+                 RSuperSend(NIL, "C", "m", (b,))):
+        frames = []
+        assert _descend(node, frames, -1) is b and frames == [node, 0]
+    # The field-write right-hand side and the let binding are slot -1; a let
+    # body is not an evaluation position.
+    for node in (RFieldSet(Oid(1), "f", a), RLet("x", a, b)):
+        frames = []
+        assert _descend(node, frames, -1) is a and frames == [node, -1]
+    ready = RLet("x", RVal(NIL), b)
+    frames = []
+    assert _descend(ready, frames, -1) is ready and frames == []
+    # Descent goes through nested parents, pushing each with its slot.
+    inner = RObjectSend(a, "k", ())
+    outer = RSelfSend(NIL, "C", "m", (inner, b))
+    frames = []
+    assert _descend(outer, frames, -1) is a
+    assert frames == [outer, 0, inner, -1]
+    plugged = RObjectSend(RVal(Oid(1)), "k", ())
+    frames = frames[:2]
+    assert _descend(plugged, frames, 0) is plugged
+    assert frames == [outer, 0]
+
+
 # -- whole programs ----------------------------------------------------------------
 
 
@@ -333,10 +378,10 @@ ON_STEP_CORPUS_FUEL = 500
 
 
 def test_on_step_path_matches_fast_path_on_generated_corpus():
-    # Iterated from the root, ``step`` decomposes with ``_next_hole`` and
-    # resolves and translates every send afresh; ``eval_program``'s loop
-    # descends inline and keeps its send table and templates. Both must
-    # perform the same reductions: same outcome, steps and final heap.
+    # Iterated from the root, ``step`` descends from the root and resolves
+    # and translates every send afresh; ``eval_program``'s loop resumes the
+    # descent where it plugged and keeps its send table. Both must perform
+    # the same reductions: same outcome, steps and final heap.
     for seed in range(200):
         program = generate_program(seed)
         fast, fast_store = _loop_from_root(program, ON_STEP_CORPUS_FUEL)
@@ -440,11 +485,11 @@ def test_unknown_field_template_is_stuck_on_every_activation():
     cidx = HierarchyIndex(program)
     store = Store()
     send = RObjectSend(RVal(Oid(store.allocate("C", ()))), "m", ())
-    sends, templates = {}, {}
-    first = _reduce(send, store, cidx, sends, templates)
-    second = _reduce(send, store, cidx, sends, templates)
+    sends = {}
+    first = _reduce(send, store, cidx, sends)
+    second = _reduce(send, store, cidx, sends)
     assert first == second == Stuck(UF("C", "zz"))
-    assert templates == {("C", "m"): Stuck(UF("C", "zz"))}
+    assert sends == {(RObjectSend, "C", "m"): ("C", (), Stuck(UF("C", "zz")))}
 
 
 def test_arity_mismatch_wins_over_unknown_field():
@@ -456,12 +501,11 @@ def test_arity_mismatch_wins_over_unknown_field():
     cidx = HierarchyIndex(program)
     store = Store()
     receiver = RVal(Oid(store.allocate("C", ())))
-    sends, templates = {}, {}
+    sends = {}
     right = RObjectSend(receiver, "m", (RVal(NIL),))
-    assert _reduce(right, store, cidx, sends, templates) == \
-        Stuck(UF("C", "zz"))
+    assert _reduce(right, store, cidx, sends) == Stuck(UF("C", "zz"))
     wrong = RObjectSend(receiver, "m", ())
-    assert _reduce(wrong, store, cidx, sends, templates) == \
+    assert _reduce(wrong, store, cidx, sends) == \
         Stuck(ArityMismatch("C", "m", 1, 0))
 
 
@@ -469,6 +513,8 @@ def test_arity_mismatch_wins_over_unknown_field():
 
 
 def test_each_send_is_resolved_once_per_run(monkeypatch):
+    from protolite import reference
+
     resolved = []
     for name in ("closest_def", "public_lookup"):
         def counting(self, cls, selector, real=getattr(HierarchyIndex, name),
@@ -477,6 +523,20 @@ def test_each_send_is_resolved_once_per_run(monkeypatch):
             return real(self, cls, selector)
 
         monkeypatch.setattr(HierarchyIndex, name, counting)
+    translated = []
+    depth = [0]  # translate recurses through the patched name
+    real_translate = reference.translate
+
+    def counting_translate(e, owner, defining_class, idx):
+        if depth[0] == 0 and owner is reference._OWNER_HOLE:
+            translated.append(defining_class)
+        depth[0] += 1
+        try:
+            return real_translate(e, owner, defining_class, idx)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(reference, "translate", counting_translate)
     p = parse("""
         class C extends Object {
           method id(n) { n }
@@ -488,11 +548,15 @@ def test_each_send_is_resolved_once_per_run(monkeypatch):
     once = [("public_lookup", "D", "inc"),  # object-send from main
             ("closest_def", "C", "inc"),  # super-send from D, walk from C
             ("closest_def", "D", "id")]  # self-send, receiver's class
+    # One translation per send key, for the class where the walk found it.
+    found_in = ["D", "C", "C"]
     resolved.clear()
     assert eval_program(p).outcome == Completed(IntVal(3))
     assert resolved == once
+    assert translated == found_in
     assert eval_program(p).outcome == Completed(IntVal(3))
     assert resolved == once + once  # the table lives for one run only
+    assert translated == found_in + found_in
 
 
 def test_installed_override_answers_after_a_run():
