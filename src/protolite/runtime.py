@@ -11,7 +11,11 @@ Two optional layers sit in front of it:
   or stops at the first empty slot and installs the chain walk's result
   there (three taken slots evict the home slot)
 * per-send-site inline caches that memoise receiver class -> method and grow
-  monomorphic -> polymorphic -> megamorphic
+  monomorphic -> polymorphic -> megamorphic; an entry also holds the
+  callee's code, so a hit goes straight to the activation. A hit skips the
+  arity check too: the miss that filled the entry checked the arity after
+  the fill, a mismatch ends the run, and a site always passes the same
+  number of arguments
 
 Object, self- and super-sends share one miss path in the run loop. Failed
 lookups are never cached at either level, because installing a method
@@ -34,13 +38,16 @@ touches the host's recursion limit.
 
 Integers are plain Python ``int``s inside the runtime, unboxed as
 Smalltalk-80's SmallIntegers are: constants, stack slots, environments and
-field values hold them raw. ``run`` boxes once, at the boundary, so a final
-``int`` comes back as ``Completed(IntVal(n))``. Anything that later reads
+field values hold them raw. Object references are unboxed too, as a private
+``_Ref`` of oid and class name, so a send reads the receiver's class off the
+reference; the fields stay in ``records``. ``run`` boxes once, at the
+boundary, so a final ``int`` comes back as ``Completed(IntVal(n))`` and a
+final reference as ``Completed(Oid(n))``. Anything that later reads
 ``records`` from outside, such as a heap comparison against the reference
-evaluator's store, must box its integers too. A ``+`` send with one
-argument lowers to its own ``ADD`` instruction, whose inline fast path adds
-two integers; any other operands take the generic send on the same site
-(Deutsch & Schiffman, POPL 1984).
+evaluator's store, must box both its integers and its ``_Ref``s. A ``+``
+send with one argument lowers to its own ``ADD`` instruction, whose inline
+fast path adds two integers; any other operands take the generic send on
+the same site (Deutsch & Schiffman, POPL 1984).
 
 Step accounting deliberately matches the reference evaluator event for event
 (allocations, field reads/writes, sends, let bindings), so a fuel budget
@@ -83,7 +90,7 @@ from .syntax import (
     SelfRef,
     Var,
 )
-from .values import INT_CLASS, NIL, IntVal, Nil, Oid, Value
+from .values import INT_CLASS, NIL, IntVal, Nil, Oid
 
 GLOBAL_CACHE_SIZE = 1024
 GLOBAL_CACHE_PROBES = 3
@@ -91,10 +98,6 @@ INLINE_CACHE_LIMIT = 6  # polymorphic entries before a site goes megamorphic
 
 _HASH_A = 0x9E3779B1
 _HASH_B = 0x85EBCA77
-
-
-def _probe_base(class_id: int, symbol_id: int) -> int:
-    return ((class_id * _HASH_A) ^ (symbol_id * _HASH_B)) & 0xFFFFFFFF
 
 
 @dataclass
@@ -124,6 +127,20 @@ class _Megamorphic(tuple):
 
 
 MEGAMORPHIC = _Megamorphic()
+
+
+class _Ref:
+    """An object reference inside a run: its oid and its class name.
+
+    The fields stay in the interpreter's ``records``, so a cyclic heap
+    builds no cycle of Python objects. ``run`` boxes a final one as Oid.
+    """
+
+    __slots__ = ("oid", "cls")
+
+    def __init__(self, oid: int, cls: str):
+        self.oid = oid
+        self.cls = cls
 
 
 @dataclass
@@ -185,20 +202,32 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 
     Slots are never emptied during a run and a key is installed at the
     first empty slot of its probes, so the scan stops there: that slot is
-    both the miss verdict and the install target. Failures are not cached.
+    both the miss verdict and the install target; three taken slots evict
+    the home slot. Failures are not cached. The scan of the
+    ``GLOBAL_CACHE_PROBES`` slots is unrolled, the hash written inline.
     """
-    base = _probe_base(image.classes[class_name].class_id, selector.id)
+    base = ((image.classes[class_name].class_id * _HASH_A)
+            ^ (selector.id * _HASH_B)) & 0xFFFFFFFF
     slots = cache.slots
-    target = base % GLOBAL_CACHE_SIZE
-    for probe in range(GLOBAL_CACHE_PROBES):
-        i = (base + probe) % GLOBAL_CACHE_SIZE
-        slot = slots[i]
-        if slot is None:
-            target = i
-            break
+    home = target = base % GLOBAL_CACHE_SIZE
+    slot = slots[home]
+    if slot is not None:
         if slot[1] is selector and slot[0] == class_name:
-            cache.probe_hits[probe] += 1
+            cache.probe_hits[0] += 1
             return slot[2], slot[3]
+        target = (base + 1) % GLOBAL_CACHE_SIZE
+        slot = slots[target]
+        if slot is not None:
+            if slot[1] is selector and slot[0] == class_name:
+                cache.probe_hits[1] += 1
+                return slot[2], slot[3]
+            target = (base + 2) % GLOBAL_CACHE_SIZE
+            slot = slots[target]
+            if slot is not None:
+                if slot[1] is selector and slot[0] == class_name:
+                    cache.probe_hits[2] += 1
+                    return slot[2], slot[3]
+                target = home
     cache.misses += 1
     found = default_lookup(class_name, selector, image)
     if found is not None:
@@ -347,10 +376,11 @@ class Interpreter:
         # None when the global cache is off, so such a run builds no table.
         self.global_cache = GlobalCache() if global_cache_on else None
         # Per send site, indexed by site id: () while unfilled, a list of
-        # (class name, (method, defining class)) pairs, or MEGAMORPHIC.
+        # (class name, (method, defining class), callee code) entries, or
+        # MEGAMORPHIC.
         self.site_caches: list = [()] * image.site_count
-        # Field values are unboxed: an int, nil or an Oid.
-        self.records: dict[int, tuple[str, dict[str, Value | int]]] = {}
+        # Field values are unboxed: an int, nil or a _Ref.
+        self.records: dict[int, tuple[str, dict[str, Nil | int | _Ref]]] = {}
         self.next_oid = 1
         self.steps = 0
         self.distinct_keys: set[tuple[str, str]] = set()
@@ -374,14 +404,16 @@ class Interpreter:
             return RunResult(FuelExhausted(), 0, self._stats())
         try:
             value = self._execute()
-            # The one place a runtime integer is boxed.
-            outcome = Completed(IntVal(value) if value.__class__ is int
+            # The one place a runtime integer or reference is boxed.
+            kind = value.__class__
+            outcome = Completed(IntVal(value) if kind is int
+                                else Oid(value.oid) if kind is _Ref
                                 else value)
         except _Stop as stop:
             outcome = stop.outcome
         return RunResult(outcome, self.steps, self._stats())
 
-    def _execute(self) -> Value | int:
+    def _execute(self) -> Nil | int | _Ref:
         """Run main's code to its final RETURN; stuck states raise _Stop.
 
         The hot state lives in locals and is written back on the way out.
@@ -403,10 +435,10 @@ class Interpreter:
 
         code, _, pad = _code_of(image, None)
         env: list = list(pad)
-        owner: Value = NIL
+        owner: Nil | _Ref = NIL
         defining = ROOT_CLASS
         pc = 0
-        stack: list[Value | int] = []
+        stack: list[Nil | int | _Ref] = []
         push = stack.append
         pop = stack.pop
         frames: list[tuple] = []
@@ -445,23 +477,20 @@ class Interpreter:
                                                            a.plain_text))
                     else:
                         receiver = owner if op == SELF_SEND else stack[-1 - b]
-                        kind = receiver.__class__
-                        if kind is int:
-                            # '+' on two ints never gets here: ADD did it.
-                            raise _int_failure(a.plain_text, b)
-                        if kind is Nil:
-                            raise _stuck(NilReceiver(a.plain_text))
-                        lookup_class = records[receiver.oid][0]
+                        if receiver.__class__ is not _Ref:
+                            raise _receiver_failure(receiver, a.plain_text, b)
+                        lookup_class = receiver.cls
                         if inline_cache_on:
-                            for cached_class, cached in site_caches[a.site_id]:
+                            for cached_class, found, callee in \
+                                    site_caches[a.site_id]:
                                 if cached_class == lookup_class:
-                                    found = cached
+                                    ic_hits += 1
+                                    if shadow_lookup_check:
+                                        self._check_shadow(
+                                            lookup_class, a.selector, found)
                                     break
-                        if found is not None:
-                            ic_hits += 1
-                            if shadow_lookup_check:
-                                self._check_shadow(lookup_class, a.selector,
-                                                   found)
+                            else:
+                                found = None
                     if found is None:
                         # Every send's miss path. Inline-cache hits skip
                         # the key count: the fill counted the key. Tracers
@@ -479,6 +508,9 @@ class Interpreter:
                             # Diagnostics show the unmangled selector.
                             raise _stuck(DoesNotUnderstand(lookup_class,
                                                            a.plain_text))
+                        callee = codes.get(found[0])
+                        if callee is None:
+                            callee = _code_of(image, found[0])
                         # A super-send's start class is static: no fill.
                         if inline_cache_on and op != SUPER_SEND:
                             entry = site_caches[a.site_id]
@@ -486,28 +518,32 @@ class Interpreter:
                                 ic_fills += 1
                                 if not entry:
                                     site_caches[a.site_id] = [
-                                        (lookup_class, found)]
+                                        (lookup_class, found, callee)]
                                 elif len(entry) < INLINE_CACHE_LIMIT:
-                                    entry.append((lookup_class, found))
+                                    entry.append((lookup_class, found, callee))
                                 else:
                                     site_caches[a.site_id] = MEGAMORPHIC
-                    method, method_class = found
-                    callee = codes.get(method)
-                    if callee is None:
-                        callee = _code_of(image, method)
-                    callee_code, nparams, pad = callee
-                    if nparams != b:
-                        raise _stuck(ArityMismatch(lookup_class, a.plain_text,
-                                                   nparams, b))
+                        # A hit skips this check. The fill comes first and a
+                        # mismatch ends the run; a site always passes the
+                        # same argument count, so every entry a later hit
+                        # finds has passed it.
+                        if callee[1] != b:
+                            raise _stuck(ArityMismatch(lookup_class,
+                                                       a.plain_text,
+                                                       callee[1], b))
+                    # The activation, shared by hits and misses.
                     if steps >= fuel:
                         raise _Stop(FuelExhausted())
                     steps += 1
+                    callee_code, _, pad = callee
                     if b:
                         callee_env = stack[-b:]
                         del stack[-b:]
                         callee_env += pad
                     else:
-                        callee_env = list(pad)
+                        # Code without parameters or lets reads no slot, so
+                        # it shares the empty padding tuple.
+                        callee_env = list(pad) if pad else pad
                     if op == SEND:
                         pop()
                     if code[pc] is not _RETURN:
@@ -516,7 +552,7 @@ class Interpreter:
                     pc = 0
                     env = callee_env
                     owner = receiver
-                    defining = method_class
+                    defining = found[1]
                 elif op == SELF:
                     push(owner)
                 elif op == LET:
@@ -545,7 +581,7 @@ class Interpreter:
                     steps += 1
                     records[next_oid] = (a, dict.fromkeys(icls.all_fields,
                                                           NIL))
-                    push(Oid(next_oid))
+                    push(_Ref(next_oid, a))
                     next_oid += 1
                 else:  # UNBOUND
                     raise _stuck(UnknownVariable(a))
@@ -574,7 +610,7 @@ class Interpreter:
                             "method": holder[1],
                             "selector": site.plain_text,
                             "state": "mega" if mega else "poly",
-                            "receivers": [name for name, _ in entry]})
+                            "receivers": [e[0] for e in entry]})
         return sorted(rows, key=lambda row: row["site"])
 
     def _stats(self) -> CacheStats:
@@ -603,8 +639,11 @@ class Interpreter:
         )
 
 
-def _int_failure(selector: str, nargs: int) -> _Stop:
-    """The stuck state of a send to an integer that ADD did not answer."""
+def _receiver_failure(receiver: Nil | int, selector: str, nargs: int) -> _Stop:
+    """The stuck state of a send to nil, or to an integer that ADD did not
+    answer ('+' on two ints never gets to a send)."""
+    if receiver.__class__ is Nil:
+        return _stuck(NilReceiver(selector))
     if selector != "+":
         return _stuck(DoesNotUnderstand(INT_CLASS, selector))
     if nargs != 1:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from protolite.compiler import CompileMode, RuntimeImage, compile_program
 from protolite.metrics import DIFF_FUEL, DiffResult, differential_run
 from protolite.outcomes import Outcome
-from protolite.runtime import (
-    GLOBAL_CACHE_SIZE,
-    RunResult,
-    _probe_base,
-    run_image,
-)
+from protolite.runtime import GLOBAL_CACHE_SIZE, RunResult, run_image
 from protolite.syntax import Program
 
 
@@ -79,6 +74,12 @@ def run_all_configs(image: RuntimeImage, fuel: int = DIFF_FUEL) -> list[RunResul
         run_image(image, global_cache_on=g, inline_cache_on=i, fuel=fuel)
         for g in (False, True) for i in (False, True)
     ]
+
+
+def _probe_base(class_id: int, symbol_id: int) -> int:
+    """The 32-bit hash of a lookup key; its home slot is the hash modulo the
+    table size."""
+    return ((class_id * 0x9E3779B1) ^ (symbol_id * 0x85EBCA77)) & 0xFFFFFFFF
 
 
 def probe_index(class_id: int, symbol_id: int, probe: int) -> int:

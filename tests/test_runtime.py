@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import tracemalloc
@@ -499,3 +500,69 @@ def test_plus_site_goes_polymorphic_over_plus_methods(capsys, monkeypatch,
     assert [{k: v for k, v in row.items() if k != "site"} for row in rows] == [
         {"class": "Adder", "method": "add", "selector": "+", "state": "poly",
          "receivers": ["P", "Q"]}]
+
+
+# -- references and inline-cache entries ------------------------------------------
+
+
+def test_arity_mismatch_on_a_site_that_cached_another_arity():
+    # One site in D.call sees P (m takes one argument) and then Q (m takes
+    # none). The hit path skips the arity check, so Q's send must miss.
+    program = parse("""
+        class P extends Object { method m(x) { x } }
+        class Q extends Object { method m() { 0 } }
+        class D extends Object { method call(o) { o.m(1) } }
+        main { let d = new D in let y = d.call(new P) in d.call(new Q) }
+    """)
+    runs = _runs_like_reference(program)
+    assert {run.outcome for run in runs} == {
+        Errored(ArityMismatch("Q", "m", 0, 1))}
+    interp = Interpreter(compile_program(program))
+    stats = interp.run().stats
+    # Main's two sends fill once each; the shared site fills for P, then
+    # for Q before the arity check stops the run.
+    assert (stats.ic_fills, stats.ic_hits) == (4, 0)
+    assert [(row["method"], row["receivers"]) for row in interp.sites()] == [
+        ("call", ["P", "Q"])]
+
+
+def test_a_cyclic_heap_leaves_no_cyclic_garbage():
+    # References carry their oid and class, not their fields, so two
+    # objects that point at each other build no cycle of Python objects.
+    program = parse("""
+        class N extends Object {
+          fields: peer;
+          method link(o) { peer := o }
+        }
+        main {
+          let a = new N in let b = new N in
+          let x = a.link(b) in let y = b.link(a) in a
+        }
+    """)
+    runs = _runs_like_reference(program)
+    assert runs[0].outcome == Completed(Oid(1))
+    image = compile_program(program)
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        run_image(image)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    assert garbage == 0
+
+
+def test_parameterless_let_free_callees_then_a_let():
+    # z and zz take no arguments and bind no let, so they run in the shared
+    # empty environment; lets then binds two slots of its own.
+    runs = _runs_like_reference(parse("""
+        class C extends Object {
+          method z() { 7 }
+          method zz() { self.z() + self.z() }
+          method lets() { let a = self.zz() in let b = self.z() in a + b }
+        }
+        main { let c = new C in let r = c.zz() + c.zz() in c.lets() + r }
+    """))
+    assert runs[0].outcome == Completed(IntVal(49))
