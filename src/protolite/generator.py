@@ -3,20 +3,27 @@
 Programs are deterministic per seed. Construction guarantees every static
 rule: globally unique field names, one method per selector per class, a fixed
 arity per selector across the whole program, an acyclic hierarchy bounded at
-depth five, and no protected override of an inherited public method.
+depth ``MAX_HIERARCHY_DEPTH``, and no protected override of an inherited
+public method. The size and shape bounds are the module constants below;
+``GeneratorConfig`` holds only what a caller sets.
 
 Generation runs in two phases: first the hierarchy and all method signatures,
-then the bodies. Knowing every signature up front lets bodies aim most sends
-at selectors their receiver actually answers -- self-sends at the defining
-chain (protected ones included), object-sends at public methods of a concrete
-class -- while still mixing in unresolvable selectors, nil receivers, and
-failing arithmetic so error paths stay covered.
+then the bodies. Each class's plan is built once from its superclass's plan
+and carries its chain's view: visible fields, and the selectors the chain
+answers and answers publicly. Since no protected method overrides a public
+one, a selector's protected definitions lie above its public ones on every
+chain, so a chain answers a selector publicly exactly when the closest
+definition is public. Knowing every signature up front lets bodies aim
+most sends at selectors their receiver actually answers -- self-sends at the
+defining chain (protected ones included), object-sends at public methods of a
+concrete class -- while still mixing in unresolvable selectors, nil
+receivers, and failing arithmetic so error paths stay covered.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     PROTECTED,
@@ -38,33 +45,43 @@ from .syntax import (
     Var,
 )
 
-# Selector -> arity, fixed program-wide so dynamic dispatch can never
-# activate a method with the wrong argument count.
-SELECTOR_ARITIES: dict[str, int] = {
-    "alpha": 0, "beta": 0, "gamma": 0, "delta": 1,
-    "epsilon": 1, "zeta": 1, "eta": 2, "theta": 0,
-}
+# (selector, arity) pairs, the arity fixed program-wide so dynamic dispatch
+# can never activate a method with the wrong argument count.
+SELECTORS: tuple[tuple[str, int], ...] = (
+    ("alpha", 0), ("beta", 0), ("gamma", 0), ("delta", 1),
+    ("epsilon", 1), ("zeta", 1), ("eta", 2), ("theta", 0),
+)
+MAX_CLASSES = 8
+MAX_METHODS_PER_CLASS = 6
+MAX_FIELDS_PER_CLASS = 2
+MAX_BODY_DEPTH = 3
+MAX_HIERARCHY_DEPTH = 5
+PROTECTED_PROBABILITY = 0.4
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    max_classes: int = 8
-    max_methods_per_class: int = 6
-    max_fields_per_class: int = 2
-    max_body_depth: int = 3
-    max_hierarchy_depth: int = 5
-    protected_probability: float = 0.4
+    """The one switch callers set: ``allow_protected``, on by default.
+    perfbench's ``fuzz_diff`` and the tests that need protected-free
+    programs turn it off."""
     allow_protected: bool = True
-    selectors: tuple[tuple[str, int], ...] = field(
-        default_factory=lambda: tuple(SELECTOR_ARITIES.items()))
 
 
 @dataclass
 class _ClassPlan:
+    """A class's signatures plus its chain's view, built once from its
+    superclass's plan. Pair lists run closest definition first."""
     name: str
-    superclass: str
-    fields: list[str]
+    parent: _ClassPlan | None
+    depth: int
+    own_fields: tuple[str, ...]
+    fields: tuple[str, ...]  # visible fields, nearest class first
     signatures: list[tuple[str, int, str]]  # (selector, arity, visibility)
+    answers: tuple[tuple[str, int], ...]  # every selector the chain answers
+    public: tuple[tuple[str, int], ...]  # those whose closest def is public
+
+
+_ROOT_PLAN = _ClassPlan(ROOT_CLASS, None, 0, (), (), [], (), ())
 
 
 class _Generator:
@@ -74,80 +91,45 @@ class _Generator:
         self.field_counter = 0
         self.var_counter = 0
         self.plans: list[_ClassPlan] = []
-        self.by_name: dict[str, _ClassPlan] = {}
-        self.depths: dict[str, int] = {}
         self.current_selector: str | None = None
 
     # -- phase 1: hierarchy and signatures ---------------------------------
 
     def plan(self) -> None:
-        n_classes = self.rng.randint(1, self.config.max_classes)
-        for i in range(n_classes):
-            name = f"C{i}"
-            candidates = [ROOT_CLASS] + [
-                p.name for p in self.plans
-                if self.depths[p.name] < self.config.max_hierarchy_depth
-            ]
-            superclass = self.rng.choice(candidates)
-            self.depths[name] = self.depths.get(superclass, 0) + 1
+        rng = self.rng
+        for i in range(rng.randint(1, MAX_CLASSES)):
+            parent = rng.choice([_ROOT_PLAN] + [
+                p for p in self.plans if p.depth < MAX_HIERARCHY_DEPTH])
 
-            fields = []
-            for _ in range(self.rng.randint(0, self.config.max_fields_per_class)):
-                fields.append(f"f{self.field_counter}")
-                self.field_counter += 1
+            n_fields = rng.randint(0, MAX_FIELDS_PER_CLASS)
+            own_fields = tuple(f"f{self.field_counter + k}"
+                               for k in range(n_fields))
+            self.field_counter += n_fields
 
-            pool = list(self.config.selectors)
-            self.rng.shuffle(pool)
-            n_methods = self.rng.randint(
-                0, min(self.config.max_methods_per_class, len(pool)))
+            pool = list(SELECTORS)
+            rng.shuffle(pool)
+            # No method is made protected below a public one, so "some public
+            # definition above" is "the closest definition above is public".
+            public_above = dict(parent.public)
             signatures = []
+            n_methods = rng.randint(0, MAX_METHODS_PER_CLASS)
             for selector, arity in pool[:n_methods]:
                 if (self.config.allow_protected
-                        and not self._public_above(superclass, selector)
-                        and self.rng.random() < self.config.protected_probability):
+                        and selector not in public_above
+                        and rng.random() < PROTECTED_PROBABILITY):
                     visibility = PROTECTED
                 else:
                     visibility = PUBLIC
                 signatures.append((selector, arity, visibility))
-            plan = _ClassPlan(name, superclass, fields, signatures)
-            self.plans.append(plan)
-            self.by_name[name] = plan
 
-    def _chain(self, name: str) -> list[_ClassPlan]:
-        out = []
-        cur = name
-        while cur != ROOT_CLASS:
-            plan = self.by_name[cur]
-            out.append(plan)
-            cur = plan.superclass
-        return out
-
-    def _public_above(self, superclass: str, selector: str) -> bool:
-        for plan in self._chain(superclass):
-            for sel, _, vis in plan.signatures:
-                if sel == selector and vis == PUBLIC:
-                    return True
-        return False
-
-    def _chain_selectors(self, name: str, *, public_only: bool) -> list[tuple[str, int]]:
-        seen: dict[str, int] = {}
-        for plan in self._chain(name):
-            for sel, arity, vis in plan.signatures:
-                if sel in seen:
-                    continue
-                if public_only and vis != PUBLIC:
-                    # The closest definition decides visibility for sends
-                    # from outside; record it as unavailable.
-                    seen[sel] = -1
-                    continue
-                seen[sel] = arity
-        return [(s, a) for s, a in seen.items() if a >= 0]
-
-    def _fields_of(self, name: str) -> list[str]:
-        fields: list[str] = []
-        for plan in self._chain(name):
-            fields.extend(plan.fields)
-        return fields
+            own = {sel for sel, _, _ in signatures}
+            self.plans.append(_ClassPlan(
+                f"C{i}", parent, parent.depth + 1, own_fields,
+                own_fields + parent.fields, signatures,
+                tuple((s, a) for s, a, _ in signatures)
+                + tuple(p for p in parent.answers if p[0] not in own),
+                tuple((s, a) for s, a, v in signatures if v == PUBLIC)
+                + tuple(p for p in parent.public if p[0] not in own)))
 
     # -- phase 2: bodies -----------------------------------------------------
 
@@ -159,12 +141,11 @@ class _Generator:
             for selector, arity, visibility in plan.signatures:
                 self.current_selector = selector
                 params = tuple(self._fresh_var() for _ in range(arity))
-                body = self._expr(
-                    self.config.max_body_depth, list(params),
-                    self._fields_of(plan.name), plan)
+                body = self._expr(MAX_BODY_DEPTH, list(params), plan.fields,
+                                  plan)
                 methods.append(MethodDef(selector, params, body, visibility))
-            classes.append(ClassDef(plan.name, plan.superclass,
-                                    tuple(plan.fields), tuple(methods)))
+            classes.append(ClassDef(plan.name, plan.parent.name,
+                                    plan.own_fields, tuple(methods)))
         self.current_selector = None
         main = self._main_expr()
         return Program(tuple(classes), main)
@@ -174,63 +155,45 @@ class _Generator:
         return f"x{self.var_counter}"
 
     def _main_expr(self) -> Expr:
-        if not self.plans:
-            return self._expr(2, [], [], None)
         # Main prefers a send that actually resolves on a fresh instance.
         target = self.rng.choice(self.plans)
-        resolvable = self._chain_selectors(target.name, public_only=True)
-        if resolvable and self.rng.random() < 0.85:
-            selector, arity = self.rng.choice(resolvable)
-            args = tuple(self._expr(1, [], [], None) for _ in range(arity))
+        if target.public and self.rng.random() < 0.85:
+            selector, arity = self.rng.choice(target.public)
+            args = tuple(self._expr(1, [], (), None) for _ in range(arity))
             expr: Expr = Send(New(target.name), selector, args)
             if self.rng.random() < 0.3:
-                more = self._expr(self.config.max_body_depth, [], [], None)
+                more = self._expr(MAX_BODY_DEPTH, [], (), None)
                 expr = Let(self._fresh_var(), expr, more)
             return expr
-        return self._expr(self.config.max_body_depth, [], [], None)
+        return self._expr(MAX_BODY_DEPTH, [], (), None)
 
-    def _pick_selector(self, plan: _ClassPlan | None, kind: str) -> tuple[str, int]:
-        """Mostly selectors the receiver's chain defines; sometimes anything."""
+    def _pick_selector(self, resolvable: tuple[tuple[str, int], ...]
+                       ) -> tuple[str, int]:
+        """Mostly a selector from ``resolvable``; sometimes anything."""
         rng = self.rng
-        resolvable: list[tuple[str, int]] = []
-        if plan is not None:
-            if kind == "self":
-                resolvable = self._chain_selectors(plan.name, public_only=False)
-            elif kind == "super":
-                if plan.superclass != ROOT_CLASS:
-                    resolvable = self._chain_selectors(plan.superclass,
-                                                       public_only=False)
         # Avoid trivial direct recursion most of the time.
         if self.current_selector is not None and rng.random() < 0.8:
-            resolvable = [(s, a) for s, a in resolvable
-                          if s != self.current_selector]
+            resolvable = tuple(p for p in resolvable
+                               if p[0] != self.current_selector)
         if resolvable and rng.random() < 0.8:
             return rng.choice(resolvable)
-        return rng.choice(list(self.config.selectors))
+        return rng.choice(SELECTORS)
 
-    def _object_send(self, depth: int, variables: list[str], fields: list[str],
-                     plan: _ClassPlan | None) -> Expr:
+    def _object_send(self, depth: int, variables: list[str],
+                     fields: tuple[str, ...], plan: _ClassPlan | None) -> Expr:
         rng = self.rng
         sub = lambda: self._expr(depth - 1, variables, fields, plan)
-        roll = rng.random()
-        if self.plans and roll < 0.70:
+        if rng.random() < 0.70:
             target = rng.choice(self.plans)
             receiver: Expr = New(target.name)
-            resolvable = self._chain_selectors(target.name, public_only=True)
-            if self.current_selector is not None and rng.random() < 0.8:
-                resolvable = [(s, a) for s, a in resolvable
-                              if s != self.current_selector]
-            if resolvable and rng.random() < 0.8:
-                selector, arity = rng.choice(resolvable)
-            else:
-                selector, arity = rng.choice(list(self.config.selectors))
+            selector, arity = self._pick_selector(target.public)
         else:
             receiver = (self._leaf(variables, fields, plan) if depth <= 1
                         else sub())
-            selector, arity = rng.choice(list(self.config.selectors))
+            selector, arity = rng.choice(SELECTORS)
         return Send(receiver, selector, tuple(sub() for _ in range(arity)))
 
-    def _expr(self, depth: int, variables: list[str], fields: list[str],
+    def _expr(self, depth: int, variables: list[str], fields: tuple[str, ...],
               plan: _ClassPlan | None) -> Expr:
         rng = self.rng
         in_method = plan is not None
@@ -244,7 +207,7 @@ class _Generator:
         ]
         if in_method:
             choices.append((2.5, "self-send"))
-        if in_method and plan.superclass != ROOT_CLASS:
+        if in_method and plan.parent is not _ROOT_PLAN:
             choices.append((0.8, "super-send"))
         if fields:
             choices.append((0.9, "field-set"))
@@ -263,10 +226,10 @@ class _Generator:
         if kind == "send":
             return self._object_send(depth, variables, fields, plan)
         if kind == "self-send":
-            selector, arity = self._pick_selector(plan, "self")
+            selector, arity = self._pick_selector(plan.answers)
             return Send(SelfRef(), selector, tuple(sub() for _ in range(arity)))
         if kind == "super-send":
-            selector, arity = self._pick_selector(plan, "super")
+            selector, arity = self._pick_selector(plan.parent.answers)
             return SuperSend(selector, tuple(sub() for _ in range(arity)))
         if kind == "plus":
             return Send(self._int_leaning(depth - 1, variables, fields, plan),
@@ -282,13 +245,13 @@ class _Generator:
         raise AssertionError(kind)
 
     def _int_leaning(self, depth: int, variables: list[str],
-                     fields: list[str], plan: _ClassPlan | None) -> Expr:
+                     fields: tuple[str, ...], plan: _ClassPlan | None) -> Expr:
         # Operands of '+' are usually integers so sums often succeed.
         if self.rng.random() < 0.65:
             return IntLit(self.rng.randint(0, 9))
         return self._expr(depth, variables, fields, plan)
 
-    def _leaf(self, variables: list[str], fields: list[str],
+    def _leaf(self, variables: list[str], fields: tuple[str, ...],
               plan: _ClassPlan | None) -> Expr:
         options = ["int", "int", "nil"]
         if variables:
@@ -296,8 +259,7 @@ class _Generator:
             options.append("var")
         if fields:
             options.append("field")
-        if self.plans:
-            options.append("new")
+        options.append("new")
         if plan is not None:
             options.append("self")
         kind = self.rng.choice(options)

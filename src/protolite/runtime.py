@@ -93,7 +93,6 @@ from .syntax import (
 from .values import INT_CLASS, NIL, IntVal, Nil, Oid
 
 GLOBAL_CACHE_SIZE = 1024
-GLOBAL_CACHE_PROBES = 3
 INLINE_CACHE_LIMIT = 6  # polymorphic entries before a site goes megamorphic
 
 _HASH_A = 0x9E3779B1
@@ -203,8 +202,8 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
     Slots are never emptied during a run and a key is installed at the
     first empty slot of its probes, so the scan stops there: that slot is
     both the miss verdict and the install target; three taken slots evict
-    the home slot. Failures are not cached. The scan of the
-    ``GLOBAL_CACHE_PROBES`` slots is unrolled, the hash written inline.
+    the home slot. Failures are not cached. The scan of the three probed
+    slots is unrolled, the hash written inline.
     """
     base = ((image.classes[class_name].class_id * _HASH_A)
             ^ (selector.id * _HASH_B)) & 0xFFFFFFFF

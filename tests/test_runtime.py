@@ -20,7 +20,6 @@ from protolite.outcomes import (
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.runtime import (
-    GLOBAL_CACHE_PROBES,
     GLOBAL_CACHE_SIZE,
     INLINE_CACHE_LIMIT,
     GlobalCache,
@@ -142,7 +141,7 @@ def test_eviction_when_all_probes_foreign(image):
     sym = image.symbols.intern("sum")
     entry = default_lookup("B", sym, image)
     home = _home(image, "B", sym)
-    for i in range(GLOBAL_CACHE_PROBES):
+    for i in range(len(cache.probe_hits)):
         cache.slots[_probe_slot(home, i)] = \
             (f"Foreign{i}", sym, entry[0], entry[1])
     assert cached_lookup("B", sym, cache, image) == entry
@@ -159,7 +158,7 @@ def _model_lookup(model, counts, class_name, sym, image):
     probe, else at the home slot; never install a failure."""
     class_id = image.classes[class_name].class_id
     probes = [probe_index(class_id, sym.id, k)
-              for k in range(GLOBAL_CACHE_PROBES)]
+              for k in range(len(counts["probe_hits"]))]
     for k, i in enumerate(probes):
         slot = model[i]
         if slot is not None and slot[0] == class_name and slot[1] is sym:
