@@ -1,0 +1,92 @@
+"""What the compiler and the runtime make of a fixed corpus, pinned by digest.
+
+Two SHA-256 digests cover everything a change to lowering could alter:
+
+* the ``desugar_dump`` of every ``programs/*.stl`` in every compile mode,
+  straight after the compile and after ``late_install.stl`` gains the
+  protected ``unknown`` on ``Box`` (criterion 9's install);
+* every run's outcome, step count, cache statistics and polymorphic sites,
+  over the same files and generator seeds 0..299, in every compile mode and
+  cache configuration.
+
+Symbol ids feed the global cache's hash and site ids order ``sites()``, so
+a change that renumbers either shows here even when every outcome agrees.
+"""
+
+import hashlib
+import json
+
+from protolite.compiler import CompileMode, compile_program, desugar_dump, \
+    install_method
+from protolite.errors import ProgramInvalidError
+from protolite.generator import generate_program
+from protolite.metrics import DIFF_FUEL
+from protolite.parser import parse
+from protolite.runtime import Interpreter
+from protolite.syntax import MethodDef, Send, SelfRef
+
+from tests.conftest import PROGRAMS
+
+DUMP_DIGEST = \
+    "a0f32b9126e8e6f0f1d4441444a9d5fe88ee648f988acf777b18aba43cfa9cf4"
+RUN_DIGEST = \
+    "097b2493d6fae5c8e75985483606f61c26e1886e7f3342fb70d63088711948d2"
+
+SEEDS = range(300)
+CACHE_CONFIGS = ((False, False), (False, True), (True, False), (True, True))
+LATE_UNKNOWN = MethodDef("unknown", (), Send(SelfRef(), "seed", ()),
+                         visibility="protected")
+
+
+def _sources():
+    return sorted(PROGRAMS.glob("*.stl"))
+
+
+def _compile(program, mode):
+    try:
+        return compile_program(program, mode), ""
+    except ProgramInvalidError as err:
+        return None, "invalid: " + "; ".join(map(str, err.violations))
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def dump_lines():
+    for path in _sources():
+        for mode in CompileMode:
+            image, error = _compile(parse(path.read_text()), mode)
+            yield f"== {path.name} {mode.value}\n{error or desugar_dump(image)}"
+            if path.name == "late_install.stl":
+                grown = install_method(image, "Box", LATE_UNKNOWN)
+                yield f"== {path.name} {mode.value} +unknown\n" \
+                      f"{desugar_dump(grown)}"
+
+
+def run_lines():
+    programs = [(path.name, parse(path.read_text())) for path in _sources()]
+    programs += [(f"seed {s}", generate_program(s)) for s in SEEDS]
+    for name, program in programs:
+        for mode in CompileMode:
+            image, error = _compile(program, mode)
+            if image is None:
+                yield f"{name} {mode.value} {error}"
+                continue
+            for global_cache_on, inline_cache_on in CACHE_CONFIGS:
+                interp = Interpreter(image, global_cache_on=global_cache_on,
+                                     inline_cache_on=inline_cache_on,
+                                     fuel=DIFF_FUEL)
+                result = interp.run()
+                yield json.dumps([
+                    name, mode.value, global_cache_on, inline_cache_on,
+                    repr(result.outcome), result.steps,
+                    result.stats.to_json(), interp.sites()])
+
+
+def test_desugar_dumps_are_pinned():
+    assert _digest(dump_lines()) == DUMP_DIGEST
+
+
+def test_runs_are_pinned():
+    assert _digest(run_lines()) == RUN_DIGEST
