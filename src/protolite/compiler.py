@@ -1,4 +1,9 @@
-"""Lowering a validated program into an executable image.
+"""Compiling a validated program into an executable image.
+
+The compile builds no code. It decides the rewrite scope, fills the class
+dictionaries and interns every selector, and gives each method its send
+sites: the tagged selector each send dispatches through, numbered. The
+runtime lowers a body to code only when it first runs it.
 
 Protected visibility is enforced entirely through class method dictionaries,
 so the runtime needs only one visibility-blind lookup:
@@ -130,17 +135,13 @@ class SymbolTable:
         return table
 
 
-# --- lowered bodies ----------------------------------------------------------
+# --- compiled methods ----------------------------------------------------------
 #
-# A lowered body is the source expression tree with its sends replaced: every
-# other node is shared with the source as it is. Each send node below is the
-# syntax send it stands for, carrying its SendSite; its ``selector`` is the
-# text the site dispatches through (mangled for a rewritten self/super site),
-# so ``pretty_expr`` prints lowered bodies too. Nodes follow the rule in
-# ``syntax``'s docstring: built once, never changed, slotted. Equality is by
-# value, with the dispatch text compared on the send node: neither the site id
-# nor the site's Symbol counts, so bodies compiled against two symbol tables
-# compare equal.
+# The compile builds no code: a compiled method keeps its source body and the
+# SendSite of each of its sends, listed in post-order with arguments before
+# the receiver. The runtime lowers the body to a code array at its first
+# activation, taking each send's site from that list, and ``render`` prints
+# the body as it dispatches.
 
 
 @dataclass(slots=True)
@@ -153,40 +154,28 @@ class SendSite:
     """
 
     site_id: int = field(compare=False)
-    # The owning send node's ``selector`` holds this symbol's text.
     selector: Symbol = field(compare=False)
     plain_text: str
 
 
-@dataclass(slots=True)
-class SiteSend(Send):
-    """An object send; its receiver is lowered, its selector never mangled."""
-
-    site: SendSite = field(kw_only=True)
-
-
-@dataclass(slots=True)
-class SelfSiteSend(Send):
-    """A send to ``self``; the receiver stays the source's ``SelfRef``."""
-
-    site: SendSite = field(kw_only=True)
-
-
-@dataclass(slots=True)
-class SuperSiteSend(SuperSend):
-    site: SendSite = field(kw_only=True)
-
-
 @dataclass(eq=False, slots=True)
 class CompiledMethod:
-    """A lowered method body; compared by identity so shared dictionary
-    entries are observable."""
+    """A method's source body with its send sites; compared by identity so
+    shared dictionary entries are observable."""
 
     origin_class: str
     selector: Symbol  # plain form
     visibility: str
     params: tuple[str, ...]
-    body: Expr
+    body: Expr  # the source body
+    # One per send of the body, in post-order with arguments first.
+    sites: tuple[SendSite, ...]
+
+
+def render(body: Expr, sites: tuple[SendSite, ...]) -> str:
+    """A compiled body's source text, each send printing the selector its
+    site dispatches through (mangled for a rewritten self/super site)."""
+    return pretty_expr(body, dispatch=(site.selector.text for site in sites))
 
 
 @dataclass(frozen=True)
@@ -219,7 +208,8 @@ class RuntimeImage:
 
     mode: CompileMode
     classes: dict[str, ImageClass]
-    main: Expr
+    main: Expr  # the source expression
+    main_sites: tuple[SendSite, ...]
     symbols: SymbolTable
     rewrite_scope: frozenset[str]
     deferred_sites: tuple[DeferredSite, ...]
@@ -227,8 +217,9 @@ class RuntimeImage:
     # The program the image was compiled from; its index is the one the
     # compile used.
     program: Program = field(repr=False)
-    # The runtime's code arrays, lowered lazily from the bodies above: keyed
-    # by CompiledMethod (identity), with None for main.
+    # The runtime's code arrays, each lowered from a source body and its
+    # sites at the body's first activation: keyed by CompiledMethod
+    # (identity), with None for main.
     code_arrays: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -254,8 +245,7 @@ def rewrite_scope(idx: HierarchyIndex) -> frozenset[str]:
         if name not in joined and _self_sends_any(idx.by_name[name].methods,
                                                   hooks):
             joined.add(name)
-    return frozenset(c.name for c in classes
-                     if not joined.isdisjoint(idx.chain(c.name)))
+    return idx.subtrees(joined)
 
 
 def _self_sends_any(methods: tuple[MethodDef, ...],
@@ -280,11 +270,12 @@ def _scope_for_mode(idx: HierarchyIndex, mode: CompileMode) -> frozenset[str]:
     return rewrite_scope(idx)
 
 
-# --- body lowering -------------------------------------------------------------
+# --- send sites --------------------------------------------------------------------
 
 
-class _Lowerer:
-    """Lowers expression trees, tagging self/super sites per the scope rules."""
+class _SiteBuilder:
+    """Builds the send sites of bodies, tagging self/super sites per the
+    scope rules; numbers sites and interns selectors across one compile."""
 
     def __init__(self, idx: HierarchyIndex, scope: frozenset[str],
                  symbols: SymbolTable, next_site_id: int):
@@ -293,11 +284,6 @@ class _Lowerer:
         self.symbols = symbols
         self.next_site_id = next_site_id
         self.deferred: list[DeferredSite] = []
-
-    def _site(self, symbol: Symbol, plain: str) -> SendSite:
-        site = SendSite(self.next_site_id, symbol, plain)
-        self.next_site_id += 1
-        return site
 
     def _tag_selector(self, selector: str, enclosing: str | None,
                       kind: str, method_selector: str) -> Symbol:
@@ -331,63 +317,72 @@ class _Lowerer:
                 DeferredSite(enclosing, method_selector, selector))
         return plain
 
-    def lower(self, e: Expr, enclosing: str | None, method_selector: str) -> Expr:
-        """The source tree with its sends replaced; other nodes are shared."""
-        # Let chains nest along the body; peel them iteratively so workload
-        # mains replicated a few hundred times lower without deep recursion.
-        if isinstance(e, Let):
-            bindings = []
-            while isinstance(e, Let):
-                bindings.append(
-                    (e.var, self.lower(e.bound, enclosing, method_selector)))
-                e = e.body
-            lowered = self.lower(e, enclosing, method_selector)
-            for var, bound in reversed(bindings):
-                lowered = Let(var, bound, lowered)
-            return lowered
-        if isinstance(e, (NilLit, IntLit, SelfRef, Var, New)):
-            return e
-        if isinstance(e, FieldGet):
-            self._check_field(e.field, enclosing)
-            return e
-        if isinstance(e, FieldSet):
-            self._check_field(e.field, enclosing)
-            return FieldSet(e.field, self.lower(e.value, enclosing, method_selector))
-        if isinstance(e, Send):
-            args = tuple(self.lower(a, enclosing, method_selector) for a in e.args)
-            if isinstance(e.receiver, SelfRef):
-                sym = self._tag_selector(e.selector, enclosing, "self",
-                                         method_selector)
-                return SelfSiteSend(e.receiver, sym.text, args,
-                                    site=self._site(sym, e.selector))
-            recv = self.lower(e.receiver, enclosing, method_selector)
-            sym = self.symbols.intern(e.selector)
-            return SiteSend(recv, e.selector, args,
-                            site=self._site(sym, e.selector))
-        if isinstance(e, SuperSend):
-            args = tuple(self.lower(a, enclosing, method_selector) for a in e.args)
-            sym = self._tag_selector(e.selector, enclosing, "super",
-                                     method_selector)
-            return SuperSiteSend(sym.text, args, site=self._site(sym, e.selector))
-        raise TypeError(f"not an expression: {e!r}")
-
-    def _check_field(self, field_name: str, enclosing: str | None) -> None:
+    def sites(self, body: Expr, enclosing: str | None,
+              method_selector: str) -> tuple[SendSite, ...]:
+        """The body's send sites in post-order, arguments before the
+        receiver, each selector interned as its site is made; checks every
+        field the body names. One walk that builds no tree, iterative so
+        long let chains need no host recursion."""
+        intern = self.symbols.intern
         fields = self.idx.fields_of(enclosing) if enclosing else ()
-        if field_name not in fields:
-            raise UnknownFieldError(enclosing or ROOT_CLASS, field_name)
+        site_id = self.next_site_id
+        sites: list[SendSite] = []
+        # Nodes to visit, and 1-tuples holding a send whose arguments and
+        # receiver are done.
+        work: list = [body]
+        pop, push = work.pop, work.append
+        while work:
+            e = pop()
+            kind = e.__class__
+            if kind is tuple:
+                e = e[0]
+                if e.__class__ is SuperSend:
+                    sym = self._tag_selector(e.selector, enclosing, "super",
+                                             method_selector)
+                elif e.receiver.__class__ is SelfRef:
+                    sym = self._tag_selector(e.selector, enclosing, "self",
+                                             method_selector)
+                else:
+                    sym = intern(e.selector)
+                sites.append(SendSite(site_id, sym, e.selector))
+                site_id += 1
+            elif kind is Send:
+                push((e,))
+                if e.receiver.__class__ is not SelfRef:
+                    push(e.receiver)
+                work += reversed(e.args)
+            elif kind is Let:
+                push(e.body)
+                push(e.bound)
+            elif kind is FieldGet or kind is FieldSet:
+                if e.field not in fields:
+                    raise UnknownFieldError(enclosing or ROOT_CLASS, e.field)
+                if kind is FieldSet:
+                    push(e.value)
+            elif kind is SuperSend:
+                push((e,))
+                work += reversed(e.args)
+            elif kind not in _LEAVES:
+                raise TypeError(f"not an expression: {e!r}")
+        self.next_site_id = site_id
+        return tuple(sites)
+
+
+_LEAVES = frozenset((NilLit, IntLit, SelfRef, Var, New))
 
 
 # --- whole-program compilation ---------------------------------------------------
 
 
-def _compile_method(lowerer: _Lowerer, class_name: str,
+def _compile_method(builder: _SiteBuilder, class_name: str,
                     mdef: MethodDef) -> CompiledMethod:
     if mdef.selector.startswith(MANGLE_PREFIX):
         raise ReservedSelectorError(
             f"selector {mdef.selector!r} uses the reserved prefix", 0, 0)
-    body = lowerer.lower(mdef.body, class_name, mdef.selector)
-    plain = lowerer.symbols.intern(mdef.selector)
-    return CompiledMethod(class_name, plain, mdef.visibility, mdef.params, body)
+    sites = builder.sites(mdef.body, class_name, mdef.selector)
+    plain = builder.symbols.intern(mdef.selector)
+    return CompiledMethod(class_name, plain, mdef.visibility, mdef.params,
+                          mdef.body, sites)
 
 
 def _install(dictionary: dict[Symbol, CompiledMethod], method: CompiledMethod,
@@ -401,43 +396,51 @@ def _install(dictionary: dict[Symbol, CompiledMethod], method: CompiledMethod,
         dictionary[symbols.mangle(plain)] = method
 
 
-def _compile_class(lowerer: _Lowerer, cdef: ClassDef,
+def _compile_class(builder: _SiteBuilder, cdef: ClassDef,
                    class_id: int) -> ImageClass:
-    """Lower and register every method of a class under the lowerer's scope."""
-    in_scope = cdef.name in lowerer.scope
+    """Build and register every method of a class under the builder's
+    scope."""
+    in_scope = cdef.name in builder.scope
     dictionary: dict[Symbol, CompiledMethod] = {}
     for mdef in cdef.methods:
-        _install(dictionary, _compile_method(lowerer, cdef.name, mdef),
-                 in_scope, lowerer.symbols)
+        _install(dictionary, _compile_method(builder, cdef.name, mdef),
+                 in_scope, builder.symbols)
     return ImageClass(cdef.name, cdef.superclass,
-                      lowerer.idx.fields_of(cdef.name), dictionary, class_id)
+                      builder.idx.fields_of(cdef.name), dictionary, class_id)
 
 
 def compile_program(program: Program,
                     mode: CompileMode = CompileMode.NORMAL) -> RuntimeImage:
-    """Validate, lower, and register every class of a program."""
-    violations = validate(program)
-    if violations:
-        raise ProgramInvalidError(violations)
+    """Register every class of a valid program, with its send sites.
+
+    Validates the program first unless ``validate`` has passed on it
+    already. Every symbol and site id is fixed here, whichever methods run
+    later; no body is lowered to code until the runtime first activates it.
+    """
+    if not program.valid:
+        violations = validate(program)
+        if violations:
+            raise ProgramInvalidError(violations)
     idx = index_of(program)
     scope = _scope_for_mode(idx, mode)
     symbols = SymbolTable()
-    lowerer = _Lowerer(idx, scope, symbols, 0)
+    builder = _SiteBuilder(idx, scope, symbols, 0)
 
     classes = {ROOT_CLASS: ImageClass(ROOT_CLASS, None, (), {}, 0)}
     for i, cdef in enumerate(program.classes, start=1):
-        classes[cdef.name] = _compile_class(lowerer, cdef, i)
+        classes[cdef.name] = _compile_class(builder, cdef, i)
 
-    main = lowerer.lower(program.main, None, "")
     # Deferral only applies inside the scope; main has no enclosing class.
+    main_sites = builder.sites(program.main, None, "")
     return RuntimeImage(
         mode=mode,
         classes=classes,
-        main=main,
+        main=program.main,
+        main_sites=main_sites,
         symbols=symbols,
         rewrite_scope=scope,
-        deferred_sites=tuple(lowerer.deferred),
-        site_count=lowerer.next_site_id,
+        deferred_sites=tuple(builder.deferred),
+        site_count=builder.next_site_id,
         program=program,
     )
 
@@ -472,6 +475,7 @@ def install_method(image: RuntimeImage, class_name: str,
     violations = validate_install(idx, class_name, mdef.selector)
     if violations:
         raise ProgramInvalidError(violations)
+    new_program.valid = True
 
     # The parent's scope, grown in normal mode under the scope rule: a
     # protected method pulls in each strict ancestor that self-sends its
@@ -502,7 +506,7 @@ def install_method(image: RuntimeImage, class_name: str,
         new_scope = new_scope | expansion
 
     symbols = image.symbols.copy()
-    lowerer = _Lowerer(idx, new_scope, symbols, image.site_count)
+    builder = _SiteBuilder(idx, new_scope, symbols, image.site_count)
 
     # Classes to rebuild: the target, those that just joined the scope, and
     # the in-scope classes whose self/super sites can change tag -- those
@@ -526,20 +530,21 @@ def install_method(image: RuntimeImage, class_name: str,
 
     classes = dict(image.classes)
     for name in sorted(rebuilt):
-        classes[name] = _compile_class(lowerer, idx.by_name[name],
+        classes[name] = _compile_class(builder, idx.by_name[name],
                                        image.classes[name].class_id)
-    # A rebuild lowers its class's deferred sites again.
+    # A rebuild makes its class's deferred sites again.
     deferred = tuple(d for d in image.deferred_sites
-                     if d.class_name not in rebuilt) + tuple(lowerer.deferred)
+                     if d.class_name not in rebuilt) + tuple(builder.deferred)
 
     return RuntimeImage(
         mode=image.mode,
         classes=classes,
         main=image.main,
+        main_sites=image.main_sites,
         symbols=symbols,
         rewrite_scope=new_scope,
         deferred_sites=deferred,
-        site_count=lowerer.next_site_id,
+        site_count=builder.next_site_id,
         program=new_program,
     )
 
@@ -548,7 +553,8 @@ def install_method(image: RuntimeImage, class_name: str,
 
 
 def desugar_dump(image: RuntimeImage) -> str:
-    """Deterministic textual dump of dictionaries and lowered bodies."""
+    """Deterministic textual dump of dictionaries and compiled bodies, each
+    printed as it dispatches."""
     out: list[str] = []
     shared_ids = _shared_method_ids(image)
     for name in sorted(image.classes):
@@ -571,8 +577,8 @@ def desugar_dump(image: RuntimeImage) -> str:
             seen.add(id(cm))
             params = ", ".join(cm.params)
             out.append(f"  body {cm.selector.text}({params}) [{cm.visibility}]: "
-                       f"{pretty_expr(cm.body)}")
-    out.append(f"main: {pretty_expr(image.main)}")
+                       f"{render(cm.body, cm.sites)}")
+    out.append(f"main: {render(image.main, image.main_sites)}")
     scope = ", ".join(sorted(image.rewrite_scope)) or "(none)"
     roots = ", ".join(sorted(protection_roots(index_of(image.program),
                                               image.rewrite_scope)))

@@ -21,13 +21,15 @@ Object, self- and super-sends share one miss path in the run loop. Failed
 lookups are never cached at either level, because installing a method
 later may change them. Caches affect statistics only, never outcomes.
 
-Execution does not walk the lowered expression trees. Each method body, and
-the image's main expression, is lowered once more into a flat postfix *code
-array* of ``(opcode, a, b)`` instructions ending in ``RETURN``. Variables are
-resolved to numbered slots of the activation's environment while lowering, so
-a variable read is a list index and a ``let`` needs no environment copy. The
-lowering is lazy -- a method's code is built at its first activation -- and
-memoised in the image, so large images pay only for the methods they run.
+Execution does not walk expression trees. Each method body, and the image's
+main expression, is lowered from its source tree and the send sites the
+compiler made for it into a flat postfix *code array* of ``(opcode, a, b)``
+instructions ending in ``RETURN``; that is the one translation a body gets.
+Variables are resolved to numbered slots of the activation's environment
+while lowering, so a variable read is a list index and a ``let`` needs no
+environment copy. The lowering is lazy -- a method's code is built at its
+first activation -- and memoised in the image, so large images pay only for
+the methods they run.
 
 One loop runs every activation. A frame is ``(code, pc, env, owner,
 defining)``; a send saves the caller's frame and switches to the callee's
@@ -58,14 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import (
-    CompiledMethod,
-    RuntimeImage,
-    SelfSiteSend,
-    SiteSend,
-    SuperSiteSend,
-    Symbol,
-)
+from .compiler import CompiledMethod, RuntimeImage, SendSite, Symbol
 from .outcomes import (
     DEFAULT_FUEL,
     ArityMismatch,
@@ -88,6 +83,8 @@ from .syntax import (
     New,
     NilLit,
     SelfRef,
+    Send,
+    SuperSend,
     Var,
 )
 from .values import INT_CLASS, NIL, IntVal, Nil, Oid
@@ -261,8 +258,15 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 _RETURN = (RETURN, None, None)
 
 
-def _lower_code(body: Expr, params: tuple[str, ...] = ()) -> tuple:
-    """Lower a body to ``(instructions, parameter count, let padding)``.
+# Work entries of ``_lower_code`` that are neither a node nor an instruction.
+_FINISH, _SWITCH, _SPLICE = range(-3, 0)
+_LEAVES = (Var, IntLit, NilLit, SelfRef, New, FieldGet)
+
+
+def _lower_code(body: Expr, params: tuple[str, ...] = (),
+                sites: tuple[SendSite, ...] = ()) -> tuple:
+    """Lower a source body to ``(instructions, parameter count, let
+    padding)``, taking each send's site from ``sites``.
 
     The padding is a tuple of one None per let slot; an activation's
     environment is a list of its arguments followed by the padding.
@@ -271,13 +275,20 @@ def _lower_code(body: Expr, params: tuple[str, ...] = ()) -> tuple:
     would); each ``let`` takes the next slot above those live at its
     binding. Iterative, so deeply nested lets and sends need no host
     recursion.
+
+    Sites are listed in post-order with a send's arguments before its
+    receiver, and the code evaluates the receiver first. So the walk visits
+    nodes in site order, and a send whose receiver holds sends lowers its
+    arguments into a side buffer spliced in after the receiver's code.
     """
-    code: list[tuple] = []
+    out = code = []
     emit = code.append
+    next_site = iter(sites).__next__
     scope = dict(zip(params, range(len(params))))
     nslots = len(params)
-    # Entries are (node, scope, depth) to lower, or (instruction, _, _) to
-    # emit as is once everything pushed after it has been lowered.
+    # Entries are (node, scope, depth) to lower, (instruction, _, _) to emit
+    # as is once everything pushed after it has been lowered, or (marker,
+    # operand, _) for the three markers above.
     work: list[tuple] = [(body, scope, len(params))]
     push = work.append
     while work:
@@ -291,17 +302,41 @@ def _lower_code(body: Expr, params: tuple[str, ...] = ()) -> tuple:
                  else (LOAD, slot, None))
         elif kind is IntLit:
             emit((CONST, node.value, None))
-        elif kind is SiteSend or kind is SelfSiteSend or kind is SuperSiteSend:
-            nargs = len(node.args)
-            op = (SELF_SEND if kind is SelfSiteSend
-                  else SUPER_SEND if kind is SuperSiteSend
-                  else ADD if node.site.plain_text == "+" and nargs == 1
-                  else SEND)
-            push(((op, node.site, nargs), None, 0))
-            for arg in reversed(node.args):
-                push((arg, scope, depth))
-            if kind is SiteSend:
-                push((node.receiver, scope, depth))
+        elif kind is int:
+            if node == _FINISH:  # scope holds the send
+                send = scope
+                nargs = len(send.args)
+                site = next_site()
+                op = (SUPER_SEND if send.__class__ is SuperSend
+                      else SELF_SEND if send.receiver.__class__ is SelfRef
+                      else ADD if site.plain_text == "+" and nargs == 1
+                      else SEND)
+                emit((op, site, nargs))
+            elif node == _SPLICE:  # scope holds the arguments' buffer
+                code.extend(scope)
+            else:  # _SWITCH: scope holds the code to emit into from now on
+                code = scope
+                emit = code.append
+        elif kind is Send or kind is SuperSend:
+            push((_FINISH, node, 0))
+            receiver = (node.receiver if kind is Send
+                        and node.receiver.__class__ is not SelfRef else None)
+            if receiver is None or not node.args or type(receiver) in _LEAVES:
+                for arg in reversed(node.args):
+                    push((arg, scope, depth))
+                if receiver is not None:
+                    push((receiver, scope, depth))
+            else:
+                # The arguments' sites come first: lower them into a
+                # buffer, then the receiver into the code, then splice.
+                buffer: list[tuple] = []
+                push((_SPLICE, buffer, 0))
+                push((receiver, scope, depth))
+                push((_SWITCH, code, 0))
+                for arg in reversed(node.args):
+                    push((arg, scope, depth))
+                code = buffer
+                emit = code.append
         elif kind is SelfRef:
             emit((SELF, None, None))
         elif kind is Let:
@@ -322,19 +357,20 @@ def _lower_code(body: Expr, params: tuple[str, ...] = ()) -> tuple:
         elif kind is New:
             emit((NEW, node.class_name, None))
         else:
-            raise TypeError(f"not a lowered expression: {node!r}")
+            raise TypeError(f"not an expression: {node!r}")
     emit(_RETURN)
     # A plain tuple: this runs once per activated body, often for bodies
     # that run only once, so construction cost matters.
-    return code, len(params), (None,) * (nslots - len(params))
+    return out, len(params), (None,) * (nslots - len(params))
 
 
 def _code_of(image: RuntimeImage, method: CompiledMethod | None) -> tuple:
     """The memoised code of a method, or of main for None; lowered once."""
     code = image.code_arrays.get(method)
     if code is None:
-        code = (_lower_code(image.main) if method is None
-                else _lower_code(method.body, method.params))
+        code = (_lower_code(image.main, (), image.main_sites)
+                if method is None
+                else _lower_code(method.body, method.params, method.sites))
         image.code_arrays[method] = code
     return code
 

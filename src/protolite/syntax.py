@@ -8,13 +8,14 @@ integers; ``+`` on integers is the only primitive message.
 Identifiers beginning with ``__`` are reserved for the compiler's selector
 mangling and are rejected in source.
 
-Nodes are never changed after they are built: lowered code, installs and the
-evaluators share subtrees freely. This holds by convention, and
-``tests/test_immutability.py`` checks it, with two exceptions: the parser
+Nodes are never changed after they are built: compiled methods, installs and
+the evaluators share subtrees freely. This holds by convention, and
+``tests/test_immutability.py`` checks it, with three exceptions: the parser
 resolves identifiers in the nodes it built, in place, before ``parse``
-returns, and ``Program.index`` is set once, by ``validate.index_of``, by
-the install that built the program, or by ``bench.repeat_main``, which shares
-its source program's. The nodes are slotted dataclasses, not frozen ones,
+returns; ``Program.index`` is set once, by ``validate.index_of``, by the
+install that built the program, or by ``bench.repeat_main``, which shares its
+source program's; and ``Program.valid`` is set once, by ``validate`` when it
+finds no violation or by the install whose checks passed. The nodes are slotted dataclasses, not frozen ones,
 because a frozen dataclass stores each field through ``object.__setattr__``
 and costs about three times as much to build. Equality is by value; the nodes
 are not hashable.
@@ -23,7 +24,7 @@ are not hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from .validate import HierarchyIndex
@@ -127,9 +128,12 @@ class ClassDef:
 class Program:
     classes: tuple[ClassDef, ...]
     main: Expr
-    # Never passed in, so a rebuilt program starts without a stale index.
+    # Never passed in, so a rebuilt program starts without a stale index
+    # and unverified.
     index: HierarchyIndex | None = field(default=None, init=False,
                                          compare=False, repr=False)
+    # True once the rules of ``validate`` have passed on these classes.
+    valid: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 # --- pretty printing ------------------------------------------------------
@@ -143,36 +147,56 @@ _PREC_SUM = 1
 _PREC_POSTFIX = 2
 
 
-def pretty_expr(e: Expr, prec: int = _PREC_EXPR) -> str:
+def pretty_expr(e: Expr, prec: int = _PREC_EXPR,
+                dispatch: Iterator[str] | None = None) -> str:
+    """Source text of an expression, parenthesized for context ``prec``.
+
+    ``dispatch``, when given, yields the selector each send prints in place
+    of its source selector, in post-order with arguments before the
+    receiver: the order of a compiled body's sites.
+    """
+    return _wrap(_pretty(e, dispatch), prec)
+
+
+def _wrap(printed: tuple[str, int], prec: int) -> str:
+    text, level = printed
+    return text if level >= prec else f"({text})"
+
+
+def _pretty(e: Expr, dispatch: Iterator[str] | None) -> tuple[str, int]:
+    """An expression's text and the highest context precedence it takes
+    without parentheses."""
     if isinstance(e, New):
-        s = f"new {e.class_name}"
-        return f"({s})" if prec >= _PREC_SUM else s
+        return f"new {e.class_name}", _PREC_EXPR
     if isinstance(e, (Var, FieldGet)):
-        return e.name if isinstance(e, Var) else e.field
+        return (e.name if isinstance(e, Var) else e.field), _PREC_POSTFIX
     if isinstance(e, SelfRef):
-        return "self"
+        return "self", _PREC_POSTFIX
     if isinstance(e, NilLit):
-        return "nil"
+        return "nil", _PREC_POSTFIX
     if isinstance(e, IntLit):
-        return str(e.value)
+        return str(e.value), _PREC_POSTFIX
     if isinstance(e, FieldSet):
-        s = f"{e.field} := {pretty_expr(e.value, _PREC_EXPR)}"
-        return f"({s})" if prec > _PREC_EXPR else s
+        return f"{e.field} := {pretty_expr(e.value, _PREC_EXPR, dispatch)}", \
+            _PREC_EXPR
     if isinstance(e, Send):
-        if e.selector == "+" and len(e.args) == 1:
-            s = f"{pretty_expr(e.receiver, _PREC_SUM)} + {pretty_expr(e.args[0], _PREC_POSTFIX)}"
-            return f"({s})" if prec > _PREC_SUM else s
-        args = ", ".join(pretty_expr(a, _PREC_EXPR) for a in e.args)
-        return f"{pretty_expr(e.receiver, _PREC_POSTFIX)}.{e.selector}({args})"
+        args = [_pretty(a, dispatch) for a in e.args]
+        receiver = _pretty(e.receiver, dispatch)
+        selector = e.selector if dispatch is None else next(dispatch)
+        if selector == "+" and len(args) == 1:
+            return (f"{_wrap(receiver, _PREC_SUM)} + "
+                    f"{_wrap(args[0], _PREC_POSTFIX)}"), _PREC_SUM
+        args_text = ", ".join(_wrap(a, _PREC_EXPR) for a in args)
+        return f"{_wrap(receiver, _PREC_POSTFIX)}.{selector}({args_text})", \
+            _PREC_POSTFIX
     if isinstance(e, SuperSend):
-        args = ", ".join(pretty_expr(a, _PREC_EXPR) for a in e.args)
-        return f"super.{e.selector}({args})"
+        args_text = ", ".join(pretty_expr(a, _PREC_EXPR, dispatch)
+                              for a in e.args)
+        selector = e.selector if dispatch is None else next(dispatch)
+        return f"super.{selector}({args_text})", _PREC_POSTFIX
     if isinstance(e, Let):
-        s = (
-            f"let {e.var} = {pretty_expr(e.bound, _PREC_EXPR)} "
-            f"in {pretty_expr(e.body, _PREC_EXPR)}"
-        )
-        return f"({s})" if prec > _PREC_EXPR else s
+        return (f"let {e.var} = {pretty_expr(e.bound, _PREC_EXPR, dispatch)} "
+                f"in {pretty_expr(e.body, _PREC_EXPR, dispatch)}"), _PREC_EXPR
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -65,7 +65,8 @@ def index_of(program: Program) -> HierarchyIndex:
 
 
 def validate(program: Program) -> list[Violation]:
-    """Check every rule; an empty report means the program is valid."""
+    """Check every rule; an empty report means the program is valid, and
+    marks it so (``Program.valid``) for ``compile_program``."""
     idx = index_of(program)
     violations: list[Violation] = []
 
@@ -90,6 +91,7 @@ def validate(program: Program) -> list[Violation]:
     # the end groups violations by rule, keeping class order within a rule.
     for c in program.classes:
         _check_class(c, idx, violations)
+    program.valid = not violations
     return _by_rule(violations)
 
 
@@ -187,9 +189,9 @@ def _check_class(c: ClassDef, idx: HierarchyIndex,
 class HierarchyIndex:
     """Relation oracle over a program's classes, built once by ``index_of``
     and kept on the program, with no reference back to it; shared by the
-    parser, ``validate``, the rewrite scope, protection roots, lowering and
-    the reference evaluator. An install derives its program's index from the
-    parent's with ``with_method``.
+    parser, ``validate``, the rewrite scope, protection roots, site tagging
+    and the reference evaluator. An install derives its program's index from
+    the parent's with ``with_method``.
 
     Answers superclass and ancestor-chain queries, the classes defining a
     selector, transitive field sets, and closest-definition and public
@@ -270,6 +272,13 @@ class HierarchyIndex:
         """``name`` and its descendants, in program order."""
         self._require(name)
         return tuple(c for c, chain in self._chains.items() if name in chain)
+
+    def subtrees(self, names: set[str]) -> frozenset[str]:
+        """The classes whose ancestor chain meets ``names``: the named
+        classes and all their descendants."""
+        chains = self._chains
+        return frozenset(name for name in self.by_name
+                         if not names.isdisjoint(chains[name]))
 
     def definers(self, selector: str) -> tuple[str, ...]:
         """Classes defining ``selector`` at any visibility, in program order."""

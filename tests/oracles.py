@@ -21,9 +21,9 @@ from protolite.syntax import Program
 def image_fingerprint(image: RuntimeImage) -> dict:
     """Canonical structure of an image's dictionaries, for equality checks.
 
-    Lowered bodies compare as they are: their equality ignores site ids and
-    the sites' Symbols (each image interns its own), and compares the
-    dispatch text on each send node.
+    A compiled method counts as its source body and the dispatch text of
+    each of its sites, in site order: site ids and the sites' Symbols
+    (each image interns its own) do not count.
     """
     out: dict = {}
     for name in sorted(image.classes):
@@ -34,6 +34,7 @@ def image_fingerprint(image: RuntimeImage) -> dict:
             entries[sym.text] = (
                 cm.origin_class, cm.selector.text, cm.visibility,
                 cm.params, cm.body,
+                tuple(site.selector.text for site in cm.sites),
             )
         out[name] = entries
     return out

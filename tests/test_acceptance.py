@@ -16,6 +16,7 @@ from protolite.compiler import (
     compile_program,
     desugar_dump,
     install_method,
+    render,
 )
 from protolite.errors import ProgramInvalidError
 from protolite.generator import GeneratorConfig, generate_program
@@ -29,7 +30,6 @@ from protolite.syntax import (
     MethodDef,
     Send,
     SelfRef,
-    pretty_expr,
 )
 from protolite.validate import validate
 from protolite.values import IntVal
@@ -293,7 +293,7 @@ def test_criterion_8_propagation_check(programs_dir):
     # the middle class's self-send to the root-only method stays plain
     helper = image.classes["Mid"].dictionary[
         image.symbols.intern("__protectedHelper")]
-    assert pretty_expr(helper.body) == "self.rootOnly()"
+    assert render(helper.body, helper.sites) == "self.rootOnly()"
     dump = desugar_dump(image)
     assert "body protectedHelper() [protected]: self.rootOnly()" in dump
     # and the leaf's public override is what that plain send finds
@@ -309,8 +309,8 @@ def test_criterion_9_deferred_site(programs_dir):
     image = compile_program(program)
     assert [(d.class_name, d.selector) for d in image.deferred_sites] == \
         [("Box", "unknown")]
-    body = image.classes["Box"].dictionary[image.symbols.intern("anyMethod")].body
-    assert pretty_expr(body) == "self.unknown()"
+    cm = image.classes["Box"].dictionary[image.symbols.intern("anyMethod")]
+    assert render(cm.body, cm.sites) == "self.unknown()"
     before = run_image(image)
     assert before.outcome == Errored(DoesNotUnderstand("Box", "unknown"))
 
@@ -319,9 +319,9 @@ def test_criterion_9_deferred_site(programs_dir):
         MethodDef("unknown", (), Send(SelfRef(), "seed", ()),
                   visibility="protected"))
     assert image2.deferred_sites == ()
-    body2 = image2.classes["Box"].dictionary[
-        image2.symbols.intern("anyMethod")].body
-    assert pretty_expr(body2) == "self.__unknown()"
+    cm2 = image2.classes["Box"].dictionary[
+        image2.symbols.intern("anyMethod")]
+    assert render(cm2.body, cm2.sites) == "self.__unknown()"
     after = run_image(image2)
     assert after.outcome == Completed(IntVal(5))
     report(9, "deferred site compiled plain, mangled after install, "

@@ -566,14 +566,15 @@ def test_non_utf8_source_exits_3(capsys, tmp_path):
     (["check"], 1),
     (["desugar"], 1),
     (["diff"], 1),
-    # One compile per mode: the run's, then worst_case_ratios' two.
-    (["stats"], 3),
-    # The baseline's compile and the measured mode's.
+    # One compile per mode: the run's validates, and worst_case_ratios' two
+    # find the program valid already.
+    (["stats"], 1),
+    # The baseline's compile validates and the measured mode's does not.
     (["bench", "--invocations", "1", "--iterations", "1", "--warmup", "0"],
-     2),
+     1),
     # The repeated program shares the parsed program's index.
     (["bench", "--invocations", "1", "--iterations", "1", "--warmup", "0",
-      "--repeat", "3"], 2),
+      "--repeat", "3"], 1),
 ], ids=lambda v: ("-".join(a.lstrip("-") for a in v[:1] + v[7:])
                   if isinstance(v, list) else str(v)))
 def test_each_command_validates_once_per_compile(capsys, monkeypatch, argv,

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 from protolite.compiler import (
     CompileMode,
-    SelfSiteSend,
     SendSite,
     SymbolTable,
     compile_program,
     desugar_dump,
     install_method,
     protection_roots,
+    render,
     rewrite_scope,
 )
 from protolite.errors import (
@@ -34,7 +36,7 @@ from protolite.syntax import (
     Var,
     pretty_expr,
 )
-from protolite.validate import HierarchyIndex
+from protolite.validate import HierarchyIndex, Violation, validate
 from protolite.values import IntVal
 
 from tests.conftest import methods_with
@@ -46,14 +48,14 @@ def entry_texts(image, class_name):
 
 
 def lowered(image, class_name, selector):
-    """Printed compiled body of a class's own method, plus its deferred
-    sites."""
+    """Compiled body of a class's own method printed as it dispatches, plus
+    its deferred sites."""
     cm = next(cm for cm in image.classes[class_name].dictionary.values()
               if cm.selector.text == selector)
     deferred = tuple(d for d in image.deferred_sites
                      if (d.class_name, d.method_selector)
                      == (class_name, selector))
-    return pretty_expr(cm.body), deferred
+    return render(cm.body, cm.sites), deferred
 
 
 # -- mangle -------------------------------------------------------------------
@@ -81,8 +83,8 @@ def test_mangle_twice_is_an_error():
 
 def test_symbols_are_per_table_and_images_compare_by_text(two_level_program):
     # Symbols hash by identity: each compile interns its own, and a
-    # dictionary answers only its own table's symbols. Lowered bodies
-    # compare the dispatch text, so the two images are still equal.
+    # dictionary answers only its own table's symbols. Fingerprints compare
+    # the sites' dispatch texts, so the two images are still equal.
     first = compile_program(two_level_program)
     second = compile_program(two_level_program)
     assert images_equal(first, second)
@@ -95,12 +97,14 @@ def test_symbols_are_per_table_and_images_compare_by_text(two_level_program):
 
 
 def test_retagged_self_send_differs_from_its_plain_form():
+    # A compiled send prints its site's dispatch text: neither the site id
+    # nor the Symbol's table counts, the mangling does.
     table, other = SymbolTable(), SymbolTable()
     plain = table.intern("foo")
 
     def self_send(symbol, site_id):
-        return SelfSiteSend(SelfRef(), symbol.text, (),
-                            site=SendSite(site_id, symbol, "foo"))
+        return render(Send(SelfRef(), "foo", ()),
+                      (SendSite(site_id, symbol, "foo"),))
 
     assert self_send(plain, 0) == self_send(other.intern("foo"), 7)
     assert self_send(table.mangle(plain), 0) != self_send(plain, 0)
@@ -286,8 +290,8 @@ def test_worst_case_doubles_everything():
     """)
     image = compile_program(p, CompileMode.WORST_CASE)
     assert entry_texts(image, "A") == {"m", "__m", "n", "__n"}
-    body = image.classes["A"].dictionary[image.symbols.intern("n")].body
-    assert pretty_expr(body) == "self.__m()"
+    cm = image.classes["A"].dictionary[image.symbols.intern("n")]
+    assert render(cm.body, cm.sites) == "self.__m()"
 
 
 # -- incremental installation ------------------------------------------------------------
@@ -321,8 +325,8 @@ def test_install_first_protected_recompiles_descendants():
     assert {"go", "__go"} <= entry_texts(image2, "Top")
     assert {"helper", "__helper"} <= entry_texts(image2, "Low")
     # go's self-send now resolves in scope and is mangled.
-    body = image2.classes["Top"].dictionary[image2.symbols.intern("go")].body
-    assert pretty_expr(body) == "self.__helper()"
+    cm = image2.classes["Top"].dictionary[image2.symbols.intern("go")]
+    assert render(cm.body, cm.sites) == "self.__helper()"
     assert run_image(image2).outcome == Completed(IntVal(5))
 
 
@@ -412,15 +416,15 @@ def test_deferred_site_retagged_on_install(programs_dir):
     p = parse((programs_dir / "late_install.stl").read_text())
     image = compile_program(p)
     assert [d.selector for d in image.deferred_sites] == ["unknown"]
-    body = image.classes["Box"].dictionary[image.symbols.intern("anyMethod")].body
-    assert pretty_expr(body) == "self.unknown()"
+    cm = image.classes["Box"].dictionary[image.symbols.intern("anyMethod")]
+    assert render(cm.body, cm.sites) == "self.unknown()"
 
     unknown = MethodDef("unknown", (), Send(SelfRef(), "seed", ()),
                         visibility="protected")
     image2 = install_method(image, "Box", unknown)
     assert image2.deferred_sites == ()
-    body2 = image2.classes["Box"].dictionary[image2.symbols.intern("anyMethod")].body
-    assert pretty_expr(body2) == "self.__unknown()"
+    cm2 = image2.classes["Box"].dictionary[image2.symbols.intern("anyMethod")]
+    assert render(cm2.body, cm2.sites) == "self.__unknown()"
     assert run_image(image2).outcome == Completed(IntVal(5))
 
 
@@ -543,8 +547,9 @@ def test_incremental_equals_batch(two_level_program):
 
 
 def test_lowered_bodies_print_as_their_source():
-    # Without mangling, lowering changes no selector, so a compiled body
-    # prints exactly as the source body it came from -- `self + e` included.
+    # Without mangling, no site dispatches through another selector, so a
+    # compiled body prints exactly as its source body -- `self + e`
+    # included.
     for seed in range(200):
         program = generate_program(seed)
         image = compile_program(program, CompileMode.BASELINE)
@@ -552,9 +557,10 @@ def test_lowered_bodies_print_as_their_source():
             for mdef in cdef.methods:
                 cm = image.classes[cdef.name].dictionary[
                     image.symbols.intern(mdef.selector)]
-                assert pretty_expr(cm.body) == pretty_expr(mdef.body), \
-                    (seed, cdef.name, mdef.selector)
-        assert pretty_expr(image.main) == pretty_expr(program.main), seed
+                assert render(cm.body, cm.sites) == \
+                    pretty_expr(mdef.body), (seed, cdef.name, mdef.selector)
+        assert render(image.main, image.main_sites) == \
+            pretty_expr(program.main), seed
 
 
 def test_desugar_dump_shape(two_level_program):
@@ -565,3 +571,107 @@ def test_desugar_dump_shape(two_level_program):
     assert "self.__protectedMethod()" in dump
     assert "rewrite scope: A, B" in dump
     assert "protection roots: A" in dump
+
+
+# -- one validation per program ---------------------------------------------------
+
+
+def _counting_checks(monkeypatch):
+    """Names of the classes ``validate._check_class`` checks from now on."""
+    import importlib
+
+    # The package re-exports the function under the module's name.
+    validate_mod = importlib.import_module("protolite.validate")
+    real_check, checked = validate_mod._check_class, []
+    monkeypatch.setattr(
+        validate_mod, "_check_class",
+        lambda c, idx, violations:
+            checked.append(c.name) or real_check(c, idx, violations))
+    return checked
+
+
+def test_compile_after_validate_checks_no_rule(monkeypatch, two_level_program):
+    checked = _counting_checks(monkeypatch)
+    assert validate(two_level_program) == []
+    assert checked == ["A", "B"]
+    for mode in CompileMode:
+        compile_program(two_level_program, mode)
+    assert checked == ["A", "B"]
+
+
+def test_unvalidated_invalid_program_is_refused_with_its_violations():
+    source = """
+        class A extends Object { method size() { 1 } }
+        class B extends A { protected method size() { 2 } method f(x, x) { x } }
+        main { nil }
+    """
+    expected = validate(parse(source))
+    assert [v.rule for v in expected] == ["PARAMSONCEPERMETHOD",
+                                          "OVERRIDINGPUBLICMETHOD"]
+    program = parse(source)
+    for _ in range(2):  # a refusal leaves no verdict behind
+        with pytest.raises(ProgramInvalidError) as err:
+            compile_program(program)
+        assert err.value.violations == expected
+        assert not program.valid
+
+
+def test_a_rebuilt_program_starts_unverified(monkeypatch, two_level_program):
+    assert validate(two_level_program) == []
+    assert two_level_program.valid
+    rebuilt = replace(two_level_program,
+                      classes=two_level_program.classes[:1])
+    assert not rebuilt.valid
+    checked = _counting_checks(monkeypatch)
+    compile_program(rebuilt)
+    assert checked == ["A"]
+    assert rebuilt.valid
+
+
+def test_an_install_verifies_its_program_only_once_its_checks_pass(
+        monkeypatch, two_level_program):
+    import importlib
+
+    image = compile_program(two_level_program)
+    grown = install_method(image, "B", MethodDef("extra", (), IntLit(1)))
+    assert grown.program.valid
+    checked = _counting_checks(monkeypatch)
+    compile_program(grown.program)
+    assert checked == []
+    # The verdict is the install's checks': when they report a violation,
+    # the install raises it and builds no image.
+    compiler_mod = importlib.import_module("protolite.compiler")
+    refusal = [Violation("METHODONCEPERCLASS", "B", "other")]
+    monkeypatch.setattr(compiler_mod, "validate_install",
+                        lambda idx, class_name, selector: list(refusal))
+    with pytest.raises(ProgramInvalidError) as err:
+        install_method(image, "B", MethodDef("other", (), IntLit(1)))
+    assert err.value.violations == refusal
+
+
+# -- sites fixed at compile ---------------------------------------------------------
+
+
+def _site_layout(image):
+    """Site ids per compiled method and main, and the symbol table."""
+    methods = {(name, cm.selector.text): [s.site_id for s in cm.sites]
+               for name, icls in image.classes.items()
+               for cm in icls.dictionary.values()}
+    return (methods, [s.site_id for s in image.main_sites],
+            [(s.text, s.id) for s in image.symbols.symbols()],
+            image.site_count)
+
+
+def test_sites_and_symbols_are_fixed_when_the_compile_returns(programs_dir):
+    programs = [parse(path.read_text())
+                for path in sorted(programs_dir.glob("golden_*.stl"))]
+    programs += [generate_program(seed) for seed in range(50)]
+    for program in programs:
+        for mode in CompileMode:
+            image = compile_program(program, mode)
+            compiled = _site_layout(image)
+            assert image.code_arrays == {}
+            run_image(image, fuel=3_000)
+            assert image.code_arrays
+            assert _site_layout(image) == compiled
+            assert _site_layout(compile_program(program, mode)) == compiled

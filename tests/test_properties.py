@@ -12,6 +12,7 @@ from protolite.metrics import differential_run, measure_image
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.syntax import (
+    MANGLE_PREFIX,
     PROTECTED,
     PUBLIC,
     FieldSet,
@@ -398,14 +399,16 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
             scratch = compile_program(grown, mode)
             assert desugar_dump(installed) == desugar_dump(scratch)
             assert image_fingerprint(installed) == image_fingerprint(scratch)
-            # Lowered bodies compare the dispatch text on the send node, not
-            # the site's Symbol; the two must name the same selector, and the
-            # Symbol must be the image's own, since dictionaries hash symbols
-            # by identity.
+            # Each site belongs to the source send in its place: it keeps
+            # that send's selector as its plain text and dispatches through
+            # it or its mangled form. Its Symbol must be the image's own,
+            # since dictionaries hash symbols by identity.
             own = set(installed.symbols.symbols())
-            for node in _image_sends(installed):
-                assert node.site.selector.text == node.selector
-                assert node.site.selector in own
+            for node, site in _image_sends(installed):
+                assert site.plain_text == node.selector
+                assert site.selector.text in (node.selector,
+                                              MANGLE_PREFIX + node.selector)
+                assert site.selector in own
             assert installed.program == grown
             idx, fresh = installed.program.index, scratch.program.index
             assert idx.by_name == fresh.by_name
@@ -421,30 +424,38 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
             image, program = installed, grown
 
 
-def _lowered_sends(node):
-    """Send nodes of a lowered body; each carries its site."""
+def _sends_in_site_order(node):
+    """Send nodes of a source body in the order of its compiled sites:
+    post-order, arguments before the receiver."""
     if isinstance(node, Send):
-        yield node
-        yield from _lowered_sends(node.receiver)
         for a in node.args:
-            yield from _lowered_sends(a)
+            yield from _sends_in_site_order(a)
+        yield from _sends_in_site_order(node.receiver)
+        yield node
     elif isinstance(node, SuperSend):
-        yield node
         for a in node.args:
-            yield from _lowered_sends(a)
+            yield from _sends_in_site_order(a)
+        yield node
     elif isinstance(node, FieldSet):
-        yield from _lowered_sends(node.value)
+        yield from _sends_in_site_order(node.value)
     elif isinstance(node, Let):
-        yield from _lowered_sends(node.bound)
-        yield from _lowered_sends(node.body)
+        yield from _sends_in_site_order(node.bound)
+        yield from _sends_in_site_order(node.body)
+
+
+def _sends_with_sites(body, sites):
+    sends = list(_sends_in_site_order(body))
+    assert len(sends) == len(sites)
+    return zip(sends, sites)
 
 
 def _image_sends(image):
-    """Every lowered send of an image: its methods' bodies, then main."""
+    """Every send of an image with its site: its methods' bodies, then
+    main."""
     for icls in image.classes.values():
         for cm in {id(cm): cm for cm in icls.dictionary.values()}.values():
-            yield from _lowered_sends(cm.body)
-    yield from _lowered_sends(image.main)
+            yield from _sends_with_sites(cm.body, cm.sites)
+    yield from _sends_with_sites(image.main, image.main_sites)
 
 
 @given(seeds)
@@ -460,9 +471,8 @@ def test_no_mangled_sites_outside_scope(seed):
             if id(cm) in seen:
                 continue
             seen.add(id(cm))
-            assert not any(n.site.selector.mangled
-                           for n in _lowered_sends(cm.body))
-    assert not any(n.site.selector.mangled for n in _lowered_sends(image.main))
+            assert not any(site.selector.mangled for site in cm.sites)
+    assert not any(site.selector.mangled for site in image.main_sites)
 
 
 @given(seeds)

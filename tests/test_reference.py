@@ -603,11 +603,23 @@ def test_unknown_field_in_hand_built_body_errors_lazily():
     assert result.outcome == Errored(UF("C", "zz"))
 
 
-def test_unknown_field_rejected_eagerly_by_the_compiler():
-    from protolite.compiler import compile_program
+def test_unknown_field_rejected_eagerly_by_the_compiler(monkeypatch):
+    from protolite import runtime
+    from protolite.compiler import compile_program, install_method
     from protolite.syntax import ClassDef, MethodDef, New, Program, Send
 
     cdef = ClassDef("C", "Object", (), (MethodDef("m", (), FieldGet("zz")),))
     program = Program((cdef,), Send(New("C"), "m", ()))
     with pytest.raises(UnknownFieldError):
         compile_program(program)
+    # The compile checks every body, not only those a run activates, and
+    # an install checks the method it adds; neither waits for a first
+    # activation, and no body is lowered to code on the way.
+    monkeypatch.setattr(runtime, "_lower_code", None)
+    never_called = Program((cdef,), IntLit(1))
+    with pytest.raises(UnknownFieldError):
+        compile_program(never_called)
+    image = compile_program(Program(
+        (ClassDef("C", "Object", ("f",), ()),), IntLit(1)))
+    with pytest.raises(UnknownFieldError):
+        install_method(image, "C", MethodDef("bad", (), FieldGet("zz")))
