@@ -40,6 +40,7 @@ leave the old one valid.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -136,15 +137,9 @@ class SymbolTable:
 
 
 # --- compiled methods ----------------------------------------------------------
-#
-# The compile builds no code: a compiled method keeps its source body and the
-# SendSite of each of its sends, listed in post-order with arguments before
-# the receiver. The runtime lowers the body to a code array at its first
-# activation, taking each send's site from that list, and ``render`` prints
-# the body as it dispatches.
 
 
-@dataclass(slots=True)
+@dataclass(eq=False, slots=True)
 class SendSite:
     """One message-send site in compiled code.
 
@@ -153,22 +148,24 @@ class SendSite:
     selector for diagnostics, which never show the prefix.
     """
 
-    site_id: int = field(compare=False)
-    selector: Symbol = field(compare=False)
+    site_id: int
+    selector: Symbol
     plain_text: str
 
 
 @dataclass(eq=False, slots=True)
 class CompiledMethod:
-    """A method's source body with its send sites; compared by identity so
-    shared dictionary entries are observable."""
+    """A method's source body and the site of each of its sends, in
+    post-order with arguments before the receiver. The runtime lowers the
+    two to a code array at the method's first activation; ``render`` prints
+    them as they dispatch. Compared by identity so shared dictionary entries
+    are observable."""
 
     origin_class: str
     selector: Symbol  # plain form
     visibility: str
     params: tuple[str, ...]
-    body: Expr  # the source body
-    # One per send of the body, in post-order with arguments first.
+    body: Expr
     sites: tuple[SendSite, ...]
 
 
@@ -287,13 +284,12 @@ class _SiteBuilder:
 
     def _tag_selector(self, selector: str, enclosing: str | None,
                       kind: str, method_selector: str) -> Symbol:
-        """Mangled symbol when the rewrite applies to this site, else plain.
+        """Mangled symbol when the rewrite applies to this site of the
+        in-scope class ``enclosing``, else plain.
 
         ``kind`` is 'self' or 'super'; object sends are never rewritten.
         """
         plain = self.symbols.intern(selector)
-        if enclosing is None or enclosing not in self.scope:
-            return plain
         start = enclosing if kind == "self" else self.idx.superclass(enclosing)
         found = self.idx.closest_def(start, selector) if start else None
         if found is not None:
@@ -302,29 +298,29 @@ class _SiteBuilder:
                 # carry no mangled entries, so the site must stay plain.
                 return plain
             return self.symbols.mangle(plain)
-        definers = self.idx.definers(selector)
-        if kind == "self" and any(
-                d != enclosing and enclosing in self.idx.chain(d)
-                for d in definers):
+        if kind == "self" and self.idx.defined_below(enclosing, selector):
             # Unresolved here, but a subclass (necessarily in scope) answers
             # it -- possibly with a protected, mangled-only method that a
             # plain send could never see.
             return self.symbols.mangle(plain)
-        if not definers:
+        if not self.idx.definers(selector):
             # No class defines the selector: assume a public send and
             # remember the site for when such a method gets installed.
             self.deferred.append(
                 DeferredSite(enclosing, method_selector, selector))
         return plain
 
-    def sites(self, body: Expr, enclosing: str | None,
-              method_selector: str) -> tuple[SendSite, ...]:
+    def sites(self, body: Expr, enclosing: str | None, method_selector: str,
+              fields: tuple[str, ...] = ()) -> tuple[SendSite, ...]:
         """The body's send sites in post-order, arguments before the
-        receiver, each selector interned as its site is made; checks every
-        field the body names. One walk that builds no tree, iterative so
-        long let chains need no host recursion."""
+        receiver, each selector interned as its site is made; checks that
+        every field the body names is one of ``fields``, the enclosing
+        class's. One walk that builds no tree, iterative so long let chains
+        need no host recursion."""
+        interned = self.symbols._by_text
         intern = self.symbols.intern
-        fields = self.idx.fields_of(enclosing) if enclosing else ()
+        # Outside the scope every site stays plain.
+        tag = enclosing is not None and enclosing in self.scope
         site_id = self.next_site_id
         sites: list[SendSite] = []
         # Nodes to visit, and 1-tuples holding a send whose arguments and
@@ -336,21 +332,26 @@ class _SiteBuilder:
             kind = e.__class__
             if kind is tuple:
                 e = e[0]
-                if e.__class__ is SuperSend:
+                if not tag:
+                    sym = interned.get(e.selector) or intern(e.selector)
+                elif e.__class__ is SuperSend:
                     sym = self._tag_selector(e.selector, enclosing, "super",
                                              method_selector)
                 elif e.receiver.__class__ is SelfRef:
                     sym = self._tag_selector(e.selector, enclosing, "self",
                                              method_selector)
                 else:
-                    sym = intern(e.selector)
+                    sym = interned.get(e.selector) or intern(e.selector)
                 sites.append(SendSite(site_id, sym, e.selector))
                 site_id += 1
-            elif kind is Send:
+            elif kind is Send or kind is SuperSend:
+                # Leaves hold no send and no field: not worth a visit.
                 push((e,))
-                if e.receiver.__class__ is not SelfRef:
+                if kind is Send and e.receiver.__class__ not in _LEAVES:
                     push(e.receiver)
-                work += reversed(e.args)
+                for arg in reversed(e.args):
+                    if arg.__class__ not in _LEAVES:
+                        push(arg)
             elif kind is Let:
                 push(e.body)
                 push(e.bound)
@@ -359,9 +360,6 @@ class _SiteBuilder:
                     raise UnknownFieldError(enclosing or ROOT_CLASS, e.field)
                 if kind is FieldSet:
                     push(e.value)
-            elif kind is SuperSend:
-                push((e,))
-                work += reversed(e.args)
             elif kind not in _LEAVES:
                 raise TypeError(f"not an expression: {e!r}")
         self.next_site_id = site_id
@@ -374,39 +372,29 @@ _LEAVES = frozenset((NilLit, IntLit, SelfRef, Var, New))
 # --- whole-program compilation ---------------------------------------------------
 
 
-def _compile_method(builder: _SiteBuilder, class_name: str,
-                    mdef: MethodDef) -> CompiledMethod:
-    if mdef.selector.startswith(MANGLE_PREFIX):
-        raise ReservedSelectorError(
-            f"selector {mdef.selector!r} uses the reserved prefix", 0, 0)
-    sites = builder.sites(mdef.body, class_name, mdef.selector)
-    plain = builder.symbols.intern(mdef.selector)
-    return CompiledMethod(class_name, plain, mdef.visibility, mdef.params,
-                          mdef.body, sites)
-
-
-def _install(dictionary: dict[Symbol, CompiledMethod], method: CompiledMethod,
-             in_scope: bool, symbols: SymbolTable) -> None:
-    plain = method.selector
-    if method.visibility == PROTECTED and in_scope:
-        dictionary[symbols.mangle(plain)] = method
-        return
-    dictionary[plain] = method
-    if in_scope:
-        dictionary[symbols.mangle(plain)] = method
-
-
 def _compile_class(builder: _SiteBuilder, cdef: ClassDef,
                    class_id: int) -> ImageClass:
-    """Build and register every method of a class under the builder's
-    scope."""
+    """Build and register every method of a class under the builder's scope:
+    inside it, a protected method under its mangled selector only and a
+    public one under both, the two entries sharing one compiled method."""
     in_scope = cdef.name in builder.scope
+    fields = builder.idx.fields_of(cdef.name)
+    symbols = builder.symbols
     dictionary: dict[Symbol, CompiledMethod] = {}
     for mdef in cdef.methods:
-        _install(dictionary, _compile_method(builder, cdef.name, mdef),
-                 in_scope, builder.symbols)
-    return ImageClass(cdef.name, cdef.superclass,
-                      builder.idx.fields_of(cdef.name), dictionary, class_id)
+        if mdef.selector.startswith(MANGLE_PREFIX):
+            raise ReservedSelectorError(
+                f"selector {mdef.selector!r} uses the reserved prefix", 0, 0)
+        sites = builder.sites(mdef.body, cdef.name, mdef.selector, fields)
+        plain = symbols.intern(mdef.selector)
+        method = CompiledMethod(cdef.name, plain, mdef.visibility,
+                                mdef.params, mdef.body, sites)
+        if not (in_scope and mdef.visibility == PROTECTED):
+            dictionary[plain] = method
+        if in_scope:
+            dictionary[symbols.mangle(plain)] = method
+    return ImageClass(cdef.name, cdef.superclass, fields, dictionary,
+                      class_id)
 
 
 def compile_program(program: Program,
@@ -536,17 +524,9 @@ def install_method(image: RuntimeImage, class_name: str,
     deferred = tuple(d for d in image.deferred_sites
                      if d.class_name not in rebuilt) + tuple(builder.deferred)
 
-    return RuntimeImage(
-        mode=image.mode,
-        classes=classes,
-        main=image.main,
-        main_sites=image.main_sites,
-        symbols=symbols,
-        rewrite_scope=new_scope,
-        deferred_sites=deferred,
-        site_count=builder.next_site_id,
-        program=new_program,
-    )
+    return replace(image, classes=classes, symbols=symbols,
+                   rewrite_scope=new_scope, deferred_sites=deferred,
+                   site_count=builder.next_site_id, program=new_program)
 
 
 # --- textual image dump -------------------------------------------------------------
@@ -556,7 +536,6 @@ def desugar_dump(image: RuntimeImage) -> str:
     """Deterministic textual dump of dictionaries and compiled bodies, each
     printed as it dispatches."""
     out: list[str] = []
-    shared_ids = _shared_method_ids(image)
     for name in sorted(image.classes):
         icls = image.classes[name]
         sup = icls.superclass or "(root)"
@@ -564,17 +543,14 @@ def desugar_dump(image: RuntimeImage) -> str:
         out.append("  dictionary:")
         if not icls.dictionary:
             out.append("    (empty)")
-        for sym in sorted(icls.dictionary, key=lambda s: s.text):
-            cm = icls.dictionary[sym]
-            shared = " shared" if id(cm) in shared_ids[name] else ""
+        entries = sorted(icls.dictionary.items(), key=lambda e: e[0].text)
+        # Compiled methods hash by identity: a shared one counts twice.
+        uses = Counter(icls.dictionary.values())
+        for sym, cm in entries:
+            shared = " shared" if uses[cm] > 1 else ""
             out.append(f"    {sym.text} -> {cm.origin_class}#{cm.selector.text} "
                        f"{cm.visibility}{shared}")
-        seen: set[int] = set()
-        for sym in sorted(icls.dictionary, key=lambda s: s.text):
-            cm = icls.dictionary[sym]
-            if id(cm) in seen:
-                continue
-            seen.add(id(cm))
+        for cm in dict.fromkeys(cm for _, cm in entries):
             params = ", ".join(cm.params)
             out.append(f"  body {cm.selector.text}({params}) [{cm.visibility}]: "
                        f"{render(cm.body, cm.sites)}")
@@ -593,14 +569,3 @@ def desugar_dump(image: RuntimeImage) -> str:
     else:
         out.append("deferred sites: (none)")
     return "\n".join(out) + "\n"
-
-
-def _shared_method_ids(image: RuntimeImage) -> dict[str, set[int]]:
-    """Per class: ids of compiled methods registered under two selectors."""
-    result: dict[str, set[int]] = {}
-    for name, icls in image.classes.items():
-        counts: dict[int, int] = {}
-        for cm in icls.dictionary.values():
-            counts[id(cm)] = counts.get(id(cm), 0) + 1
-        result[name] = {mid for mid, n in counts.items() if n > 1}
-    return result

@@ -259,8 +259,7 @@ _RETURN = (RETURN, None, None)
 
 
 # Work entries of ``_lower_code`` that are neither a node nor an instruction.
-_FINISH, _SWITCH, _SPLICE = range(-3, 0)
-_LEAVES = (Var, IntLit, NilLit, SelfRef, New, FieldGet)
+_SEND, _SWITCH, _SPLICE = range(-3, 0)
 
 
 def _lower_code(body: Expr, params: tuple[str, ...] = (),
@@ -276,10 +275,10 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
     binding. Iterative, so deeply nested lets and sends need no host
     recursion.
 
-    Sites are listed in post-order with a send's arguments before its
-    receiver, and the code evaluates the receiver first. So the walk visits
-    nodes in site order, and a send whose receiver holds sends lowers its
-    arguments into a side buffer spliced in after the receiver's code.
+    The sites are in post-order with a send's arguments before its
+    receiver, while the code evaluates the receiver first. So the walk
+    visits nodes in site order, and lowers an object send's arguments into a
+    buffer spliced in after its receiver's code.
     """
     out = code = []
     emit = code.append
@@ -287,8 +286,10 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
     scope = dict(zip(params, range(len(params))))
     nslots = len(params)
     # Entries are (node, scope, depth) to lower, (instruction, _, _) to emit
-    # as is once everything pushed after it has been lowered, or (marker,
-    # operand, _) for the three markers above.
+    # as is once everything pushed after it has been lowered, or: (_SEND,
+    # op, argument count) to emit a send on the next site; (_SWITCH, code,
+    # _) to emit into that code from then on; (_SPLICE, buffer, _) to append
+    # a buffer's instructions.
     work: list[tuple] = [(body, scope, len(params))]
     push = work.append
     while work:
@@ -303,40 +304,29 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
         elif kind is IntLit:
             emit((CONST, node.value, None))
         elif kind is int:
-            if node == _FINISH:  # scope holds the send
-                send = scope
-                nargs = len(send.args)
-                site = next_site()
-                op = (SUPER_SEND if send.__class__ is SuperSend
-                      else SELF_SEND if send.receiver.__class__ is SelfRef
-                      else ADD if site.plain_text == "+" and nargs == 1
-                      else SEND)
-                emit((op, site, nargs))
-            elif node == _SPLICE:  # scope holds the arguments' buffer
-                code.extend(scope)
-            else:  # _SWITCH: scope holds the code to emit into from now on
+            if node == _SEND:
+                emit((scope, next_site(), depth))
+            elif node == _SPLICE:
+                code += scope
+            else:
                 code = scope
                 emit = code.append
         elif kind is Send or kind is SuperSend:
-            push((_FINISH, node, 0))
-            receiver = (node.receiver if kind is Send
-                        and node.receiver.__class__ is not SelfRef else None)
-            if receiver is None or not node.args or type(receiver) in _LEAVES:
-                for arg in reversed(node.args):
-                    push((arg, scope, depth))
-                if receiver is not None:
-                    push((receiver, scope, depth))
-            else:
-                # The arguments' sites come first: lower them into a
-                # buffer, then the receiver into the code, then splice.
+            args = node.args
+            receiver = node.receiver if kind is Send else None
+            op = (SUPER_SEND if receiver is None
+                  else SELF_SEND if type(receiver) is SelfRef
+                  else ADD if node.selector == "+" and len(args) == 1
+                  else SEND)
+            push((_SEND, op, len(args)))
+            if op <= SEND and args:  # lower the arguments first, aside
                 buffer: list[tuple] = []
-                push((_SPLICE, buffer, 0))
+                work += ((_SPLICE, buffer, 0), (receiver, scope, depth),
+                         (_SWITCH, code, 0))
+                code, emit = buffer, buffer.append
+            work += [(arg, scope, depth) for arg in reversed(args)]
+            if op <= SEND and not args:
                 push((receiver, scope, depth))
-                push((_SWITCH, code, 0))
-                for arg in reversed(node.args):
-                    push((arg, scope, depth))
-                code = buffer
-                emit = code.append
         elif kind is SelfRef:
             emit((SELF, None, None))
         elif kind is Let:
@@ -628,24 +618,27 @@ class Interpreter:
 
     def sites(self) -> list[dict]:
         """Polymorphic and megamorphic send sites in site order, read after
-        the run from the site caches and the code arrays that ran (main's
-        sites have no class). A megamorphic site kept no receivers."""
+        the run from the site caches and the sites of the bodies that ran,
+        those with code arrays (main's sites have no class). A megamorphic
+        site kept no receivers."""
+        image = self.image
         rows = []
-        for method, (code, _, _) in self.image.code_arrays.items():
-            holder = ((None, "main") if method is None
-                      else (method.origin_class, method.selector.text))
-            for op, site, _ in code:
-                if ADD <= op <= SUPER_SEND:
-                    entry = self.site_caches[site.site_id]
-                    mega = entry is MEGAMORPHIC
-                    if mega or len(entry) > 1:
-                        rows.append({
-                            "site": site.site_id,
-                            "class": holder[0],
-                            "method": holder[1],
-                            "selector": site.plain_text,
-                            "state": "mega" if mega else "poly",
-                            "receivers": [e[0] for e in entry]})
+        for method in image.code_arrays:
+            holder, sites = (
+                ((None, "main"), image.main_sites) if method is None
+                else ((method.origin_class, method.selector.text),
+                      method.sites))
+            for site in sites:
+                entry = self.site_caches[site.site_id]
+                mega = entry is MEGAMORPHIC
+                if mega or len(entry) > 1:
+                    rows.append({
+                        "site": site.site_id,
+                        "class": holder[0],
+                        "method": holder[1],
+                        "selector": site.plain_text,
+                        "state": "mega" if mega else "poly",
+                        "receivers": [e[0] for e in entry]})
         return sorted(rows, key=lambda row: row["site"])
 
     def _stats(self) -> CacheStats:

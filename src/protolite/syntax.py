@@ -14,11 +14,11 @@ the evaluators share subtrees freely. This holds by convention, and
 resolves identifiers in the nodes it built, in place, before ``parse``
 returns; ``Program.index`` is set once, by ``validate.index_of``, by the
 install that built the program, or by ``bench.repeat_main``, which shares its
-source program's; and ``Program.valid`` is set once, by ``validate`` when it
-finds no violation or by the install whose checks passed. The nodes are slotted dataclasses, not frozen ones,
-because a frozen dataclass stores each field through ``object.__setattr__``
-and costs about three times as much to build. Equality is by value; the nodes
-are not hashable.
+source program's; and ``Program.valid`` is set by ``validate`` or by the
+install whose checks passed. The nodes are slotted dataclasses, not frozen
+ones, because a frozen dataclass stores each field through
+``object.__setattr__`` and costs about three times as much to build.
+Equality is by value; the nodes are not hashable.
 """
 
 from __future__ import annotations
@@ -138,24 +138,25 @@ class Program:
 
 # --- pretty printing ------------------------------------------------------
 #
-# Precedence levels: assignment/let < sum < postfix send < atoms. The printer
-# emits source that re-parses to the same Program, provided identifier
-# resolution is unambiguous (no let/param name shadows a visible field).
+# Precedence levels: assignment/let < sum < postfix send < atoms. Each node
+# prints at the highest level it takes without parentheses, and its parent
+# parenthesizes it when the context needs a higher one. The printer emits
+# source that re-parses to the same Program, provided identifier resolution
+# is unambiguous (no let/param name shadows a visible field).
 
 _PREC_EXPR = 0
 _PREC_SUM = 1
 _PREC_POSTFIX = 2
 
 
-def pretty_expr(e: Expr, prec: int = _PREC_EXPR,
-                dispatch: Iterator[str] | None = None) -> str:
-    """Source text of an expression, parenthesized for context ``prec``.
+def pretty_expr(e: Expr, dispatch: Iterator[str] | None = None) -> str:
+    """Source text of an expression.
 
     ``dispatch``, when given, yields the selector each send prints in place
     of its source selector, in post-order with arguments before the
     receiver: the order of a compiled body's sites.
     """
-    return _wrap(_pretty(e, dispatch), prec)
+    return _pretty(e, dispatch)[0]
 
 
 def _wrap(printed: tuple[str, int], prec: int) -> str:
@@ -164,40 +165,30 @@ def _wrap(printed: tuple[str, int], prec: int) -> str:
 
 
 def _pretty(e: Expr, dispatch: Iterator[str] | None) -> tuple[str, int]:
-    """An expression's text and the highest context precedence it takes
-    without parentheses."""
-    if isinstance(e, New):
-        return f"new {e.class_name}", _PREC_EXPR
     if isinstance(e, (Var, FieldGet)):
         return (e.name if isinstance(e, Var) else e.field), _PREC_POSTFIX
-    if isinstance(e, SelfRef):
-        return "self", _PREC_POSTFIX
-    if isinstance(e, NilLit):
-        return "nil", _PREC_POSTFIX
-    if isinstance(e, IntLit):
-        return str(e.value), _PREC_POSTFIX
+    if isinstance(e, (SelfRef, NilLit, IntLit)):
+        return ("self" if isinstance(e, SelfRef) else "nil"
+                if isinstance(e, NilLit) else str(e.value)), _PREC_POSTFIX
+    if isinstance(e, New):
+        return f"new {e.class_name}", _PREC_EXPR
     if isinstance(e, FieldSet):
-        return f"{e.field} := {pretty_expr(e.value, _PREC_EXPR, dispatch)}", \
-            _PREC_EXPR
-    if isinstance(e, Send):
-        args = [_pretty(a, dispatch) for a in e.args]
-        receiver = _pretty(e.receiver, dispatch)
-        selector = e.selector if dispatch is None else next(dispatch)
-        if selector == "+" and len(args) == 1:
-            return (f"{_wrap(receiver, _PREC_SUM)} + "
-                    f"{_wrap(args[0], _PREC_POSTFIX)}"), _PREC_SUM
-        args_text = ", ".join(_wrap(a, _PREC_EXPR) for a in args)
-        return f"{_wrap(receiver, _PREC_POSTFIX)}.{selector}({args_text})", \
-            _PREC_POSTFIX
-    if isinstance(e, SuperSend):
-        args_text = ", ".join(pretty_expr(a, _PREC_EXPR, dispatch)
-                              for a in e.args)
-        selector = e.selector if dispatch is None else next(dispatch)
-        return f"super.{selector}({args_text})", _PREC_POSTFIX
+        return f"{e.field} := {_pretty(e.value, dispatch)[0]}", _PREC_EXPR
     if isinstance(e, Let):
-        return (f"let {e.var} = {pretty_expr(e.bound, _PREC_EXPR, dispatch)} "
-                f"in {pretty_expr(e.body, _PREC_EXPR, dispatch)}"), _PREC_EXPR
-    raise TypeError(f"not an expression: {e!r}")
+        return (f"let {e.var} = {_pretty(e.bound, dispatch)[0]} "
+                f"in {_pretty(e.body, dispatch)[0]}"), _PREC_EXPR
+    if not isinstance(e, (Send, SuperSend)):
+        raise TypeError(f"not an expression: {e!r}")
+    args = [_pretty(a, dispatch) for a in e.args]
+    receiver = (_pretty(e.receiver, dispatch) if isinstance(e, Send)
+                else ("super", _PREC_POSTFIX))
+    selector = e.selector if dispatch is None else next(dispatch)
+    if selector == "+" and len(args) == 1 and isinstance(e, Send):
+        return (f"{_wrap(receiver, _PREC_SUM)} + "
+                f"{_wrap(args[0], _PREC_POSTFIX)}"), _PREC_SUM
+    args_text = ", ".join(text for text, _ in args)
+    return f"{_wrap(receiver, _PREC_POSTFIX)}.{selector}({args_text})", \
+        _PREC_POSTFIX
 
 
 def pretty_method(m: MethodDef, indent: str = "  ") -> str:

@@ -284,6 +284,12 @@ class HierarchyIndex:
         """Classes defining ``selector`` at any visibility, in program order."""
         return self._definers.get(selector, ())
 
+    def defined_below(self, name: str, selector: str) -> bool:
+        """Whether a strict descendant of ``name`` defines ``selector``."""
+        chains = self._chains
+        return any(d != name and name in chains[d]
+                   for d in self._definers.get(selector, ()))
+
     def fields_of(self, name: str) -> tuple[str, ...]:
         """All fields of a class including inherited ones, root-first."""
         self._require(name)

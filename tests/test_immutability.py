@@ -1,7 +1,7 @@
 """No phase changes the program it is given or the image it reads, and no
 phase leaves work for the cyclic garbage collector.
 
-Syntax and lowered-code nodes are slotted, non-frozen dataclasses (see the
+Syntax nodes and send sites are slotted, non-frozen dataclasses (see the
 ``syntax`` module docstring), so nothing stops a phase from assigning to a
 node's field. These tests stand in for that guard: they snapshot a program
 and its images, run every phase over them, and compare. A program keeps its

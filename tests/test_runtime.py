@@ -565,3 +565,27 @@ def test_parameterless_let_free_callees_then_a_let():
         main { let c = new C in let r = c.zz() + c.zz() in c.lets() + r }
     """))
     assert runs[0].outcome == Completed(IntVal(49))
+
+
+@pytest.mark.parametrize("main, site_order, code_order", [
+    ("a.f().g(a.h())", "h f g", "f h g"),
+    ("(a.f() + a.h()).g(a.h().g(a.f()))", "f h g h f + g", "f h + h f g g"),
+    ("a.g(a.f().g(a.h()))", "h f g g", "f h g g"),
+])
+def test_code_gives_each_send_its_own_site(main, site_order, code_order):
+    # Sites are numbered with a send's arguments before its receiver; the
+    # code evaluates the receiver first. Each send instruction must still
+    # carry the site made for its own source send.
+    from protolite.runtime import ADD, SUPER_SEND, _code_of
+
+    image = compile_program(parse(
+        "class A extends Object { method f() { 1 } method g(x) { x }"
+        f" method h() {{ 2 }} }} main {{ let a = new A in {main} }}"))
+    assert [s.plain_text for s in image.main_sites] == site_order.split()
+    assert [s.site_id for s in image.main_sites] == \
+        list(range(image.site_count - len(image.main_sites), image.site_count))
+    code, _, _ = _code_of(image, None)
+    sends = [site for op, site, _ in code if ADD <= op <= SUPER_SEND]
+    assert [s.plain_text for s in sends] == code_order.split()
+    assert sorted(sends, key=lambda s: s.site_id) == list(image.main_sites)
+    assert run_image(image).outcome == eval_program(image.program).outcome
