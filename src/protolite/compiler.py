@@ -282,8 +282,8 @@ class _SiteBuilder:
         self.next_site_id = next_site_id
         self.deferred: list[DeferredSite] = []
 
-    def _tag_selector(self, selector: str, enclosing: str | None,
-                      kind: str, method_selector: str) -> Symbol:
+    def _tag_selector(self, selector: str, enclosing: str, kind: str,
+                      method_selector: str) -> Symbol:
         """Mangled symbol when the rewrite applies to this site of the
         in-scope class ``enclosing``, else plain.
 
@@ -317,7 +317,6 @@ class _SiteBuilder:
         every field the body names is one of ``fields``, the enclosing
         class's. One walk that builds no tree, iterative so long let chains
         need no host recursion."""
-        interned = self.symbols._by_text
         intern = self.symbols.intern
         # Outside the scope every site stays plain.
         tag = enclosing is not None and enclosing in self.scope
@@ -333,7 +332,7 @@ class _SiteBuilder:
             if kind is tuple:
                 e = e[0]
                 if not tag:
-                    sym = interned.get(e.selector) or intern(e.selector)
+                    sym = intern(e.selector)
                 elif e.__class__ is SuperSend:
                     sym = self._tag_selector(e.selector, enclosing, "super",
                                              method_selector)
@@ -341,7 +340,7 @@ class _SiteBuilder:
                     sym = self._tag_selector(e.selector, enclosing, "self",
                                              method_selector)
                 else:
-                    sym = interned.get(e.selector) or intern(e.selector)
+                    sym = intern(e.selector)
                 sites.append(SendSite(site_id, sym, e.selector))
                 site_id += 1
             elif kind is Send or kind is SuperSend:

@@ -304,10 +304,10 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
         elif kind is IntLit:
             emit((CONST, node.value, None))
         elif kind is int:
-            if node == _SEND:
+            if node == _SEND:  # here scope is the op, depth the count
                 emit((scope, next_site(), depth))
             elif node == _SPLICE:
-                code += scope
+                code.extend(scope)
             else:
                 code = scope
                 emit = code.append
