@@ -258,8 +258,10 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 _RETURN = (RETURN, None, None)
 
 
-# Work entries of ``_lower_code`` that are neither a node nor an instruction.
-_SEND, _SWITCH, _SPLICE = range(-3, 0)
+# Markers in ``_lower_code``'s work list.
+_SWITCH, _SPLICE = -2, -1
+# Nodes whose code holds no send.
+_LEAVES = frozenset((Var, IntLit, NilLit, SelfRef, New, FieldGet))
 
 
 def _lower_code(body: Expr, params: tuple[str, ...] = (),
@@ -275,80 +277,88 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
     binding. Iterative, so deeply nested lets and sends need no host
     recursion.
 
-    The sites are in post-order with a send's arguments before its
-    receiver, while the code evaluates the receiver first. So the walk
-    visits nodes in site order, and lowers an object send's arguments into a
-    buffer spliced in after its receiver's code.
+    The walk emits the code backwards and reverses it at the end.
+    Backwards, a send comes before its operands, so it takes its site, from
+    the end of ``sites``, as soon as it is visited. ``sites`` is in
+    post-order with arguments before the receiver, so backwards the
+    receiver's sites come before the arguments', while the backwards code
+    wants the arguments' first. Where the receiver may hold sends and there
+    are arguments, the receiver is lowered first, into a buffer spliced in
+    after the arguments.
     """
-    out = code = []
+    out = code = [_RETURN]
     emit = code.append
-    next_site = iter(sites).__next__
+    site = len(sites)
     scope = dict(zip(params, range(len(params))))
     nslots = len(params)
     # Entries are (node, scope, depth) to lower, (instruction, _, _) to emit
-    # as is once everything pushed after it has been lowered, or: (_SEND,
-    # op, argument count) to emit a send on the next site; (_SWITCH, code,
-    # _) to emit into that code from then on; (_SPLICE, buffer, _) to append
-    # a buffer's instructions.
+    # as is once everything pushed after it has been lowered, (_SWITCH,
+    # code, _) to emit into that code from then on, or (_SPLICE, buffer, _)
+    # to append a buffer's instructions.
     work: list[tuple] = [(body, scope, len(params))]
     push = work.append
     while work:
         node, scope, depth = work.pop()
         kind = type(node)
-        if kind is tuple:
-            emit(node)
-        elif kind is Var:
-            slot = scope.get(node.name)
-            emit((UNBOUND, node.name, None) if slot is None
-                 else (LOAD, slot, None))
-        elif kind is IntLit:
-            emit((CONST, node.value, None))
-        elif kind is int:
-            if node == _SEND:  # here scope is the op, depth the count
-                emit((scope, next_site(), depth))
-            elif node == _SPLICE:
-                code.extend(scope)
-            else:
-                code = scope
-                emit = code.append
-        elif kind is Send or kind is SuperSend:
+        if kind is Send or kind is SuperSend:
             args = node.args
             receiver = node.receiver if kind is Send else None
             op = (SUPER_SEND if receiver is None
                   else SELF_SEND if type(receiver) is SelfRef
                   else ADD if node.selector == "+" and len(args) == 1
                   else SEND)
-            push((_SEND, op, len(args)))
-            if op <= SEND and args:  # lower the arguments first, aside
+            site -= 1
+            emit((op, sites[site], len(args)))
+            if op > SEND:  # the owner receives
+                receiver = None
+            elif args and type(receiver) not in _LEAVES:
                 buffer: list[tuple] = []
-                work += ((_SPLICE, buffer, 0), (receiver, scope, depth),
-                         (_SWITCH, code, 0))
-                code, emit = buffer, buffer.append
-            work += [(arg, scope, depth) for arg in reversed(args)]
-            if op <= SEND and not args:
+                push((_SPLICE, buffer, 0))
+                for arg in args:
+                    push((arg, scope, depth))
+                push((_SWITCH, code, 0))
                 push((receiver, scope, depth))
+                code, emit = buffer, buffer.append
+                continue
+            if receiver is not None:
+                push((receiver, scope, depth))
+            for arg in args:
+                push((arg, scope, depth))
+        elif kind is IntLit:
+            emit((CONST, node.value, None))
         elif kind is SelfRef:
             emit((SELF, None, None))
+        elif kind is Var:
+            slot = scope.get(node.name)
+            emit((UNBOUND, node.name, None) if slot is None
+                 else (LOAD, slot, None))
+        elif kind is tuple:
+            emit(node)
         elif kind is Let:
             inner = dict(scope)
             inner[node.var] = depth
             if depth >= nslots:
                 nslots = depth + 1
-            push((node.body, inner, depth + 1))
-            push(((LET, depth, None), None, 0))
             push((node.bound, scope, depth))
+            push(((LET, depth, None), None, 0))
+            push((node.body, inner, depth + 1))
+        elif kind is New:
+            emit((NEW, node.class_name, None))
         elif kind is NilLit:
             emit((CONST, NIL, None))
         elif kind is FieldGet:
             emit((GET, node.field, None))
         elif kind is FieldSet:
-            push(((SET, node.field, None), None, 0))
+            emit((SET, node.field, None))
             push((node.value, scope, depth))
-        elif kind is New:
-            emit((NEW, node.class_name, None))
+        elif node == _SPLICE:
+            code.extend(scope)
+        elif node == _SWITCH:
+            code = scope
+            emit = code.append
         else:
             raise TypeError(f"not an expression: {node!r}")
-    emit(_RETURN)
+    out.reverse()
     # A plain tuple: this runs once per activated body, often for bodies
     # that run only once, so construction cost matters.
     return out, len(params), (None,) * (nslots - len(params))
