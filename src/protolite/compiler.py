@@ -155,11 +155,10 @@ class SendSite:
 
 @dataclass(eq=False, slots=True)
 class CompiledMethod:
-    """A method's source body and the site of each of its sends, in
-    post-order with arguments before the receiver. The runtime lowers the
-    two to a code array at the method's first activation; ``render`` prints
-    them as they dispatch. Compared by identity so shared dictionary entries
-    are observable."""
+    """A method's source body and the site of each of its sends, in the
+    order the body runs them. The runtime lowers the two to a code array at
+    the method's first activation; ``render`` prints them as they dispatch.
+    Compared by identity so shared dictionary entries are observable."""
 
     origin_class: str
     selector: Symbol  # plain form
@@ -312,18 +311,28 @@ class _SiteBuilder:
 
     def sites(self, body: Expr, enclosing: str | None, method_selector: str,
               fields: tuple[str, ...] = ()) -> tuple[SendSite, ...]:
-        """The body's send sites in post-order, arguments before the
-        receiver, each selector interned as its site is made; checks that
-        every field the body names is one of ``fields``, the enclosing
-        class's. One walk that builds no tree, iterative so long let chains
-        need no host recursion."""
+        """The body's send sites in the order its code runs them: a send's
+        receiver's sites, then its arguments' from left to right, then its
+        own. Checks that every field the body names is one of ``fields``,
+        the enclosing class's. One walk that builds no tree, iterative so
+        long let chains need no host recursion.
+
+        The walk visits a send's arguments before its receiver, and makes
+        and numbers each site, interning its selector, once both are done;
+        symbol and site ids follow that order. Where the receiver and an
+        argument may both hold sends, the receiver's sites are then moved
+        before the arguments'.
+        """
         intern = self.symbols.intern
         # Outside the scope every site stays plain.
         tag = enclosing is not None and enclosing in self.scope
         site_id = self.next_site_id
         sites: list[SendSite] = []
-        # Nodes to visit, and 1-tuples holding a send whose arguments and
-        # receiver are done.
+        # Nodes to visit; 1-tuples holding a send whose arguments and
+        # receiver are done; [start, receiver] lists, popped once the
+        # arguments' sites (from start on) are made, to visit the receiver;
+        # and slices of the arguments' sites, popped once the receiver's
+        # follow them, to move the receiver's first.
         work: list = [body]
         pop, push = work.pop, work.append
         while work:
@@ -347,7 +356,12 @@ class _SiteBuilder:
                 # Leaves hold no send and no field: not worth a visit.
                 push((e,))
                 if kind is Send and e.receiver.__class__ not in _LEAVES:
-                    push(e.receiver)
+                    for arg in e.args:
+                        if arg.__class__ not in _LEAVES:
+                            push([len(sites), e.receiver])
+                            break
+                    else:
+                        push(e.receiver)
                 for arg in reversed(e.args):
                     if arg.__class__ not in _LEAVES:
                         push(arg)
@@ -359,6 +373,11 @@ class _SiteBuilder:
                     raise UnknownFieldError(enclosing or ROOT_CLASS, e.field)
                 if kind is FieldSet:
                     push(e.value)
+            elif kind is list:
+                push(slice(e[0], len(sites)))
+                push(e[1])
+            elif kind is slice:
+                sites[e.start:] = sites[e.stop:] + sites[e.start:e.stop]
             elif kind not in _LEAVES:
                 raise TypeError(f"not an expression: {e!r}")
         self.next_site_id = site_id

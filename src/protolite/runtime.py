@@ -25,6 +25,8 @@ Execution does not walk expression trees. Each method body, and the image's
 main expression, is lowered from its source tree and the send sites the
 compiler made for it into a flat postfix *code array* of ``(opcode, a, b)``
 instructions ending in ``RETURN``; that is the one translation a body gets.
+The sites come in the order the code runs its sends, so one forward walk
+hands each send instruction the next site.
 Variables are resolved to numbered slots of the activation's environment
 while lowering, so a variable read is a list index and a ``let`` needs no
 environment copy. The lowering is lazy -- a method's code is built at its
@@ -258,16 +260,11 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 _RETURN = (RETURN, None, None)
 
 
-# Markers in ``_lower_code``'s work list.
-_SWITCH, _SPLICE = -2, -1
-# Nodes whose code holds no send.
-_LEAVES = frozenset((Var, IntLit, NilLit, SelfRef, New, FieldGet))
-
-
 def _lower_code(body: Expr, params: tuple[str, ...] = (),
                 sites: tuple[SendSite, ...] = ()) -> tuple:
     """Lower a source body to ``(instructions, parameter count, let
-    padding)``, taking each send's site from ``sites``.
+    padding)``, each send taking the next of ``sites``, which are in the
+    order the code runs its sends.
 
     The padding is a tuple of one None per let slot; an activation's
     environment is a list of its arguments followed by the padding.
@@ -276,25 +273,15 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
     would); each ``let`` takes the next slot above those live at its
     binding. Iterative, so deeply nested lets and sends need no host
     recursion.
-
-    The walk emits the code backwards and reverses it at the end.
-    Backwards, a send comes before its operands, so it takes its site, from
-    the end of ``sites``, as soon as it is visited. ``sites`` is in
-    post-order with arguments before the receiver, so backwards the
-    receiver's sites come before the arguments', while the backwards code
-    wants the arguments' first. Where the receiver may hold sends and there
-    are arguments, the receiver is lowered first, into a buffer spliced in
-    after the arguments.
     """
-    out = code = [_RETURN]
+    code: list[tuple] = []
     emit = code.append
-    site = len(sites)
+    next_site = iter(sites).__next__
     scope = dict(zip(params, range(len(params))))
     nslots = len(params)
     # Entries are (node, scope, depth) to lower, (instruction, _, _) to emit
-    # as is once everything pushed after it has been lowered, (_SWITCH,
-    # code, _) to emit into that code from then on, or (_SPLICE, buffer, _)
-    # to append a buffer's instructions.
+    # as is, or (opcode, argument count, _) to emit as a send on the next
+    # site.
     work: list[tuple] = [(body, scope, len(params))]
     push = work.append
     while work:
@@ -307,23 +294,13 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
                   else SELF_SEND if type(receiver) is SelfRef
                   else ADD if node.selector == "+" and len(args) == 1
                   else SEND)
-            site -= 1
-            emit((op, sites[site], len(args)))
-            if op > SEND:  # the owner receives
-                receiver = None
-            elif args and type(receiver) not in _LEAVES:
-                buffer: list[tuple] = []
-                push((_SPLICE, buffer, 0))
-                for arg in args:
-                    push((arg, scope, depth))
-                push((_SWITCH, code, 0))
-                push((receiver, scope, depth))
-                code, emit = buffer, buffer.append
-                continue
-            if receiver is not None:
-                push((receiver, scope, depth))
-            for arg in args:
+            push((op, len(args), 0))
+            for arg in reversed(args):
                 push((arg, scope, depth))
+            if op <= SEND:  # the receiver is on the stack, not the owner
+                push((receiver, scope, depth))
+        elif kind is int:
+            emit((node, next_site(), scope))
         elif kind is IntLit:
             emit((CONST, node.value, None))
         elif kind is SelfRef:
@@ -339,9 +316,9 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
             inner[node.var] = depth
             if depth >= nslots:
                 nslots = depth + 1
-            push((node.bound, scope, depth))
-            push(((LET, depth, None), None, 0))
             push((node.body, inner, depth + 1))
+            push(((LET, depth, None), None, 0))
+            push((node.bound, scope, depth))
         elif kind is New:
             emit((NEW, node.class_name, None))
         elif kind is NilLit:
@@ -349,19 +326,14 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
         elif kind is FieldGet:
             emit((GET, node.field, None))
         elif kind is FieldSet:
-            emit((SET, node.field, None))
+            push(((SET, node.field, None), None, 0))
             push((node.value, scope, depth))
-        elif node == _SPLICE:
-            code.extend(scope)
-        elif node == _SWITCH:
-            code = scope
-            emit = code.append
         else:
             raise TypeError(f"not an expression: {node!r}")
-    out.reverse()
+    emit(_RETURN)
     # A plain tuple: this runs once per activated body, often for bodies
     # that run only once, so construction cost matters.
-    return out, len(params), (None,) * (nslots - len(params))
+    return code, len(params), (None,) * (nslots - len(params))
 
 
 def _code_of(image: RuntimeImage, method: CompiledMethod | None) -> tuple:

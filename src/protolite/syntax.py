@@ -153,8 +153,8 @@ def pretty_expr(e: Expr, dispatch: Iterator[str] | None = None) -> str:
     """Source text of an expression.
 
     ``dispatch``, when given, yields the selector each send prints in place
-    of its source selector, in post-order with arguments before the
-    receiver: the order of a compiled body's sites.
+    of its source selector, in the order the code runs the sends (receiver,
+    arguments, send): the order of a compiled body's sites.
     """
     return _pretty(e, dispatch)[0]
 
@@ -179,9 +179,9 @@ def _pretty(e: Expr, dispatch: Iterator[str] | None) -> tuple[str, int]:
                 f"in {_pretty(e.body, dispatch)[0]}"), _PREC_EXPR
     if not isinstance(e, (Send, SuperSend)):
         raise TypeError(f"not an expression: {e!r}")
-    args = [_pretty(a, dispatch) for a in e.args]
     receiver = (_pretty(e.receiver, dispatch) if isinstance(e, Send)
                 else ("super", _PREC_POSTFIX))
+    args = [_pretty(a, dispatch) for a in e.args]
     selector = e.selector if dispatch is None else next(dispatch)
     if selector == "+" and len(args) == 1 and isinstance(e, Send):
         return (f"{_wrap(receiver, _PREC_SUM)} + "

@@ -28,6 +28,7 @@ from protolite.syntax import (
     PROTECTED,
     PUBLIC,
     ClassDef,
+    FieldSet,
     IntLit,
     MethodDef,
     Program,
@@ -426,6 +427,24 @@ def test_deferred_site_retagged_on_install(programs_dir):
     cm2 = image2.classes["Box"].dictionary[image2.symbols.intern("anyMethod")]
     assert render(cm2.body, cm2.sites) == "self.__unknown()"
     assert run_image(image2).outcome == Completed(IntVal(5))
+
+
+def test_installed_plus_self_send_prints_as_mangled_send():
+    # Infix '+' is chosen from the selector a site dispatches through, not
+    # the source selector: inside the scope a self-send of an installed '+'
+    # dispatches through '__+' and prints as an ordinary send.
+    image = compile_program(parse("""
+        class A extends Object {
+          fields: x;
+          protected method hook() { 1 }
+        }
+        main { nil }
+    """))
+    assert image.rewrite_scope == {"A"}
+    image = install_method(image, "A", MethodDef("+", ("y",), Var("y")))
+    image = install_method(image, "A", MethodDef(
+        "m", (), Send(SelfRef(), "+", (FieldSet("x", IntLit(3)),))))
+    assert lowered(image, "A", "m") == ("self.__+(x := 3)", ())
 
 
 def _binary_tree(n):

@@ -1,10 +1,14 @@
 """What the compiler and the runtime make of a fixed corpus, pinned by digest.
 
-Two SHA-256 digests cover everything a change to lowering could alter:
+Three SHA-256 digests cover everything a change to lowering could alter:
 
 * the ``desugar_dump`` of every ``programs/*.stl`` in every compile mode,
   straight after the compile and after ``late_install.stl`` gains the
   protected ``unknown`` on ``Box`` (criterion 9's install);
+* the ``desugar_dump`` of generator seeds 0..299, with and without
+  protected methods, in every compile mode: their sends nest receivers and
+  arguments that both hold sends, so every site a dump prints is checked
+  against its own send;
 * every run's outcome, step count, cache statistics and polymorphic sites,
   over the same files and generator seeds 0..299, in every compile mode and
   cache configuration.
@@ -19,7 +23,7 @@ import json
 from protolite.compiler import CompileMode, compile_program, desugar_dump, \
     install_method
 from protolite.errors import ProgramInvalidError
-from protolite.generator import generate_program
+from protolite.generator import GeneratorConfig, generate_program
 from protolite.metrics import DIFF_FUEL
 from protolite.parser import parse
 from protolite.runtime import Interpreter
@@ -31,6 +35,8 @@ DUMP_DIGEST = \
     "a0f32b9126e8e6f0f1d4441444a9d5fe88ee648f988acf777b18aba43cfa9cf4"
 RUN_DIGEST = \
     "097b2493d6fae5c8e75985483606f61c26e1886e7f3342fb70d63088711948d2"
+GENERATED_DUMP_DIGEST = \
+    "20de0cc57970e6bd4eed18c71568a199c109a0ef8c86dd46ce6611e02cdb5d78"
 
 SEEDS = range(300)
 CACHE_CONFIGS = ((False, False), (False, True), (True, False), (True, True))
@@ -64,6 +70,15 @@ def dump_lines():
                       f"{desugar_dump(grown)}"
 
 
+def generated_dump_lines():
+    for config in (GeneratorConfig(), GeneratorConfig(allow_protected=False)):
+        for seed in SEEDS:
+            program = generate_program(seed, config)
+            for mode in CompileMode:
+                yield f"== seed {seed} {config.allow_protected} {mode.value}\n" \
+                      f"{desugar_dump(compile_program(program, mode))}"
+
+
 def run_lines():
     programs = [(path.name, parse(path.read_text())) for path in _sources()]
     programs += [(f"seed {s}", generate_program(s)) for s in SEEDS]
@@ -86,6 +101,10 @@ def run_lines():
 
 def test_desugar_dumps_are_pinned():
     assert _digest(dump_lines()) == DUMP_DIGEST
+
+
+def test_generated_dumps_are_pinned():
+    assert _digest(generated_dump_lines()) == GENERATED_DUMP_DIGEST
 
 
 def test_runs_are_pinned():

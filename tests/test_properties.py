@@ -425,12 +425,12 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
 
 
 def _sends_in_site_order(node):
-    """Send nodes of a source body in the order of its compiled sites:
-    post-order, arguments before the receiver."""
+    """Send nodes of a source body in the order of its compiled sites, the
+    order its code runs them: receiver, arguments, then the send."""
     if isinstance(node, Send):
+        yield from _sends_in_site_order(node.receiver)
         for a in node.args:
             yield from _sends_in_site_order(a)
-        yield from _sends_in_site_order(node.receiver)
         yield node
     elif isinstance(node, SuperSend):
         for a in node.args:

@@ -567,25 +567,38 @@ def test_parameterless_let_free_callees_then_a_let():
     assert runs[0].outcome == Completed(IntVal(49))
 
 
-@pytest.mark.parametrize("main, site_order, code_order", [
+@pytest.mark.parametrize("body, site_order, code_order", [
     ("a.f().g(a.h())", "h f g", "f h g"),
     ("(a.f() + a.h()).g(a.h().g(a.f()))", "f h g h f + g", "f h + h f g g"),
     ("a.g(a.f().g(a.h()))", "h f g g", "f h g g"),
+    # Under a let and a field write, self- and super-sends dispatching
+    # through mangled selectors.
+    ("(let y = self.g(self.me()) in v := self.g(y).g(self.it()))"
+     ".g(super.g(self.me().g(self.it())))",
+     "__it __me g __g __me __g __it __g g g",
+     "__me __g __g __it g __me __it g __g g"),
 ])
-def test_code_gives_each_send_its_own_site(main, site_order, code_order):
-    # Sites are numbered with a send's arguments before its receiver; the
-    # code evaluates the receiver first. Each send instruction must still
-    # carry the site made for its own source send.
+def test_code_gives_each_send_its_own_site(body, site_order, code_order):
+    # A body's sites are stored in the order its code runs its sends,
+    # receiver first, but numbered with a send's arguments before its
+    # receiver. Each send instruction must carry the site made for its own
+    # source send. C is in the rewrite scope.
     from protolite.runtime import ADD, SUPER_SEND, _code_of
 
     image = compile_program(parse(
         "class A extends Object { method f() { 1 } method g(x) { x }"
-        f" method h() {{ 2 }} }} main {{ let a = new A in {main} }}"))
-    assert [s.plain_text for s in image.main_sites] == site_order.split()
-    assert [s.site_id for s in image.main_sites] == \
-        list(range(image.site_count - len(image.main_sites), image.site_count))
-    code, _, _ = _code_of(image, None)
+        " method h() { 2 } }"
+        " class B extends Object { fields: v; protected method me() { self }"
+        " protected method it() { self } method g(x) { x } }"
+        f" class C extends B {{ method k() {{ let a = new A in {body} }} }}"
+        " main { (new C).k() }"))
+    method = image.classes["C"].dictionary[image.symbols.intern("k")]
+    code, _, _ = _code_of(image, method)
     sends = [site for op, site, _ in code if ADD <= op <= SUPER_SEND]
-    assert [s.plain_text for s in sends] == code_order.split()
-    assert sorted(sends, key=lambda s: s.site_id) == list(image.main_sites)
+    assert sends == list(method.sites)
+    assert [s.selector.text for s in sends] == code_order.split()
+    by_id = sorted(sends, key=lambda s: s.site_id)
+    assert [s.selector.text for s in by_id] == site_order.split()
+    first = by_id[0].site_id
+    assert [s.site_id for s in by_id] == list(range(first, first + len(sends)))
     assert run_image(image).outcome == eval_program(image.program).outcome
