@@ -1,7 +1,11 @@
+import string
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from protolite.errors import ParseError, ReservedSelectorError
-from protolite.parser import MAX_NESTING, parse
+from protolite.parser import MAX_NESTING, _position, _tokenize, parse
 from protolite.syntax import (
     PROTECTED,
     PUBLIC,
@@ -19,6 +23,12 @@ from protolite.syntax import (
 )
 
 from tests.conftest import methods_with
+
+
+_TOO_DEEP_MESSAGE = (
+    f"expression nested too deeply: more than {MAX_NESTING} levels, the "
+    "nesting limit that keeps every walk over the tree clear of Python's "
+    "RecursionError")
 
 
 def class_named(program, name):
@@ -192,6 +202,63 @@ def test_parse_error_positions_are_pinned(source, error, message, line, col):
         message, line, col)
 
 
+_NAME_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+_PUNCTUATION = frozenset("{}().,;:+=")
+
+
+def _reference_tokens(source):
+    """Start and text of every token, by a character loop written apart from
+    the parser's pattern: whitespace is space, tab, CR and LF; a comment runs
+    to the end of its line."""
+    tokens, i = [], 0
+    while i < len(source):
+        ch, j = source[i], i + 1
+        if ch in " \t\r\n":
+            i = j
+            continue
+        if source.startswith("//", i):
+            end = source.find("\n", i)
+            i = len(source) if end < 0 else end
+            continue
+        if ch.isdecimal():
+            while j < len(source) and source[j].isdecimal():
+                j += 1
+        elif ch in string.ascii_letters or ch == "_":
+            while j < len(source) and source[j] in _NAME_CHARS:
+                j += 1
+        elif source.startswith(":=", i):
+            j = i + 2
+        tokens.append((i, source[i:j]))
+        i = j
+    return tokens
+
+
+def _offset(source, line, col):
+    return sum(map(len, source.split("\n")[:line - 1])) + line - 1 + col - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("ab_1٣²é@/:=+(){}.;\n\r\t \x0b\xa0") |
+               st.characters(), max_size=30))
+def test_positions_follow_the_token_stream(source):
+    tokens = _reference_tokens(source)
+    for i, (start, _) in enumerate(tokens):
+        assert _offset(source, *_position(source, i)) == start
+    assert _offset(source, *_position(source, len(tokens))) == len(source)
+    outside = [(start, text) for start, text in tokens
+               if not (text[0].isdecimal() or text[0] in _NAME_CHARS
+                       or text[0] in _PUNCTUATION)]
+    try:
+        _, texts = _tokenize(source)
+    except ParseError as err:
+        start, text = outside[0]
+        assert err.message == f"unexpected character {text!r}"
+        assert _offset(source, err.line, err.col) == start
+    else:
+        assert not outside
+        assert texts == [text for _, text in tokens] + ["", ""]
+
+
 def test_unicode_decimal_digits_lex_as_integers():
     assert parse("main { ٣ }").main == IntLit(3)
     assert parse("main { ٣4 + 1 }").main == Send(IntLit(34), "+", (IntLit(1),))
@@ -225,6 +292,89 @@ def test_params_and_lets_shadow_fields():
     a = class_named(p, "A")
     assert a.methods[0].body == Var("f")
     assert a.methods[1].body == Let("f", NilLit(), Var("f"))
+
+
+def _plus(a, b):
+    return Send(a, "+", (b,))
+
+
+# Each source holds one ordering rule, so that no other rule's walk hides it.
+@pytest.mark.parametrize("source, bodies", [
+    # The first 'class Object' gives the root its fields, even after a use.
+    ("class Early extends Object { method m() { r + s } }\n"
+     "class Object extends Object { fields: r; method m() { r } }\n"
+     "class Object extends Object { fields: s; }",
+     [[_plus(FieldGet("r"), Var("s"))], [FieldGet("r")], []]),
+    # A superclass read later.
+    ("class Fwd extends Later { method m() { x + y } }\n"
+     "class Later extends Object { fields: x; }",
+     [[_plus(FieldGet("x"), Var("y"))], []]),
+    # A superclass whose own superclass is read later.
+    ("class A extends B { fields: a; }\n"
+     "class C extends A { method m() { a + b } }\n"
+     "class B extends Object { fields: b; }",
+     [[], [_plus(FieldGet("a"), FieldGet("b"))], []]),
+    # A duplicated class name resolves to its first definition.
+    ("class Dup extends Object { fields: d; }\n"
+     "class UseDup extends Dup { method m() { d + e } }\n"
+     "class Dup extends Object { fields: e; method m() { d + e } }\n"
+     "class After extends Dup { method m() { d + e } }",
+     [[], [_plus(FieldGet("d"), Var("e"))], [_plus(Var("d"), FieldGet("e"))],
+      [_plus(FieldGet("d"), Var("e"))]]),
+    # An undefined superclass gives no fields.
+    ("class Lost extends Nowhere { fields: z; method m() { z + x } }",
+     [[_plus(FieldGet("z"), Var("x"))]]),
+    # A cycle gives each class the fields of all its members.
+    ("class P extends Q { fields: p; method m() { p + q } }\n"
+     "class Q extends P { fields: q; method m() { p + q } }",
+     [[_plus(FieldGet("p"), FieldGet("q"))]] * 2),
+], ids=["later-object", "later-superclass", "later-grandparent", "duplicate",
+        "undefined-superclass", "cycle"])
+def test_fields_resolve_against_the_whole_program(source, bodies):
+    # A method sees its class's fields as the finished program's hierarchy
+    # gives them, whatever order the classes come in.
+    p = parse(source + "\nmain { r }")
+    assert [[m.body for m in c.methods] for c in p.classes] == bodies
+    assert p.main == Var("r")
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    # Resolution errors wait for the whole input, so a later syntax error wins.
+    ("class A extends Object { method m() { g := 1 } }\nmain { ) }",
+     "expected an expression, found ')'", 2, 8),
+    ("class A extends Object { method m() { %s } }\nmain { ) }"
+     % " + ".join(["1"] * 200), "expected an expression, found ')'", 2, 8),
+    # A target that a later class makes visible is no error.
+    ("class A extends B { method m() { g := 1 } }\n"
+     "class B extends Object { fields: g; }\nmain { g := 1 }",
+     "assignment target 'g' is not a visible field", 3, 8),
+    # Between bodies, program order; main comes last.
+    ("main { h := 1 }", "assignment target 'h' is not a visible field", 1, 8),
+    ("class A extends Object {\n method d() { %s }\n method m() { g := 1 } }\n"
+     "main { nil }" % " + ".join(["1"] * 200), _TOO_DEEP_MESSAGE, 2, 2),
+    ("class A extends Object {\n method m() { g := 1 }\n method d() { %s } }\n"
+     "main { nil }" % " + ".join(["1"] * 200),
+     "assignment target 'g' is not a visible field", 2, 15),
+    # Within a body, whichever the tree meets first, from the root down and
+    # left to right.
+    ("class A extends Object {\n method m() { g := %s } }\nmain { nil }"
+     % " + ".join(["1"] * 200),
+     "assignment target 'g' is not a visible field", 2, 15),
+    ("class A extends Object {\n method m() { (%s) + (g := 1) } }\nmain { nil }"
+     % " + ".join(["1"] * 200), _TOO_DEEP_MESSAGE, 2, 2),
+    ("class A extends Object { fields: f;\n"
+     " method m() { f := (g := %s) } }\nmain { nil }"
+     % " + ".join(["1"] * 200),
+     "assignment target 'g' is not a visible field", 2, 21),
+], ids=["assign-then-syntax", "too-deep-then-syntax", "forward-field",
+        "main", "too-deep-body-first", "assign-body-first",
+        "assign-above-deep-chain", "deep-chain-before-assign",
+        "assign-under-field-write"])
+def test_resolution_errors_come_in_program_order(source, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        message, line, col)
 
 
 def test_assignment_requires_visible_field():
