@@ -34,8 +34,9 @@ the whole input is read, ``_resolve`` walks again only the bodies it could not
 finish (a class read before its superclass's chain, every class when a
 ``class Object`` gives the root fields, an assignment to a field not yet
 known) and those long enough to be too deep, taking the fields from the parsed
-program's hierarchy index. ``super`` sends are rejected inside the main expression, and
-identifiers with the reserved ``__`` prefix are rejected everywhere.
+program's hierarchy index. ``super`` sends are rejected inside the main
+expression, and identifiers with the reserved ``__`` prefix are rejected
+everywhere.
 
 Nesting is bounded by ``MAX_NESTING`` levels, counted twice. The descent
 counts the expressions it has open in ``_Parser.expr``, which every recursive
@@ -485,18 +486,15 @@ def _resolve_body(body, fields: frozenset[str], bound: frozenset[str],
 def _resolve(raw: Program, method_starts: list[list[int]], walks: list[bool],
              main_start: int | None, source: str) -> Program:
     """Finish name resolution in place in the parser's own program, which is
-    returned, once the whole input is read.
+    returned: walk the bodies of the classes in ``walks``, of every class if
+    a ``class Object`` gives the root fields the descent took it not to
+    have, and main if ``main_start`` is given.
 
-    Only the bodies the descent marked are walked: those of a class whose
-    fields it did not know in full, and any body holding an unresolved
-    assignment or long enough to be too deep; main is walked when
-    ``main_start`` is given. A root given fields by a ``class Object``,
-    which the descent took to have none, has every class walked. A method
-    sees the fields of its own class definition and those the program's
-    hierarchy index gives its superclass; an undefined superclass gives
-    none. Errors come in program order, and are positioned from ``source``,
-    not from the token lists, so that the walk holds no reference to the
-    parser."""
+    A method sees the fields of its own class definition and those the
+    program's hierarchy index gives its superclass; an undefined superclass
+    gives none. Errors come in program order, and are positioned from
+    ``source``, not from the token lists, so that the walk holds no
+    reference to the parser."""
     idx = index_of(raw)
     walk_all = bool(idx.fields_of(ROOT_CLASS))
     for c, starts, walk in zip(raw.classes, method_starts, walks):
