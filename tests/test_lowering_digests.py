@@ -1,6 +1,6 @@
 """What the compiler and the runtime make of a fixed corpus, pinned by digest.
 
-Three SHA-256 digests cover everything a change to lowering could alter:
+Four SHA-256 digests cover everything a change to lowering could alter:
 
 * the ``desugar_dump`` of every ``programs/*.stl`` in every compile mode,
   straight after the compile and after ``late_install.stl`` gains the
@@ -11,7 +11,12 @@ Three SHA-256 digests cover everything a change to lowering could alter:
   against its own send;
 * every run's outcome, step count, cache statistics and polymorphic sites,
   over the same files and generator seeds 0..299, in every compile mode and
-  cache configuration.
+  cache configuration;
+* the code array of every compiled body and of main, over the same files
+  (with criterion 9's install) and both generator configs in every compile
+  mode: each instruction, with a site given as its id and the selector it
+  dispatches through, the parameter count and the let padding, so a change
+  to let slots or padding shows even when no outcome moves.
 
 Symbol ids feed the global cache's hash and site ids order ``sites()``, so
 a change that renumbers either shows here even when every outcome agrees.
@@ -20,13 +25,13 @@ a change that renumbers either shows here even when every outcome agrees.
 import hashlib
 import json
 
-from protolite.compiler import CompileMode, compile_program, desugar_dump, \
-    install_method
+from protolite.compiler import CompileMode, SendSite, compile_program, \
+    desugar_dump, install_method
 from protolite.errors import ProgramInvalidError
 from protolite.generator import GeneratorConfig, generate_program
 from protolite.metrics import DIFF_FUEL
 from protolite.parser import parse
-from protolite.runtime import Interpreter
+from protolite.runtime import Interpreter, _lower_code
 from protolite.syntax import MethodDef, Send, SelfRef
 
 from tests.conftest import PROGRAMS
@@ -37,6 +42,9 @@ RUN_DIGEST = \
     "097b2493d6fae5c8e75985483606f61c26e1886e7f3342fb70d63088711948d2"
 GENERATED_DUMP_DIGEST = \
     "20de0cc57970e6bd4eed18c71568a199c109a0ef8c86dd46ce6611e02cdb5d78"
+
+CODE_DIGEST = \
+    "fb2f48dd576cc0256a3e585f1350771bf12139ab465cbc0c3ca34e8381de1c7c"
 
 SEEDS = range(300)
 CACHE_CONFIGS = ((False, False), (False, True), (True, False), (True, True))
@@ -99,6 +107,43 @@ def run_lines():
                     result.stats.to_json(), interp.sites()])
 
 
+def _code_text(code) -> str:
+    instructions, nparams, padding = code
+    return repr(([(op, (a.site_id, a.selector.text) if isinstance(a, SendSite)
+                   else a, b) for op, a, b in instructions],
+                 nparams, len(padding)))
+
+
+def _image_code_lines(image):
+    for name in sorted(image.classes):
+        entries = sorted(image.classes[name].dictionary.items(),
+                         key=lambda e: e[0].text)
+        for cm in dict.fromkeys(cm for _, cm in entries):
+            yield f"{name}#{cm.selector.text} " + _code_text(
+                _lower_code(cm.body, cm.params, cm.sites))
+    yield "main " + _code_text(_lower_code(image.main, (), image.main_sites))
+
+
+def code_lines():
+    for path in _sources():
+        for mode in CompileMode:
+            image, error = _compile(parse(path.read_text()), mode)
+            yield f"== {path.name} {mode.value} {error}"
+            if image is None:
+                continue
+            yield from _image_code_lines(image)
+            if path.name == "late_install.stl":
+                yield f"== {path.name} {mode.value} +unknown"
+                yield from _image_code_lines(
+                    install_method(image, "Box", LATE_UNKNOWN))
+    for config in (GeneratorConfig(), GeneratorConfig(allow_protected=False)):
+        for seed in SEEDS:
+            program = generate_program(seed, config)
+            for mode in CompileMode:
+                yield f"== seed {seed} {config.allow_protected} {mode.value}"
+                yield from _image_code_lines(compile_program(program, mode))
+
+
 def test_desugar_dumps_are_pinned():
     assert _digest(dump_lines()) == DUMP_DIGEST
 
@@ -109,3 +154,7 @@ def test_generated_dumps_are_pinned():
 
 def test_runs_are_pinned():
     assert _digest(run_lines()) == RUN_DIGEST
+
+
+def test_code_arrays_are_pinned():
+    assert _digest(code_lines()) == CODE_DIGEST
