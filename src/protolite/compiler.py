@@ -280,16 +280,26 @@ class _SiteBuilder:
         self.symbols = symbols
         self.next_site_id = next_site_id
         self.deferred: list[DeferredSite] = []
+        # The body being walked: its class (None for main), method, fields.
+        self.enclosing: str | None = None
+        self.method_selector = ""
+        self.fields: tuple[str, ...] = ()
 
-    def _tag_selector(self, selector: str, enclosing: str, kind: str,
-                      method_selector: str) -> Symbol:
-        """Mangled symbol when the rewrite applies to this site of the
-        in-scope class ``enclosing``, else plain.
-
-        ``kind`` is 'self' or 'super'; object sends are never rewritten.
-        """
+    def _tag_selector(self, send: Send | SuperSend) -> Symbol:
+        """The symbol a send dispatches through: mangled when the rewrite
+        applies to this self/super site of the in-scope enclosing class,
+        else plain. Object sends are never rewritten."""
+        selector = send.selector
         plain = self.symbols.intern(selector)
-        start = enclosing if kind == "self" else self.idx.superclass(enclosing)
+        enclosing = self.enclosing
+        if enclosing not in self.scope:
+            return plain
+        if send.__class__ is SuperSend:
+            start = self.idx.superclass(enclosing)
+        elif send.receiver.__class__ is SelfRef:
+            start = enclosing
+        else:
+            return plain
         found = self.idx.closest_def(start, selector) if start else None
         if found is not None:
             if found[0] not in self.scope:
@@ -297,16 +307,16 @@ class _SiteBuilder:
                 # carry no mangled entries, so the site must stay plain.
                 return plain
             return self.symbols.mangle(plain)
-        if kind == "self" and self.idx.defined_below(enclosing, selector):
-            # Unresolved here, but a subclass (necessarily in scope) answers
-            # it -- possibly with a protected, mangled-only method that a
-            # plain send could never see.
+        if start == enclosing and self.idx.defined_below(start, selector):
+            # A self-send unresolved here, but a subclass (necessarily in
+            # scope) answers it -- possibly with a protected, mangled-only
+            # method that a plain send could never see.
             return self.symbols.mangle(plain)
         if not self.idx.definers(selector):
             # No class defines the selector: assume a public send and
             # remember the site for when such a method gets installed.
             self.deferred.append(
-                DeferredSite(enclosing, method_selector, selector))
+                DeferredSite(enclosing, self.method_selector, selector))
         return plain
 
     def sites(self, body: Expr, enclosing: str | None, method_selector: str,
@@ -314,74 +324,48 @@ class _SiteBuilder:
         """The body's send sites in the order its code runs them: a send's
         receiver's sites, then its arguments' from left to right, then its
         own. Checks that every field the body names is one of ``fields``,
-        the enclosing class's. One walk that builds no tree, iterative so
-        long let chains need no host recursion.
-
-        The walk visits a send's arguments before its receiver, and makes
-        and numbers each site, interning its selector, once both are done;
-        symbol and site ids follow that order. Where the receiver and an
-        argument may both hold sends, the receiver's sites are then moved
-        before the arguments'.
-        """
-        intern = self.symbols.intern
-        # Outside the scope every site stays plain.
-        tag = enclosing is not None and enclosing in self.scope
-        site_id = self.next_site_id
+        the enclosing class's."""
+        self.enclosing = enclosing
+        self.method_selector = method_selector
+        self.fields = fields
         sites: list[SendSite] = []
-        # Nodes to visit; 1-tuples holding a send whose arguments and
-        # receiver are done; [start, receiver] lists, popped once the
-        # arguments' sites (from start on) are made, to visit the receiver;
-        # and slices of the arguments' sites, popped once the receiver's
-        # follow them, to move the receiver's first.
-        work: list = [body]
-        pop, push = work.pop, work.append
-        while work:
-            e = pop()
-            kind = e.__class__
-            if kind is tuple:
-                e = e[0]
-                if not tag:
-                    sym = intern(e.selector)
-                elif e.__class__ is SuperSend:
-                    sym = self._tag_selector(e.selector, enclosing, "super",
-                                             method_selector)
-                elif e.receiver.__class__ is SelfRef:
-                    sym = self._tag_selector(e.selector, enclosing, "self",
-                                             method_selector)
-                else:
-                    sym = intern(e.selector)
-                sites.append(SendSite(site_id, sym, e.selector))
-                site_id += 1
-            elif kind is Send or kind is SuperSend:
-                # Leaves hold no send and no field: not worth a visit.
-                push((e,))
-                if kind is Send and e.receiver.__class__ not in _LEAVES:
-                    for arg in e.args:
-                        if arg.__class__ not in _LEAVES:
-                            push([len(sites), e.receiver])
-                            break
-                    else:
-                        push(e.receiver)
-                for arg in reversed(e.args):
-                    if arg.__class__ not in _LEAVES:
-                        push(arg)
-            elif kind is Let:
-                push(e.body)
-                push(e.bound)
-            elif kind is FieldGet or kind is FieldSet:
-                if e.field not in fields:
-                    raise UnknownFieldError(enclosing or ROOT_CLASS, e.field)
-                if kind is FieldSet:
-                    push(e.value)
-            elif kind is list:
-                push(slice(e[0], len(sites)))
-                push(e[1])
-            elif kind is slice:
-                sites[e.start:] = sites[e.stop:] + sites[e.start:e.stop]
-            elif kind not in _LEAVES:
-                raise TypeError(f"not an expression: {e!r}")
-        self.next_site_id = site_id
+        self._walk(body, sites)
         return tuple(sites)
+
+    def _walk(self, e: Expr, sites: list[SendSite]) -> None:
+        """Append the sites of ``e``: a recursive descent that builds no
+        tree, one frame a level. It recurses into receivers, arguments, let
+        bindings and field-write values, and loops down let bodies.
+
+        A send's argument sites are made first, then its receiver's, then
+        its own, each numbered and its selector interned as it is made, so
+        symbol and site ids follow that order; where both hold sends, the
+        receiver's sites then move in front of the arguments'."""
+        while e.__class__ is Let:
+            self._walk(e.bound, sites)
+            e = e.body
+        kind = e.__class__
+        if kind is Send or kind is SuperSend:
+            # Leaves hold no send and no field: not worth a visit.
+            start = len(sites)
+            for arg in e.args:
+                if arg.__class__ not in _LEAVES:
+                    self._walk(arg, sites)
+            if kind is Send and e.receiver.__class__ not in _LEAVES:
+                mid = len(sites)
+                self._walk(e.receiver, sites)
+                if start < mid < len(sites):
+                    sites[start:] = sites[mid:] + sites[start:mid]
+            sites.append(SendSite(self.next_site_id, self._tag_selector(e),
+                                  e.selector))
+            self.next_site_id += 1
+        elif kind is FieldGet or kind is FieldSet:
+            if e.field not in self.fields:
+                raise UnknownFieldError(self.enclosing or ROOT_CLASS, e.field)
+            if kind is FieldSet:
+                self._walk(e.value, sites)
+        elif kind not in _LEAVES:
+            raise TypeError(f"not an expression: {e!r}")
 
 
 _LEAVES = frozenset((NilLit, IntLit, SelfRef, Var, New))

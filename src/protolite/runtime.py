@@ -271,69 +271,66 @@ def _lower_code(body: Expr, params: tuple[str, ...] = (),
     Variables become environment slots: parameters take slots 0..n-1 (a
     repeated name binds its last position, as ``dict(zip(params, args))``
     would); each ``let`` takes the next slot above those live at its
-    binding. Iterative, so deeply nested lets and sends need no host
-    recursion.
+    binding.
     """
     code: list[tuple] = []
-    emit = code.append
-    next_site = iter(sites).__next__
-    scope = dict(zip(params, range(len(params))))
-    nslots = len(params)
-    # Entries are (node, scope, depth) to lower, (instruction, _, _) to emit
-    # as is, or (opcode, argument count, _) to emit as a send on the next
-    # site.
-    work: list[tuple] = [(body, scope, len(params))]
-    push = work.append
-    while work:
-        node, scope, depth = work.pop()
-        kind = type(node)
-        if kind is Send or kind is SuperSend:
-            args = node.args
-            receiver = node.receiver if kind is Send else None
-            op = (SUPER_SEND if receiver is None
-                  else SELF_SEND if type(receiver) is SelfRef
-                  else ADD if node.selector == "+" and len(args) == 1
-                  else SEND)
-            push((op, len(args), 0))
-            for arg in reversed(args):
-                push((arg, scope, depth))
-            if op <= SEND:  # the receiver is on the stack, not the owner
-                push((receiver, scope, depth))
-        elif kind is int:
-            emit((node, next_site(), scope))
-        elif kind is IntLit:
-            emit((CONST, node.value, None))
-        elif kind is SelfRef:
-            emit((SELF, None, None))
-        elif kind is Var:
-            slot = scope.get(node.name)
-            emit((UNBOUND, node.name, None) if slot is None
-                 else (LOAD, slot, None))
-        elif kind is tuple:
-            emit(node)
-        elif kind is Let:
-            inner = dict(scope)
-            inner[node.var] = depth
-            if depth >= nslots:
-                nslots = depth + 1
-            push((node.body, inner, depth + 1))
-            push(((LET, depth, None), None, 0))
-            push((node.bound, scope, depth))
-        elif kind is New:
-            emit((NEW, node.class_name, None))
-        elif kind is NilLit:
-            emit((CONST, NIL, None))
-        elif kind is FieldGet:
-            emit((GET, node.field, None))
-        elif kind is FieldSet:
-            push(((SET, node.field, None), None, 0))
-            push((node.value, scope, depth))
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    emit(_RETURN)
+    nparams = len(params)
+    nslots = _lower(body, dict(zip(params, range(nparams))), nparams,
+                    code.append, iter(sites).__next__)
+    code.append(_RETURN)
     # A plain tuple: this runs once per activated body, often for bodies
     # that run only once, so construction cost matters.
-    return code, len(params), (None,) * (nslots - len(params))
+    return code, nparams, (None,) * (nslots - nparams)
+
+
+def _lower(node: Expr, scope: dict[str, int], depth: int, emit,
+           next_site) -> int:
+    """Emit the code of ``node``, whose variables ``scope`` maps to slots,
+    with ``depth`` slots live; return the slots its lets reach. One frame a
+    level: it recurses into receivers, arguments, let bindings and
+    field-write values, and loops down let bodies."""
+    reach = depth
+    while type(node) is Let:
+        reach = max(reach, depth + 1,
+                    _lower(node.bound, scope, depth, emit, next_site))
+        emit((LET, depth, None))
+        scope = {**scope, node.var: depth}
+        depth += 1
+        node = node.body
+    kind = type(node)
+    if kind is Send or kind is SuperSend:
+        args = node.args
+        receiver = node.receiver if kind is Send else None
+        op = (SUPER_SEND if receiver is None
+              else SELF_SEND if type(receiver) is SelfRef
+              else ADD if node.selector == "+" and len(args) == 1
+              else SEND)
+        # The receiver is on the stack, not the owner, for ADD and SEND.
+        for child in (receiver, *args) if op <= SEND else args:
+            top = _lower(child, scope, depth, emit, next_site)
+            if top > reach:
+                reach = top
+        emit((op, next_site(), len(args)))
+    elif kind is IntLit:
+        emit((CONST, node.value, None))
+    elif kind is SelfRef:
+        emit((SELF, None, None))
+    elif kind is Var:
+        slot = scope.get(node.name)
+        emit((UNBOUND, node.name, None) if slot is None
+             else (LOAD, slot, None))
+    elif kind is New:
+        emit((NEW, node.class_name, None))
+    elif kind is NilLit:
+        emit((CONST, NIL, None))
+    elif kind is FieldGet:
+        emit((GET, node.field, None))
+    elif kind is FieldSet:
+        reach = max(reach, _lower(node.value, scope, depth, emit, next_site))
+        emit((SET, node.field, None))
+    else:
+        raise TypeError(f"not an expression: {node!r}")
+    return reach
 
 
 def _code_of(image: RuntimeImage, method: CompiledMethod | None) -> tuple:
