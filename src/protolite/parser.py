@@ -88,7 +88,8 @@ _KEYWORDS = (
 _PUNCTUATION = ("{", "}", "(", ")", ".", ",", ";", ":", "+", "=", ":=")
 
 # A keyword or punctuation token's kind is its text. Any other token is an
-# identifier, an integer, or a character the language does not have.
+# identifier, a name with the reserved prefix, an integer, or a character the
+# language does not have.
 _KINDS = {text: text for text in _KEYWORDS + _PUNCTUATION}
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
@@ -106,7 +107,8 @@ class _Kinds(dict):
     is no keyword or punctuation is classified once, on first sight."""
 
     def __missing__(self, text: str) -> str | None:
-        kind = self[text] = ("ident" if text[0] in _IDENT_START
+        kind = self[text] = ("reserved" if text.startswith(MANGLE_PREFIX)
+                             else "ident" if text[0] in _IDENT_START
                              else "int" if text[0].isdecimal() else None)
         return kind
 
@@ -148,6 +150,8 @@ _TOO_DEEP = (f"expression nested too deeply: more than {MAX_NESTING} levels, "
 _CLASS_HEAD = ["class", "ident", "extends", "ident", "{"]
 _METHOD_HEAD = ["method", "ident", "(", ")", "{"]
 _NULLARY_SEND = [".", "ident", "(", ")"]
+# Kinds of a token in a name position; a reserved one raises there.
+_NAMES = ("ident", "reserved")
 
 
 def _found(text: str) -> str:
@@ -202,12 +206,12 @@ class _Parser:
         return self.texts[pos]
 
     def name(self, what: str) -> str:
-        text = self.expect("ident", what)
-        if text.startswith(MANGLE_PREFIX):
-            raise self.error(
-                f"identifier {text!r} uses the reserved '{MANGLE_PREFIX}' prefix",
-                self.pos - 1, ReservedSelectorError)
-        return text
+        pos = self.pos
+        if self.kinds[pos] == "reserved":
+            raise self.error(f"identifier {self.texts[pos]!r} uses the "
+                             f"reserved '{MANGLE_PREFIX}' prefix",
+                             pos, ReservedSelectorError)
+        return self.expect("ident", what)
 
     def body(self) -> Expr:
         """The expression of a block whose '{' is read, and its '}'. Marks
@@ -242,9 +246,7 @@ class _Parser:
     def classdef(self) -> ClassDef:
         pos = self.pos
         kinds, texts = self.kinds, self.texts
-        if kinds[pos:pos + 5] == _CLASS_HEAD \
-                and not texts[pos + 1].startswith(MANGLE_PREFIX) \
-                and not texts[pos + 3].startswith(MANGLE_PREFIX):
+        if kinds[pos:pos + 5] == _CLASS_HEAD:
             cname, sname = texts[pos + 1], texts[pos + 3]
             self.pos = pos + 5
         else:
@@ -257,7 +259,7 @@ class _Parser:
         if kinds[self.pos] == "fields":
             self.pos += 1
             self.expect(":")
-            while kinds[self.pos] == "ident":
+            while kinds[self.pos] in _NAMES:
                 fields.append(self.name("field name"))
             self.expect(";")
         # Resolve against the fields known now; where the superclass's are
@@ -284,8 +286,7 @@ class _Parser:
         if kinds[pos] == "protected":
             pos += 1
             visibility = PROTECTED
-        if kinds[pos:pos + 5] == _METHOD_HEAD \
-                and not texts[pos + 1].startswith(MANGLE_PREFIX):
+        if kinds[pos:pos + 5] == _METHOD_HEAD:
             sel = texts[pos + 1]
             params = ()
             self.pos = pos + 5
@@ -295,7 +296,7 @@ class _Parser:
             sel = self.name("method selector")
             self.expect("(")
             names: list[str] = []
-            if kinds[self.pos] == "ident":
+            if kinds[self.pos] in _NAMES:
                 names.append(self.name("parameter name"))
                 while kinds[self.pos] == ",":
                     self.pos += 1
@@ -363,8 +364,7 @@ class _Parser:
             node = self.primary()
         while kinds[self.pos] == ".":
             pos = self.pos
-            if kinds[pos:pos + 4] == _NULLARY_SEND \
-                    and not texts[pos + 1].startswith(MANGLE_PREFIX):
+            if kinds[pos:pos + 4] == _NULLARY_SEND:
                 node = Send(node, texts[pos + 1], ())
                 self.pos = pos + 4
                 continue
@@ -393,6 +393,9 @@ class _Parser:
         self.pos = pos + 1
         if kind == "nil":
             return NilLit()
+        if kind == "reserved":  # a variable read or an assignment target
+            self.pos = pos
+            self.name("")  # raises
         if kind == "new":
             return New(self.name("class name"))
         if kind == "(":

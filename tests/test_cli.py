@@ -395,6 +395,18 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert "broken.stl:1" in capsys.readouterr().err
 
 
+def test_bare_reserved_name_exits_2(capsys, tmp_path):
+    path = tmp_path / "reserved.stl"
+    path.write_text("main { __x }\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "run", str(path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "reserved.stl:1:8" in err
+    assert "identifier '__x' uses the reserved '__' prefix" in err
+    assert "UnknownVariable" not in err
+
+
 @pytest.mark.parametrize("main_expr", [
     "(" * 300 + "1" + ")" * 300,
     " + ".join(["1"] * 1200),

@@ -23,7 +23,7 @@ from protolite.syntax import pretty_program
 from tests.conftest import PROGRAMS
 
 PARSE_DIGEST = \
-    "5fc887a1c19cb5c7d1355aea97f69ad31188655508a4253d27bc6278b5f05389"
+    "92b3b9a03d2d30178da8374fb979269cb90ec6a090a73918c01177bca83b4ba1"
 
 SEEDS = range(500)
 MUTANTS = 4

@@ -65,6 +65,9 @@ def test_reserved_prefix_rejected_everywhere():
         "class A extends Object { fields: __f; } main { nil }",
         "class A extends Object { method m(__x) { nil } } main { nil }",
         "main { let __y = nil in nil }",
+        "main { __x }",
+        "main { let x = __q in x }",
+        "class A extends Object { method m() { __v.m() } } main { nil }",
     ]:
         with pytest.raises(ReservedSelectorError):
             parse(src)
@@ -178,6 +181,12 @@ _PINNED_ERRORS = [
     ("reserved-class-name", "class __A extends Object { } main { nil }",
      ReservedSelectorError, "identifier '__A' uses the reserved '__' prefix",
      1, 7),
+    ("reserved-variable", "main { 1 +\n  __x }",
+     ReservedSelectorError, "identifier '__x' uses the reserved '__' prefix",
+     2, 3),
+    ("reserved-let-bound", "main { let x = __q in x }",
+     ReservedSelectorError, "identifier '__q' uses the reserved '__' prefix",
+     1, 16),
     # Raised while resolving names, after the whole input is read.
     ("assign-to-non-field",
      "class A extends Object {\n  fields: f;\n  method m(g) { f := g := 1 }\n}\n"
