@@ -515,6 +515,17 @@ def test_every_command_gives_one_nesting_verdict_from_a_deep_caller(
             assert "Traceback" not in out + err
 
 
+def test_bench_repeat_runs_a_long_let_chain_from_a_deep_caller():
+    # ``--repeat`` nests each replica of main in the body of a let, 3,000
+    # deep, below any nesting the parser lets through: the site walk and the
+    # lowering loop down let bodies, so neither reaches the recursion limit.
+    code, out, err = _main_at_depth(CALLER_DEPTH, [
+        "bench", program_path("golden_sum.stl"), "--repeat", "3000",
+        "--invocations", "1", "--iterations", "2", "--warmup", "1"])
+    assert code == 0, err[-300:]
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("source, positions", [
     ("class A extends Object { fields: x; method m() { x := 1 } } "
      "class A extends Object { fields: y; } main { nil }", "1 and 2"),
