@@ -153,7 +153,9 @@ def bench_pair(program: Program, baseline: BenchConfig,
 def repeat_main(program: Program, times: int) -> Program:
     """Replicate the main expression ``times`` times via let-sequencing.
 
-    Keep ``times`` modest (a few hundred); each replica nests one binding.
+    Each replica nests one binding, in the body of a let. The compile and
+    the lowering loop down let bodies, so ``times`` costs time and memory,
+    not depth.
     """
     if times < 1:
         raise BenchConfigError("replication factor must be positive")

@@ -11,8 +11,9 @@ Commands::
                                memory report
 
 Exit codes: 0 success, 1 runtime error (including fuel exhaustion), 2 parse or
-validation failure (argparse usage errors and a negative step budget also
-exit 2), 3 I/O failure. The ``PROTOLITE_FUEL`` environment variable overrides
+validation failure (argparse usage errors, a negative step budget and a
+``bench`` run that does not complete, fuel exhaustion included, also exit 2),
+3 I/O failure. The ``PROTOLITE_FUEL`` environment variable overrides
 each command's own default step budget: ``DEFAULT_FUEL`` (1,000,000) for
 ``run`` and ``stats``, ``DIFF_FUEL`` (3,000) for ``diff``, and ``BENCH_FUEL``
 (5,000,000) for ``bench``. An explicit ``--fuel`` beats both.
