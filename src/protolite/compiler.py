@@ -307,7 +307,7 @@ class _SiteBuilder:
                 # carry no mangled entries, so the site must stay plain.
                 return plain
             return self.symbols.mangle(plain)
-        if start == enclosing and self.idx.defined_below(start, selector):
+        if send.__class__ is Send and self.idx.defined_below(start, selector):
             # A self-send unresolved here, but a subclass (necessarily in
             # scope) answers it -- possibly with a protected, mangled-only
             # method that a plain send could never see.
