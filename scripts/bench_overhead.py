@@ -30,8 +30,6 @@ def main() -> int:
 
     workload = deep_send_workload(depth=args.depth, repeats=args.repeats,
                                   protected_levels=False)
-    shared = dict(invocations=args.invocations, iterations=args.iterations,
-                  warmup=args.warmup)
 
     print(f"workload: chain depth {args.depth}, {args.repeats} send rounds "
           f"per iteration")
@@ -40,12 +38,10 @@ def main() -> int:
         ("global cache only", True, False),
         ("no caches", False, False),
     ):
-        baseline, worst = bench_pair(
-            workload,
-            BenchConfig(mode=CompileMode.BASELINE,
-                        global_cache_on=gc_on, inline_cache_on=ic_on, **shared),
-            BenchConfig(mode=CompileMode.WORST_CASE,
-                        global_cache_on=gc_on, inline_cache_on=ic_on, **shared))
+        baseline, worst = bench_pair(workload, BenchConfig(
+            mode=CompileMode.WORST_CASE, global_cache_on=gc_on,
+            inline_cache_on=ic_on, invocations=args.invocations,
+            iterations=args.iterations, warmup=args.warmup))
         print(f"\n[{caches}]")
         print(f"  baseline   median {baseline.median * 1e3:8.3f} ms  "
               f"mean {baseline.mean * 1e3:8.3f} ms")

@@ -1,10 +1,11 @@
 """Wall-clock micro-benchmarking of compiled images.
 
-A benchmark repeats whole evaluations: each invocation compiles nothing and
-shares nothing with the others; within an invocation a fixed number of
-iterations run the image's main expression, and the first few iterations are
-discarded as warm-up. Reports carry the raw samples plus median and mean, and
-can state their median relative to a named baseline report.
+A compile mode is measured against its own mangling-free baseline, one
+compiled image each. Within an invocation a fixed number of iterations run
+the image's main expression, and the first few are discarded as warm-up (in
+the first invocation they also lower each body that runs). Reports carry the
+raw samples plus median and mean, and the measured report states its median
+relative to the baseline's.
 
 Workload builders produce send-heavy programs whose main expression is the
 same block of sends replicated a configurable number of times, so per-
@@ -76,73 +77,53 @@ class BenchReport:
         return out
 
 
-class _Measurement:
-    """The invocations of one configuration, run one at a time."""
-
-    def __init__(self, program: Program, config: BenchConfig):
-        if config.iterations <= 0 or config.invocations <= 0:
-            raise BenchConfigError("benchmark needs at least one invocation "
-                                   "and one iteration")
-        if config.warmup < 0:
-            raise BenchConfigError(
-                f"warm-up cannot be negative ({config.warmup})")
-        if config.iterations <= config.warmup:
-            raise BenchConfigError(
-                f"{config.iterations} iteration(s) leave nothing after "
-                f"{config.warmup} warm-up discard(s)")
-        self.config = config
-        self.image = compile_program(program, config.mode)
-        self.samples: list[float] = []
-        self.last_stats: CacheStats | None = None
-
-    def invoke(self) -> None:
-        config = self.config
-        times: list[float] = []
-        for _ in range(config.iterations):
-            start = time.perf_counter()
-            result = run_image(self.image,
-                               global_cache_on=config.global_cache_on,
-                               inline_cache_on=config.inline_cache_on,
-                               fuel=config.fuel)
-            times.append(time.perf_counter() - start)
-            if not isinstance(result.outcome, Completed):
-                raise BenchConfigError(
-                    f"benchmark run did not complete: {result.outcome!r}")
-            self.last_stats = result.stats
-        self.samples.extend(times[config.warmup:])
-
-    def report(self) -> BenchReport:
-        config = self.config
-        return BenchReport(
-            label=config.mode.value,
-            invocations=config.invocations,
-            iterations=config.iterations,
-            warmup=config.warmup,
-            samples=self.samples,
-            median=statistics.median(self.samples),
-            mean=statistics.fmean(self.samples),
-            cache_stats=self.last_stats or CacheStats(),
-        )
-
-
-def bench_pair(program: Program, baseline: BenchConfig,
+def bench_pair(program: Program,
                config: BenchConfig) -> tuple[BenchReport, BenchReport]:
-    """Measure ``config`` against ``baseline``, invocations alternated.
+    """Measure ``config`` against its mangling-free baseline.
 
-    Invocations run baseline, config, baseline, config, ..., so a burst of
-    contention on the machine falls on both sides alike instead of on one
-    side's block. The second report carries its median's overhead relative
+    The baseline is ``config`` with ``mode=CompileMode.BASELINE``, compiled
+    first. Invocations run baseline, config, baseline, config, ..., so a
+    burst of contention on the machine falls on both sides alike instead of
+    on one side's block; each invocation drops its first ``warmup``
+    iterations. The second report carries its median's overhead relative
     to the baseline's. Raises BenchConfigError for an empty iteration budget
     or a workload that cannot finish (fuel exhaustion is a failed benchmark,
     not a sample).
     """
-    measurements = (_Measurement(program, baseline),
-                    _Measurement(program, config))
-    for i in range(max(baseline.invocations, config.invocations)):
-        for measurement in measurements:
-            if i < measurement.config.invocations:
-                measurement.invoke()
-    base_report, report = (m.report() for m in measurements)
+    if config.iterations <= 0 or config.invocations <= 0:
+        raise BenchConfigError("benchmark needs at least one invocation "
+                               "and one iteration")
+    if config.warmup < 0:
+        raise BenchConfigError(f"warm-up cannot be negative ({config.warmup})")
+    if config.iterations <= config.warmup:
+        raise BenchConfigError(
+            f"{config.iterations} iteration(s) leave nothing after "
+            f"{config.warmup} warm-up discard(s)")
+    modes = (CompileMode.BASELINE, config.mode)
+    images = [compile_program(program, mode) for mode in modes]
+    samples: tuple[list[float], list[float]] = ([], [])
+    last_stats = [CacheStats(), CacheStats()]
+    for _ in range(config.invocations):
+        for side, image in enumerate(images):
+            times: list[float] = []
+            for _ in range(config.iterations):
+                start = time.perf_counter()
+                result = run_image(image,
+                                   global_cache_on=config.global_cache_on,
+                                   inline_cache_on=config.inline_cache_on,
+                                   fuel=config.fuel)
+                times.append(time.perf_counter() - start)
+                if not isinstance(result.outcome, Completed):
+                    raise BenchConfigError(
+                        f"benchmark run did not complete: {result.outcome!r}")
+            samples[side].extend(times[config.warmup:])
+            last_stats[side] = result.stats
+    base_report, report = (
+        BenchReport(label=mode.value, invocations=config.invocations,
+                    iterations=config.iterations, warmup=config.warmup,
+                    samples=kept, median=statistics.median(kept),
+                    mean=statistics.fmean(kept), cache_stats=stats)
+        for mode, kept, stats in zip(modes, samples, last_stats))
     report.relative_overhead = report.median / base_report.median - 1.0
     return base_report, report
 

@@ -220,18 +220,15 @@ def cmd_bench(args) -> int:
     program = _read_program(args.file)
     if args.repeat != 1:
         program = repeat_main(program, args.repeat)
-    common = dict(
+    baseline, measured = bench_pair(program, BenchConfig(
+        mode=_mode(args),
         invocations=args.invocations,
         iterations=args.iterations,
         warmup=args.warmup,
         global_cache_on=not args.no_global_cache,
         inline_cache_on=not args.no_inline_cache,
         fuel=_fuel(args, BENCH_FUEL),
-    )
-    baseline, measured = bench_pair(
-        program,
-        BenchConfig(mode=CompileMode.BASELINE, **common),
-        BenchConfig(mode=_mode(args), **common))
+    ))
     if args.json:
         print(json.dumps({"baseline": baseline.to_json(),
                           "measured": measured.to_json()}))

@@ -53,6 +53,7 @@ from .errors import (
 from .syntax import (
     MANGLE_PREFIX,
     PROTECTED,
+    PUBLIC,
     ROOT_CLASS,
     ClassDef,
     Expr,
@@ -156,16 +157,18 @@ class SendSite:
 @dataclass(eq=False, slots=True)
 class CompiledMethod:
     """A method's source body and the site of each of its sends, in the
-    order the body runs them. The runtime lowers the two to a code array at
+    order the body runs them. The runtime lowers the two to ``code`` at
     the method's first activation; ``render`` prints them as they dispatch.
-    Compared by identity so shared dictionary entries are observable."""
+    Main is compiled as a method with no class and no selector. Compared
+    by identity so shared dictionary entries are observable."""
 
-    origin_class: str
-    selector: Symbol  # plain form
+    origin_class: str | None  # None only for main
+    selector: Symbol | None  # plain form; None only for main
     visibility: str
     params: tuple[str, ...]
     body: Expr
     sites: tuple[SendSite, ...]
+    code: tuple | None = None  # set by the runtime at the first activation
 
 
 def render(body: Expr, sites: tuple[SendSite, ...]) -> str:
@@ -204,8 +207,7 @@ class RuntimeImage:
 
     mode: CompileMode
     classes: dict[str, ImageClass]
-    main: Expr  # the source expression
-    main_sites: tuple[SendSite, ...]
+    main: CompiledMethod
     symbols: SymbolTable
     rewrite_scope: frozenset[str]
     deferred_sites: tuple[DeferredSite, ...]
@@ -213,10 +215,6 @@ class RuntimeImage:
     # The program the image was compiled from; its index is the one the
     # compile used.
     program: Program = field(repr=False)
-    # The runtime's code arrays, each lowered from a source body and its
-    # sites at the body's first activation: keyed by CompiledMethod
-    # (identity), with None for main.
-    code_arrays: dict = field(default_factory=dict, init=False, repr=False)
 
 
 # --- scope --------------------------------------------------------------------
@@ -425,8 +423,7 @@ def compile_program(program: Program,
     return RuntimeImage(
         mode=mode,
         classes=classes,
-        main=program.main,
-        main_sites=main_sites,
+        main=CompiledMethod(None, None, PUBLIC, (), program.main, main_sites),
         symbols=symbols,
         rewrite_scope=scope,
         deferred_sites=tuple(builder.deferred),
@@ -556,7 +553,7 @@ def desugar_dump(image: RuntimeImage) -> str:
             params = ", ".join(cm.params)
             out.append(f"  body {cm.selector.text}({params}) [{cm.visibility}]: "
                        f"{render(cm.body, cm.sites)}")
-    out.append(f"main: {render(image.main, image.main_sites)}")
+    out.append(f"main: {render(image.main.body, image.main.sites)}")
     scope = ", ".join(sorted(image.rewrite_scope)) or "(none)"
     roots = ", ".join(sorted(protection_roots(index_of(image.program),
                                               image.rewrite_scope)))

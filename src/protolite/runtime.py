@@ -30,8 +30,8 @@ hands each send instruction the next site.
 Variables are resolved to numbered slots of the activation's environment
 while lowering, so a variable read is a list index and a ``let`` needs no
 environment copy. The lowering is lazy -- a method's code is built at its
-first activation -- and memoised in the image, so large images pay only for
-the methods they run. It is one recursive descent, a frame a level, over a
+first activation and kept on its compiled method -- so large images pay only
+for the methods they run. It is one recursive descent, a frame a level, over a
 tree the parser bounds (``parser.MAX_NESTING``), and it loops down let
 bodies, so the long let chains ``bench`` builds cost no depth.
 
@@ -262,8 +262,8 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 _RETURN = (RETURN, None, None)
 
 
-def _lower_code(body: Expr, params: tuple[str, ...] = (),
-                sites: tuple[SendSite, ...] = ()) -> tuple:
+def _lower_code(body: Expr, params: tuple[str, ...],
+                sites: tuple[SendSite, ...]) -> tuple:
     """Lower a source body to ``(instructions, parameter count, let
     padding)``, each send taking the next of ``sites``, which are in the
     order the code runs its sends.
@@ -335,14 +335,12 @@ def _lower(node: Expr, scope: dict[str, int], depth: int, emit,
     return reach
 
 
-def _code_of(image: RuntimeImage, method: CompiledMethod | None) -> tuple:
-    """The memoised code of a method, or of main for None; lowered once."""
-    code = image.code_arrays.get(method)
+def _code_of(method: CompiledMethod) -> tuple:
+    """A method's code, lowered at its first activation and kept on it."""
+    code = method.code
     if code is None:
-        code = (_lower_code(image.main, (), image.main_sites)
-                if method is None
-                else _lower_code(method.body, method.params, method.sites))
-        image.code_arrays[method] = code
+        code = method.code = _lower_code(method.body, method.params,
+                                         method.sites)
     return code
 
 
@@ -368,7 +366,7 @@ class Interpreter:
     """One evaluation of an image's main expression.
 
     Instances own their store, caches, and statistics; nothing is shared but
-    the image's memoised code arrays, which every run builds identically, so
+    the compiled methods' code, which every run builds identically, so
     separate instances can run in parallel.
     """
 
@@ -426,7 +424,6 @@ class Interpreter:
         """
         image = self.image
         classes = image.classes
-        codes = image.code_arrays
         records = self.records
         site_caches = self.site_caches
         inline_cache_on = self.inline_cache_on
@@ -439,7 +436,7 @@ class Interpreter:
         ic_fills = self.ic_fills
         next_oid = self.next_oid
 
-        code, _, pad = _code_of(image, None)
+        code, _, pad = _code_of(image.main)
         env: list = list(pad)
         owner: Nil | _Ref = NIL
         defining = ROOT_CLASS
@@ -514,9 +511,9 @@ class Interpreter:
                             # Diagnostics show the unmangled selector.
                             raise _stuck(DoesNotUnderstand(lookup_class,
                                                            a.plain_text))
-                        callee = codes.get(found[0])
+                        callee = found[0].code
                         if callee is None:
-                            callee = _code_of(image, found[0])
+                            callee = _code_of(found[0])
                         # A super-send's start class is static: no fill.
                         if inline_cache_on and op != SUPER_SEND:
                             entry = site_caches[a.site_id]
@@ -599,17 +596,17 @@ class Interpreter:
 
     def sites(self) -> list[dict]:
         """Polymorphic and megamorphic send sites in site order, read after
-        the run from the site caches and the sites of the bodies that ran,
-        those with code arrays (main's sites have no class). A megamorphic
-        site kept no receivers."""
+        the run from the site caches and the sites of every body (main's
+        have no class; a body that did not run has empty caches). A
+        megamorphic site kept no receivers."""
         image = self.image
         rows = []
-        for method in image.code_arrays:
-            holder, sites = (
-                ((None, "main"), image.main_sites) if method is None
-                else ((method.origin_class, method.selector.text),
-                      method.sites))
-            for site in sites:
+        for method in (image.main, *dict.fromkeys(
+                method for icls in image.classes.values()
+                for method in icls.dictionary.values())):
+            holder = ((None, "main") if method is image.main
+                      else (method.origin_class, method.selector.text))
+            for site in method.sites:
                 entry = self.site_caches[site.site_id]
                 mega = entry is MEGAMORPHIC
                 if mega or len(entry) > 1:

@@ -105,10 +105,6 @@ class MethodDef:
     body: Expr
     visibility: str = PUBLIC
 
-    @property
-    def is_protected(self) -> bool:
-        return self.visibility == PROTECTED
-
 
 @dataclass(slots=True)
 class ClassDef:
@@ -192,7 +188,7 @@ def _pretty(e: Expr, dispatch: Iterator[str] | None) -> tuple[str, int]:
 
 
 def pretty_method(m: MethodDef, indent: str = "  ") -> str:
-    kw = "protected method" if m.is_protected else "method"
+    kw = "protected method" if m.visibility == PROTECTED else "method"
     params = ", ".join(m.params)
     return f"{indent}{kw} {m.selector}({params}) {{ {pretty_expr(m.body)} }}"
 

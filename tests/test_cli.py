@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -11,8 +12,11 @@ from hypothesis import HealthCheck, given, settings
 
 from protolite import cli, compiler
 from protolite.cli import main
-from protolite.parser import MAX_NESTING
+from protolite.outcomes import Completed
+from protolite.parser import MAX_NESTING, parse
+from protolite.syntax import pretty_program
 from protolite.validate import HierarchyIndex
+from protolite.values import IntVal
 from tests.conftest import PROGRAMS, program_path
 
 
@@ -214,6 +218,34 @@ def test_diff_single_file(capsys):
     code, out, _ = run_cli(capsys, "diff", program_path("golden_sum.stl"))
     assert code == 0
     assert out.strip() == "1/1 agree"
+
+
+def test_diff_reports_a_disagreement(monkeypatch, capsys):
+    # A runtime that answers -1 where the reference evaluator gives 84.
+    from protolite import metrics
+    real_run_image = metrics.run_image
+
+    def wrong_answer(image, **kwargs):
+        return dataclasses.replace(real_run_image(image, **kwargs),
+                                   outcome=Completed(IntVal(-1)))
+
+    monkeypatch.setattr(metrics, "run_image", wrong_answer)
+    path = program_path("golden_sum.stl")
+    detail = (f"reference={Completed(IntVal(84))!r} "
+              f"runtime={Completed(IntVal(-1))!r}")
+    code, out, err = run_cli(capsys, "diff", path)
+    assert code == 1
+    assert out.strip() == "0/1 agree"
+    assert f"disagreement on {path}: {detail}" in err
+    program = pretty_program(parse((PROGRAMS / "golden_sum.stl").read_text()))
+    assert f"--- offending program ---\n{program}\n" in err
+
+    code, out, err = run_cli(capsys, "diff", "--json", path)
+    assert code == 1
+    [disagreement] = json.loads(out)["disagreements"]
+    assert disagreement.keys() == {"id", "detail"}
+    assert disagreement["id"] == path
+    assert disagreement["detail"].startswith(detail)
 
 
 @pytest.mark.parametrize("path", [program_path("golden_sum.stl"),

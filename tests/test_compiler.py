@@ -406,6 +406,13 @@ def test_install_rejects_duplicates_and_reserved(two_level_program):
         install_method(image, "Ghost", MethodDef("m", (), SelfRef()))
 
 
+def test_compile_rejects_a_reserved_selector():
+    # The parser never builds one; a hand-built class can.
+    cdef = ClassDef("C", "Object", (), (MethodDef("__m", (), IntLit(1)),))
+    with pytest.raises(ReservedSelectorError):
+        compile_program(Program((cdef,), IntLit(1)))
+
+
 def test_install_rejects_duplicate_parameters(two_level_program):
     image = compile_program(two_level_program)
     with pytest.raises(ProgramInvalidError) as err:
@@ -578,7 +585,7 @@ def test_lowered_bodies_print_as_their_source():
                     image.symbols.intern(mdef.selector)]
                 assert render(cm.body, cm.sites) == \
                     pretty_expr(mdef.body), (seed, cdef.name, mdef.selector)
-        assert render(image.main, image.main_sites) == \
+        assert render(image.main.body, image.main.sites) == \
             pretty_expr(program.main), seed
 
 
@@ -676,7 +683,7 @@ def _site_layout(image):
     methods = {(name, cm.selector.text): [s.site_id for s in cm.sites]
                for name, icls in image.classes.items()
                for cm in icls.dictionary.values()}
-    return (methods, [s.site_id for s in image.main_sites],
+    return (methods, [s.site_id for s in image.main.sites],
             [(s.text, s.id) for s in image.symbols.symbols()],
             image.site_count)
 
@@ -689,8 +696,10 @@ def test_sites_and_symbols_are_fixed_when_the_compile_returns(programs_dir):
         for mode in CompileMode:
             image = compile_program(program, mode)
             compiled = _site_layout(image)
-            assert image.code_arrays == {}
+            methods = [image.main, *(cm for icls in image.classes.values()
+                                     for cm in icls.dictionary.values())]
+            assert all(cm.code is None for cm in methods)
             run_image(image, fuel=3_000)
-            assert image.code_arrays
+            assert image.main.code is not None
             assert _site_layout(image) == compiled
             assert _site_layout(compile_program(program, mode)) == compiled

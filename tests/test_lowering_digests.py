@@ -121,7 +121,8 @@ def _image_code_lines(image):
         for cm in dict.fromkeys(cm for _, cm in entries):
             yield f"{name}#{cm.selector.text} " + _code_text(
                 _lower_code(cm.body, cm.params, cm.sites))
-    yield "main " + _code_text(_lower_code(image.main, (), image.main_sites))
+    yield "main " + _code_text(_lower_code(image.main.body, (),
+                                           image.main.sites))
 
 
 def code_lines():

@@ -17,10 +17,10 @@ from protolite.metrics import (
     measure_image,
     worst_case_ratios,
 )
-from protolite.outcomes import Completed
+from protolite.outcomes import Completed, DoesNotUnderstand, Errored
 from protolite.parser import parse
 from protolite.runtime import run_image
-from protolite.syntax import PROTECTED, Program
+from protolite.syntax import PROTECTED, Program, SuperSend
 from protolite.validate import validate
 
 from tests.oracles import images_equal, protected_free_three_way
@@ -229,10 +229,11 @@ def quick(**kw):
 
 def test_bench_rejects_empty_budgets(two_level_program):
     with pytest.raises(BenchConfigError):
-        bench_pair(two_level_program, quick(), quick(iterations=0))
+        bench_pair(two_level_program, quick(iterations=0))
     with pytest.raises(BenchConfigError):
-        bench_pair(two_level_program, quick(),
-                   quick(iterations=2, warmup=2))
+        bench_pair(two_level_program, quick(invocations=0))
+    with pytest.raises(BenchConfigError):
+        bench_pair(two_level_program, quick(iterations=2, warmup=2))
 
 
 def test_bench_rejects_non_terminating_workload():
@@ -241,15 +242,16 @@ def test_bench_rejects_non_terminating_workload():
         main { (new C).spin() }
     """)
     with pytest.raises(BenchConfigError):
-        bench_pair(p, quick(fuel=5_000), quick(fuel=5_000))
+        bench_pair(p, quick(fuel=5_000))
 
 
 def test_bench_reports_medians_and_overhead(two_level_program):
     program = repeat_main(two_level_program, 50)
-    baseline, measured = bench_pair(
-        program, quick(mode=CompileMode.BASELINE),
-        quick(mode=CompileMode.WORST_CASE))
-    assert len(baseline.samples) == 2 * (4 - 1)
+    baseline, measured = bench_pair(program,
+                                    quick(mode=CompileMode.WORST_CASE))
+    assert baseline.label == CompileMode.BASELINE.value
+    assert measured.label == CompileMode.WORST_CASE.value
+    assert len(baseline.samples) == len(measured.samples) == 2 * (4 - 1)
     assert measured.median > 0
     assert measured.relative_overhead is not None
 
@@ -282,8 +284,20 @@ def test_polymorphic_workload_spreads_classes():
     "main { nil + 1 }",
     "main { 5.zork() }",
     "main { let x = new Object in x }",
+    "main { x }",
+    "class C extends Object { method m() { y } } main { (new C).m() }",
 ])
 def test_handwritten_edges_agree(source):
     result = differential_run(parse(source), program_id=source)
     assert result.agree, result.detail
     assert result.reference_steps == result.runtime_steps
+
+
+def test_super_send_in_main_is_stuck_in_both_evaluators():
+    # The parser never builds a super-send in main; a hand-built one looks
+    # above Object and finds nothing, before any step.
+    result = differential_run(Program((), SuperSend("m", ())),
+                              program_id="super-in-main")
+    assert result.agree, result.detail
+    assert result.reference_outcome == Errored(DoesNotUnderstand("Object", "m"))
+    assert result.reference_steps == result.runtime_steps == 0

@@ -455,7 +455,7 @@ def _image_sends(image):
     for icls in image.classes.values():
         for cm in {id(cm): cm for cm in icls.dictionary.values()}.values():
             yield from _sends_with_sites(cm.body, cm.sites)
-    yield from _sends_with_sites(image.main, image.main_sites)
+    yield from _sends_with_sites(image.main.body, image.main.sites)
 
 
 @given(seeds)
@@ -472,7 +472,7 @@ def test_no_mangled_sites_outside_scope(seed):
                 continue
             seen.add(id(cm))
             assert not any(site.selector.mangled for site in cm.sites)
-    assert not any(site.selector.mangled for site in image.main_sites)
+    assert not any(site.selector.mangled for site in image.main.sites)
 
 
 @given(seeds)

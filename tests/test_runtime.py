@@ -593,7 +593,7 @@ def test_code_gives_each_send_its_own_site(body, site_order, code_order):
         f" class C extends B {{ method k() {{ let a = new A in {body} }} }}"
         " main { (new C).k() }"))
     method = image.classes["C"].dictionary[image.symbols.intern("k")]
-    code, _, _ = _code_of(image, method)
+    code, _, _ = _code_of(method)
     sends = [site for op, site, _ in code if ADD <= op <= SUPER_SEND]
     assert sends == list(method.sites)
     assert [s.selector.text for s in sends] == code_order.split()
