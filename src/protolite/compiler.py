@@ -1,9 +1,12 @@
 """Compiling a validated program into an executable image.
 
-The compile builds no code. It decides the rewrite scope, fills the class
-dictionaries and interns every selector, and gives each method its send
-sites: the tagged selector each send dispatches through, numbered. The
-runtime lowers a body to code only when it first runs it.
+The compile builds no code and walks no method body. It decides the rewrite
+scope, fills the class dictionaries and interns their keys. Each compiled
+method keeps its source body and the build that made it: the hierarchy index
+and scope of its compile or install, and the symbol table that compile and
+all its installs share. The runtime lowers a body to code only when it first
+runs it, and that lowering makes the body's send sites: the tagged selector
+each send dispatches through, interned and numbered (``send_site``).
 
 Protected visibility is enforced entirely through class method dictionaries,
 so the runtime needs only one visibility-blind lookup:
@@ -19,10 +22,14 @@ so the runtime needs only one visibility-blind lookup:
   selector, with one exception: a site whose selector resolves only above the
   class's protection root (an ancestor region that uses no protected methods)
   stays plain, so those ancestors never need recompiling. A site whose
-  selector resolves nowhere also stays plain and is recorded as *deferred*;
-  installing a method with that selector later retags it.
+  selector resolves nowhere also stays plain and is *deferred*; installing a
+  method with that selector later retags it.
 * Object-send sites are never rewritten, so they can only ever find plain
   entries -- which is exactly the public-only lookup.
+
+A site's tag is a pure function of its send, its class, and the index and
+scope its method was built under, so ``render`` and ``desugar_dump`` print
+the tags without interning a symbol or numbering a site.
 
 ``install_method`` grows an image incrementally, doing only the work the new
 method touches. It derives the new index from the parent image's, checks only
@@ -30,11 +37,14 @@ the classes the method can make invalid, and keeps the parent's scope unless
 the method pulls classes in under the same rule -- the target, or an ancestor
 that self-sends a new protected selector -- with their descendants. It
 rebuilds the target, the classes that joined the scope, and the in-scope
-classes whose self/super sites can change tag (those in the target's subtree
-and ancestors, and those with a deferred site of the new selector), each
-whole and by the same builder as a compile; every other class is shared with
-the parent image. Images are never mutated; installs return a new image and
-leave the old one valid.
+classes whose self/super sites can change tag (only those in the joining
+subtree, else the target's, and the target's ancestors can), each whole and
+by the same builder as a compile. Every other class, and its methods'
+lowered code, is shared with the parent image: its sites tag the same under
+either build. A deferred site of the new selector elsewhere stays plain, and
+stops being deferred because deferral is derived from the index, never
+stored. Images are never mutated; installs return a new image and leave the
+old one valid.
 """
 
 from __future__ import annotations
@@ -48,7 +58,6 @@ from .errors import (
     ProgramInvalidError,
     ReservedSelectorError,
     UnknownClassError,
-    UnknownFieldError,
 )
 from .syntax import (
     MANGLE_PREFIX,
@@ -56,21 +65,14 @@ from .syntax import (
     PUBLIC,
     ROOT_CLASS,
     ClassDef,
-    Expr,
-    FieldGet,
-    FieldSet,
-    IntLit,
-    Let,
     MethodDef,
-    New,
-    NilLit,
     Program,
     SelfRef,
     Send,
     SuperSend,
-    Var,
     pretty_expr,
     self_and_super_selectors,
+    self_and_super_sends,
 )
 from .validate import HierarchyIndex, index_of, validate, validate_install
 
@@ -106,10 +108,18 @@ class Symbol:
 
 
 class SymbolTable:
-    """Interns selectors; one Symbol instance per distinct text."""
+    """Interns selectors, one Symbol instance per distinct text, and keeps
+    every send site made so far, indexed by site id.
+
+    A compile and all its installs share one table. A body that one image
+    lowers keeps its symbols and site ids in every image sharing it, and a
+    dictionary key that an install interns is the very symbol that code
+    already sends.
+    """
 
     def __init__(self) -> None:
         self._by_text: dict[str, Symbol] = {}
+        self.sites: list[SendSite] = []
 
     def intern(self, text: str) -> Symbol:
         sym = self._by_text.get(text)
@@ -131,55 +141,112 @@ class SymbolTable:
     def symbols(self) -> list[Symbol]:
         return list(self._by_text.values())
 
-    def copy(self) -> "SymbolTable":
-        table = SymbolTable()
-        table._by_text = dict(self._by_text)
-        return table
-
 
 # --- compiled methods ----------------------------------------------------------
 
 
 @dataclass(eq=False, slots=True)
 class SendSite:
-    """One message-send site in compiled code.
+    """One message-send site in lowered code.
 
     ``selector`` is the symbol the site dispatches through; for a rewritten
     self/super site that is the mangled form. ``plain_text`` keeps the source
-    selector for diagnostics, which never show the prefix.
+    selector for diagnostics, which never show the prefix. ``origin_class``
+    and ``method`` name the body holding the send (None and None for main).
     """
 
     site_id: int
     selector: Symbol
     plain_text: str
+    origin_class: str | None
+    method: Symbol | None
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Build:
+    """What a compile or install decided that lowering its bodies reads:
+    the index and rewrite scope its sites are tagged under, and the symbol
+    table of the compile and all its installs."""
+
+    index: HierarchyIndex
+    scope: frozenset[str]
+    symbols: SymbolTable
 
 
 @dataclass(eq=False, slots=True)
 class CompiledMethod:
-    """A method's source body and the site of each of its sends, in the
-    order the body runs them. The runtime lowers the two to ``code`` at
-    the method's first activation; ``render`` prints them as they dispatch.
-    Main is compiled as a method with no class and no selector. Compared
-    by identity so shared dictionary entries are observable."""
+    """A method's source body and the build that made it. The runtime
+    lowers the body to ``code`` at the method's first activation, making its
+    send sites as it goes; ``render`` prints it as it dispatches. Main is
+    compiled as a method with no class and no selector. Compared by identity
+    so shared dictionary entries are observable."""
 
     origin_class: str | None  # None only for main
     selector: Symbol | None  # plain form; None only for main
     visibility: str
     params: tuple[str, ...]
     body: Expr
-    sites: tuple[SendSite, ...]
+    build: Build
     code: tuple | None = None  # set by the runtime at the first activation
 
 
-def render(body: Expr, sites: tuple[SendSite, ...]) -> str:
-    """A compiled body's source text, each send printing the selector its
-    site dispatches through (mangled for a rewritten self/super site)."""
-    return pretty_expr(body, dispatch=(site.selector.text for site in sites))
+def _mangled(send: Send | SuperSend, enclosing: str | None,
+             build: Build) -> bool:
+    """Whether a send in a body of ``enclosing`` dispatches through the
+    mangled selector: only a self/super site of an in-scope class can, and
+    object sends are never rewritten."""
+    scope = build.scope
+    if enclosing not in scope:
+        return False
+    idx = build.index
+    selector = send.selector
+    if send.__class__ is SuperSend:
+        start = idx.superclass(enclosing)
+    elif send.receiver.__class__ is SelfRef:
+        start = enclosing
+    else:
+        return False
+    found = idx.closest_def(start, selector) if start else None
+    if found is not None:
+        # Resolving only above the protection root, where ancestors carry
+        # no mangled entries, the site must stay plain.
+        return found[0] in scope
+    # A self-send unresolved here that a subclass (necessarily in scope)
+    # answers -- possibly with a protected, mangled-only method that a plain
+    # send could never see. A selector no class defines stays plain: the
+    # site is deferred.
+    return send.__class__ is Send and idx.defined_below(start, selector)
+
+
+def send_site(method: CompiledMethod, send: Send | SuperSend) -> SendSite:
+    """A new site for a send in ``method``'s body, made as the runtime
+    lowers it: tagged, its selector interned, numbered with the next id of
+    the shared table."""
+    build = method.build
+    symbols = build.symbols
+    selector = symbols.intern(send.selector)
+    if _mangled(send, method.origin_class, build):
+        selector = symbols.mangle(selector)
+    sites = symbols.sites
+    site = SendSite(len(sites), selector, send.selector, method.origin_class,
+                    method.selector)
+    sites.append(site)
+    return site
+
+
+def render(method: CompiledMethod) -> str:
+    """A compiled body's source text, each send printing the selector it
+    dispatches through (mangled for a rewritten self/super site). Interns
+    no symbol and makes no site."""
+    enclosing, build = method.origin_class, method.build
+    return pretty_expr(method.body, dispatch=lambda send: (
+        MANGLE_PREFIX + send.selector if _mangled(send, enclosing, build)
+        else send.selector))
 
 
 @dataclass(frozen=True)
 class DeferredSite:
-    """A self/super site whose selector resolved nowhere at compile time."""
+    """A self/super site whose selector no class defines."""
 
     class_name: str
     method_selector: str
@@ -208,13 +275,25 @@ class RuntimeImage:
     mode: CompileMode
     classes: dict[str, ImageClass]
     main: CompiledMethod
-    symbols: SymbolTable
+    symbols: SymbolTable  # shared by the compile and all its installs
     rewrite_scope: frozenset[str]
-    deferred_sites: tuple[DeferredSite, ...]
-    site_count: int
     # The program the image was compiled from; its index is the one the
     # compile used.
     program: Program = field(repr=False)
+
+    @property
+    def deferred_sites(self) -> tuple[DeferredSite, ...]:
+        """The deferred sites of the image's in-scope bodies, one per
+        self/super send whose selector no class defines, derived from the
+        bodies on each read. Main has no class, so none of its sites."""
+        idx = index_of(self.program)
+        scope = self.rewrite_scope
+        return tuple(
+            DeferredSite(cdef.name, mdef.selector, send.selector)
+            for cdef in self.program.classes if cdef.name in scope
+            for mdef in cdef.methods
+            for send in self_and_super_sends(mdef.body)
+            if not idx.definers(send.selector))
 
 
 # --- scope --------------------------------------------------------------------
@@ -264,170 +343,55 @@ def _scope_for_mode(idx: HierarchyIndex, mode: CompileMode) -> frozenset[str]:
     return rewrite_scope(idx)
 
 
-# --- send sites --------------------------------------------------------------------
-
-
-class _SiteBuilder:
-    """Builds the send sites of bodies, tagging self/super sites per the
-    scope rules; numbers sites and interns selectors across one compile."""
-
-    def __init__(self, idx: HierarchyIndex, scope: frozenset[str],
-                 symbols: SymbolTable, next_site_id: int):
-        self.idx = idx
-        self.scope = scope
-        self.symbols = symbols
-        self.next_site_id = next_site_id
-        self.deferred: list[DeferredSite] = []
-        # The body being walked: its class (None for main), method, fields.
-        self.enclosing: str | None = None
-        self.method_selector = ""
-        self.fields: tuple[str, ...] = ()
-
-    def _tag_selector(self, send: Send | SuperSend) -> Symbol:
-        """The symbol a send dispatches through: mangled when the rewrite
-        applies to this self/super site of the in-scope enclosing class,
-        else plain. Object sends are never rewritten."""
-        selector = send.selector
-        plain = self.symbols.intern(selector)
-        enclosing = self.enclosing
-        if enclosing not in self.scope:
-            return plain
-        if send.__class__ is SuperSend:
-            start = self.idx.superclass(enclosing)
-        elif send.receiver.__class__ is SelfRef:
-            start = enclosing
-        else:
-            return plain
-        found = self.idx.closest_def(start, selector) if start else None
-        if found is not None:
-            if found[0] not in self.scope:
-                # Resolves only above the protection root: those ancestors
-                # carry no mangled entries, so the site must stay plain.
-                return plain
-            return self.symbols.mangle(plain)
-        if send.__class__ is Send and self.idx.defined_below(start, selector):
-            # A self-send unresolved here, but a subclass (necessarily in
-            # scope) answers it -- possibly with a protected, mangled-only
-            # method that a plain send could never see.
-            return self.symbols.mangle(plain)
-        if not self.idx.definers(selector):
-            # No class defines the selector: assume a public send and
-            # remember the site for when such a method gets installed.
-            self.deferred.append(
-                DeferredSite(enclosing, self.method_selector, selector))
-        return plain
-
-    def sites(self, body: Expr, enclosing: str | None, method_selector: str,
-              fields: tuple[str, ...] = ()) -> tuple[SendSite, ...]:
-        """The body's send sites in the order its code runs them: a send's
-        receiver's sites, then its arguments' from left to right, then its
-        own. Checks that every field the body names is one of ``fields``,
-        the enclosing class's."""
-        self.enclosing = enclosing
-        self.method_selector = method_selector
-        self.fields = fields
-        sites: list[SendSite] = []
-        self._walk(body, sites)
-        return tuple(sites)
-
-    def _walk(self, e: Expr, sites: list[SendSite]) -> None:
-        """Append the sites of ``e``: a recursive descent that builds no
-        tree, one frame a level. It recurses into receivers, arguments, let
-        bindings and field-write values, and loops down let bodies.
-
-        A send's argument sites are made first, then its receiver's, then
-        its own, each numbered and its selector interned as it is made, so
-        symbol and site ids follow that order; where both hold sends, the
-        receiver's sites then move in front of the arguments'."""
-        while e.__class__ is Let:
-            self._walk(e.bound, sites)
-            e = e.body
-        kind = e.__class__
-        if kind is Send or kind is SuperSend:
-            # Leaves hold no send and no field: not worth a visit.
-            start = len(sites)
-            for arg in e.args:
-                if arg.__class__ not in _LEAVES:
-                    self._walk(arg, sites)
-            if kind is Send and e.receiver.__class__ not in _LEAVES:
-                mid = len(sites)
-                self._walk(e.receiver, sites)
-                if start < mid < len(sites):
-                    sites[start:] = sites[mid:] + sites[start:mid]
-            sites.append(SendSite(self.next_site_id, self._tag_selector(e),
-                                  e.selector))
-            self.next_site_id += 1
-        elif kind is FieldGet or kind is FieldSet:
-            if e.field not in self.fields:
-                raise UnknownFieldError(self.enclosing or ROOT_CLASS, e.field)
-            if kind is FieldSet:
-                self._walk(e.value, sites)
-        elif kind not in _LEAVES:
-            raise TypeError(f"not an expression: {e!r}")
-
-
-_LEAVES = frozenset((NilLit, IntLit, SelfRef, Var, New))
-
-
 # --- whole-program compilation ---------------------------------------------------
 
 
-def _compile_class(builder: _SiteBuilder, cdef: ClassDef,
+def _compile_class(build: Build, cdef: ClassDef,
                    class_id: int) -> ImageClass:
-    """Build and register every method of a class under the builder's scope:
-    inside it, a protected method under its mangled selector only and a
-    public one under both, the two entries sharing one compiled method."""
-    in_scope = cdef.name in builder.scope
-    fields = builder.idx.fields_of(cdef.name)
-    symbols = builder.symbols
+    """Register every method of a class under the build's scope: inside it,
+    a protected method under its mangled selector only and a public one
+    under both, the two entries sharing one compiled method."""
+    in_scope = cdef.name in build.scope
+    symbols = build.symbols
     dictionary: dict[Symbol, CompiledMethod] = {}
     for mdef in cdef.methods:
         if mdef.selector.startswith(MANGLE_PREFIX):
             raise ReservedSelectorError(
                 f"selector {mdef.selector!r} uses the reserved prefix", 0, 0)
-        sites = builder.sites(mdef.body, cdef.name, mdef.selector, fields)
         plain = symbols.intern(mdef.selector)
         method = CompiledMethod(cdef.name, plain, mdef.visibility,
-                                mdef.params, mdef.body, sites)
+                                mdef.params, mdef.body, build)
         if not (in_scope and mdef.visibility == PROTECTED):
             dictionary[plain] = method
         if in_scope:
             dictionary[symbols.mangle(plain)] = method
-    return ImageClass(cdef.name, cdef.superclass, fields, dictionary,
-                      class_id)
+    return ImageClass(cdef.name, cdef.superclass,
+                      build.index.fields_of(cdef.name), dictionary, class_id)
 
 
 def compile_program(program: Program,
                     mode: CompileMode = CompileMode.NORMAL) -> RuntimeImage:
-    """Register every class of a valid program, with its send sites.
+    """Register every class of a valid program.
 
     Validates the program first unless ``validate`` has passed on it
-    already. Every symbol and site id is fixed here, whichever methods run
-    later; no body is lowered to code until the runtime first activates it.
+    already. Interns the dictionary keys only: a send's symbol and site id
+    are made when the runtime first activates its body.
     """
     if not program.valid:
         violations = validate(program)
         if violations:
             raise ProgramInvalidError(violations)
     idx = index_of(program)
-    scope = _scope_for_mode(idx, mode)
-    symbols = SymbolTable()
-    builder = _SiteBuilder(idx, scope, symbols, 0)
-
+    build = Build(idx, _scope_for_mode(idx, mode), SymbolTable())
     classes = {ROOT_CLASS: ImageClass(ROOT_CLASS, None, (), {}, 0)}
     for i, cdef in enumerate(program.classes, start=1):
-        classes[cdef.name] = _compile_class(builder, cdef, i)
-
-    # Deferral only applies inside the scope; main has no enclosing class.
-    main_sites = builder.sites(program.main, None, "")
+        classes[cdef.name] = _compile_class(build, cdef, i)
     return RuntimeImage(
         mode=mode,
         classes=classes,
-        main=CompiledMethod(None, None, PUBLIC, (), program.main, main_sites),
-        symbols=symbols,
-        rewrite_scope=scope,
-        deferred_sites=tuple(builder.deferred),
-        site_count=builder.next_site_id,
+        main=CompiledMethod(None, None, PUBLIC, (), program.main, build),
+        symbols=build.symbols,
+        rewrite_scope=build.scope,
         program=program,
     )
 
@@ -492,40 +456,30 @@ def install_method(image: RuntimeImage, class_name: str,
         expansion = frozenset(reach) - new_scope
         new_scope = new_scope | expansion
 
-    symbols = image.symbols.copy()
-    builder = _SiteBuilder(idx, new_scope, symbols, image.site_count)
+    build = Build(idx, new_scope, image.symbols)
 
     # Classes to rebuild: the target, those that just joined the scope, and
     # the in-scope classes whose self/super sites can change tag -- those
     # sending the new selector and, when classes joined, anything such a class
     # defines, since the resolution class may have flipped into the scope.
     # Only the joining subtree (else the target's) and the target's ancestors
-    # resolve through what changed; elsewhere only a deferred site of the new
-    # selector can, as the selector now has a definer.
+    # resolve through what changed. A deferred site elsewhere keeps its
+    # plain tag; it stops being deferred, which is derived, not stored.
     affected_selectors = {mdef.selector}
     for name in expansion:
         affected_selectors.update(m.selector for m in idx.by_name[name].methods)
-    candidates = set(reach).union(
-        idx.chain(class_name),
-        (d.class_name for d in image.deferred_sites
-         if d.selector == mdef.selector))
     rebuilt = {class_name} | expansion | {
-        name for name in candidates
+        name for name in set(reach).union(idx.chain(class_name))
         if name in new_scope and any(
             affected_selectors & sent for m in idx.by_name[name].methods
             for sent in self_and_super_selectors(m.body))}
 
     classes = dict(image.classes)
     for name in sorted(rebuilt):
-        classes[name] = _compile_class(builder, idx.by_name[name],
+        classes[name] = _compile_class(build, idx.by_name[name],
                                        image.classes[name].class_id)
-    # A rebuild makes its class's deferred sites again.
-    deferred = tuple(d for d in image.deferred_sites
-                     if d.class_name not in rebuilt) + tuple(builder.deferred)
-
-    return replace(image, classes=classes, symbols=symbols,
-                   rewrite_scope=new_scope, deferred_sites=deferred,
-                   site_count=builder.next_site_id, program=new_program)
+    return replace(image, classes=classes, rewrite_scope=new_scope,
+                   program=new_program)
 
 
 # --- textual image dump -------------------------------------------------------------
@@ -552,16 +506,17 @@ def desugar_dump(image: RuntimeImage) -> str:
         for cm in dict.fromkeys(cm for _, cm in entries):
             params = ", ".join(cm.params)
             out.append(f"  body {cm.selector.text}({params}) [{cm.visibility}]: "
-                       f"{render(cm.body, cm.sites)}")
-    out.append(f"main: {render(image.main.body, image.main.sites)}")
+                       f"{render(cm)}")
+    out.append(f"main: {render(image.main)}")
     scope = ", ".join(sorted(image.rewrite_scope)) or "(none)"
     roots = ", ".join(sorted(protection_roots(index_of(image.program),
                                               image.rewrite_scope)))
     roots = roots or "(none)"
     out.append(f"rewrite scope: {scope}")
     out.append(f"protection roots: {roots}")
-    if image.deferred_sites:
-        for d in sorted(image.deferred_sites,
+    deferred = image.deferred_sites
+    if deferred:
+        for d in sorted(deferred,
                         key=lambda d: (d.class_name, d.method_selector, d.selector)):
             out.append(f"deferred site: {d.class_name}#{d.method_selector} "
                        f"-> {d.selector}")

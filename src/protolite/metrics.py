@@ -8,7 +8,8 @@ is expressed over counts.
 An image that uses protection pays, per in-scope class, exactly
 ``2 * |public| + |protected|`` dictionary entries, and one extra mangled
 symbol per distinct selector installed in scope; double registration never
-adds compiled methods.
+adds compiled methods. Symbols are those the dictionaries hold, so a
+selector that is only sent (``+``, say) is not counted.
 """
 
 from __future__ import annotations
@@ -56,13 +57,23 @@ class MemoryReport:
 
 
 def measure_image(image: RuntimeImage) -> MemoryReport:
-    """Exact entry/symbol/method counts plus the modelled byte estimate."""
+    """Exact entry/symbol/method counts plus the modelled byte estimate.
+
+    The symbols counted are those the dictionaries hold, as keys and as
+    their methods' selectors. The symbol table, which a compile shares with
+    its installs, also holds what runs and installs interned, so the same
+    image would read larger after each of them.
+    """
     per_class = {name: len(icls.dictionary)
                  for name, icls in image.classes.items()}
     total = sum(per_class.values())
     plain = mangled = 0
     symbol_bytes = 0
-    for sym in image.symbols.symbols():
+    held = {}
+    for icls in image.classes.values():
+        for sym, cm in icls.dictionary.items():
+            held[sym] = held[cm.selector] = None
+    for sym in held:
         if sym.mangled:
             mangled += 1
         else:

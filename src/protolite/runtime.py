@@ -22,18 +22,23 @@ lookups are never cached at either level, because installing a method
 later may change them. Caches affect statistics only, never outcomes.
 
 Execution does not walk expression trees. Each method body, and the image's
-main expression, is lowered from its source tree and the send sites the
-compiler made for it into a flat postfix *code array* of ``(opcode, a, b)``
-instructions ending in ``RETURN``; that is the one translation a body gets.
-The sites come in the order the code runs its sends, so one forward walk
-hands each send instruction the next site.
-Variables are resolved to numbered slots of the activation's environment
-while lowering, so a variable read is a list index and a ``let`` needs no
-environment copy. The lowering is lazy -- a method's code is built at its
-first activation and kept on its compiled method -- so large images pay only
-for the methods they run. It is one recursive descent, a frame a level, over a
-tree the parser bounds (``parser.MAX_NESTING``), and it loops down let
-bodies, so the long let chains ``bench`` builds cost no depth.
+main expression, is lowered from its source tree into a flat postfix *code
+array* of ``(opcode, a, b)`` instructions ending in ``RETURN``; that is the
+one translation a body gets. Each send instruction gets a new send site as
+it is emitted (``compiler.send_site``): the selector tagged plain or mangled
+under the method's build, interned, and numbered in the table the compile
+shares with its installs, so site ids follow the order bodies first run.
+The same walk checks the field names against the method's class, as the
+reference evaluator does when it activates a method: a body naming a field
+its class lacks is stuck with ``UnknownField`` at each activation, after the
+arity check and before any step. Variables are resolved to numbered slots of
+the activation's environment while lowering, so a variable read is a list
+index and a ``let`` needs no environment copy. The lowering is lazy -- a
+method's code is built at its first activation and kept on its compiled
+method -- so large images pay only for the methods they run. It is one
+recursive descent, a frame a level, over a tree the parser bounds
+(``parser.MAX_NESTING``), and it loops down let bodies, so the long let
+chains ``bench`` builds cost no depth.
 
 One loop runs every activation. A frame is ``(code, pc, env, owner,
 defining)``; a send saves the caller's frame and switches to the callee's
@@ -57,14 +62,18 @@ the same site (Deutsch & Schiffman, POPL 1984).
 
 Step accounting deliberately matches the reference evaluator event for event
 (allocations, field reads/writes, sends, let bindings), so a fuel budget
-means the same thing to both and fuel-bounded runs stay comparable.
+means the same thing to both and fuel-bounded runs stay comparable. The
+reference checks the fuel before it tries each reduction, so a stuck state
+met with the fuel spent is ``FuelExhausted`` there; ``Interpreter.run``
+reports it the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import CompiledMethod, RuntimeImage, SendSite, Symbol
+from .compiler import CompiledMethod, RuntimeImage, Symbol, send_site
+from .errors import UnknownFieldError
 from .outcomes import (
     DEFAULT_FUEL,
     ArityMismatch,
@@ -75,6 +84,7 @@ from .outcomes import (
     NilReceiver,
     PrimitiveFailure,
     UnknownClass,
+    UnknownField,
     UnknownVariable,
 )
 from .syntax import (
@@ -262,23 +272,31 @@ def cached_lookup(class_name: str, selector: Symbol, cache: GlobalCache,
 _RETURN = (RETURN, None, None)
 
 
-def _lower_code(body: Expr, params: tuple[str, ...],
-                sites: tuple[SendSite, ...]) -> tuple:
-    """Lower a source body to ``(instructions, parameter count, let
-    padding)``, each send taking the next of ``sites``, which are in the
-    order the code runs its sends.
+def _lower_code(method: CompiledMethod) -> tuple:
+    """Lower a method's body to ``(instructions, parameter count, let
+    padding)``, making each send's site as its instruction is emitted.
 
     The padding is a tuple of one None per let slot; an activation's
     environment is a list of its arguments followed by the padding.
     Variables become environment slots: parameters take slots 0..n-1 (a
     repeated name binds its last position, as ``dict(zip(params, args))``
     would); each ``let`` takes the next slot above those live at its
-    binding.
+    binding. A body that names a field its class lacks lowers to ``(None,
+    None, reason)``: no parameter count matches, and ``reason`` is the
+    ``UnknownField`` of its first such field in the reference evaluator's
+    order.
     """
     code: list[tuple] = []
+    params = method.params
     nparams = len(params)
-    nslots = _lower(body, dict(zip(params, range(nparams))), nparams,
-                    code.append, iter(sites).__next__)
+    enclosing = method.origin_class or ROOT_CLASS
+    fields = method.build.index.fields_of(enclosing)
+    try:
+        nslots = _lower(method.body, dict(zip(params, range(nparams))),
+                        nparams, code.append, method, fields)
+    except UnknownFieldError:
+        return None, None, UnknownField(
+            enclosing, _first_unknown_field(method.body, fields))
     code.append(_RETURN)
     # A plain tuple: this runs once per activated body, often for bodies
     # that run only once, so construction cost matters.
@@ -286,15 +304,16 @@ def _lower_code(body: Expr, params: tuple[str, ...],
 
 
 def _lower(node: Expr, scope: dict[str, int], depth: int, emit,
-           next_site) -> int:
+           method: CompiledMethod, fields: tuple[str, ...]) -> int:
     """Emit the code of ``node``, whose variables ``scope`` maps to slots,
-    with ``depth`` slots live; return the slots its lets reach. One frame a
-    level: it recurses into receivers, arguments, let bindings and
-    field-write values, and loops down let bodies."""
+    with ``depth`` slots live; return the slots its lets reach. Raises
+    UnknownFieldError for a field not in ``fields``. One frame a level: it
+    recurses into receivers, arguments, let bindings and field-write values,
+    and loops down let bodies."""
     reach = depth
     while type(node) is Let:
         reach = max(reach, depth + 1,
-                    _lower(node.bound, scope, depth, emit, next_site))
+                    _lower(node.bound, scope, depth, emit, method, fields))
         emit((LET, depth, None))
         scope = {**scope, node.var: depth}
         depth += 1
@@ -309,10 +328,10 @@ def _lower(node: Expr, scope: dict[str, int], depth: int, emit,
               else SEND)
         # The receiver is on the stack, not the owner, for ADD and SEND.
         for child in (receiver, *args) if op <= SEND else args:
-            top = _lower(child, scope, depth, emit, next_site)
+            top = _lower(child, scope, depth, emit, method, fields)
             if top > reach:
                 reach = top
-        emit((op, next_site(), len(args)))
+        emit((op, send_site(method, node), len(args)))
     elif kind is IntLit:
         emit((CONST, node.value, None))
     elif kind is SelfRef:
@@ -325,22 +344,51 @@ def _lower(node: Expr, scope: dict[str, int], depth: int, emit,
         emit((NEW, node.class_name, None))
     elif kind is NilLit:
         emit((CONST, NIL, None))
-    elif kind is FieldGet:
-        emit((GET, node.field, None))
-    elif kind is FieldSet:
-        reach = max(reach, _lower(node.value, scope, depth, emit, next_site))
-        emit((SET, node.field, None))
+    elif kind is FieldGet or kind is FieldSet:
+        if node.field not in fields:
+            raise UnknownFieldError(method.origin_class or ROOT_CLASS,
+                                    node.field)
+        if kind is FieldGet:
+            emit((GET, node.field, None))
+        else:
+            reach = max(reach, _lower(node.value, scope, depth, emit, method,
+                                      fields))
+            emit((SET, node.field, None))
     else:
         raise TypeError(f"not an expression: {node!r}")
     return reach
+
+
+def _first_unknown_field(node: Expr, fields: tuple[str, ...]) -> str | None:
+    """The first field ``node`` names outside ``fields`` in the order the
+    reference evaluator translates a body, a send's arguments before its
+    receiver; None if there is none. One frame a level, looping down let
+    bodies."""
+    while type(node) is Let:
+        found = _first_unknown_field(node.bound, fields)
+        if found is not None:
+            return found
+        node = node.body
+    kind = type(node)
+    if kind is FieldGet or kind is FieldSet:
+        if node.field not in fields:
+            return node.field
+        return (_first_unknown_field(node.value, fields) if kind is FieldSet
+                else None)
+    if kind is Send or kind is SuperSend:
+        for child in (*node.args, node.receiver) if kind is Send \
+                else node.args:
+            found = _first_unknown_field(child, fields)
+            if found is not None:
+                return found
+    return None
 
 
 def _code_of(method: CompiledMethod) -> tuple:
     """A method's code, lowered at its first activation and kept on it."""
     code = method.code
     if code is None:
-        code = method.code = _lower_code(method.body, method.params,
-                                         method.sites)
+        code = method.code = _lower_code(method)
     return code
 
 
@@ -365,9 +413,12 @@ class RunResult:
 class Interpreter:
     """One evaluation of an image's main expression.
 
-    Instances own their store, caches, and statistics; nothing is shared but
-    the compiled methods' code, which every run builds identically, so
-    separate instances can run in parallel.
+    Instances own their store, caches, and statistics. The images of one
+    compile share their compiled methods' code, the symbols and the site
+    numbering: the first run to activate a body lowers it, numbering its
+    sites in the order that run reaches them, and every later run of any
+    of those images reuses that code. Runs over them therefore take turns;
+    a run sizes its site caches when it starts and grows them as it lowers.
     """
 
     def __init__(self, image: RuntimeImage, *, global_cache_on: bool = True,
@@ -381,8 +432,8 @@ class Interpreter:
         self.global_cache = GlobalCache() if global_cache_on else None
         # Per send site, indexed by site id: () while unfilled, a list of
         # (class name, (method, defining class), callee code) entries, or
-        # MEGAMORPHIC.
-        self.site_caches: list = [()] * image.site_count
+        # MEGAMORPHIC. Sized by the run, as sites are made by lowering.
+        self.site_caches: list = []
         # Field values are unboxed: an int, nil or a _Ref.
         self.records: dict[int, tuple[str, dict[str, Nil | int | _Ref]]] = {}
         self.next_oid = 1
@@ -415,6 +466,10 @@ class Interpreter:
                                 else value)
         except _Stop as stop:
             outcome = stop.outcome
+            # The reference tries no reduction once the fuel is spent, so
+            # it never reaches a stuck state there.
+            if outcome.__class__ is Errored and self.steps >= self.fuel:
+                outcome = FuelExhausted()
         return RunResult(outcome, self.steps, self._stats())
 
     def _execute(self) -> Nil | int | _Ref:
@@ -436,7 +491,12 @@ class Interpreter:
         ic_fills = self.ic_fills
         next_oid = self.next_oid
 
+        sites = image.symbols.sites
         code, _, pad = _code_of(image.main)
+        if code is None:  # main names a field: Object has none
+            raise _stuck(pad)
+        # Sites made by this lowering or by earlier runs' get a cache.
+        site_caches += [()] * (len(sites) - len(site_caches))
         env: list = list(pad)
         owner: Nil | _Ref = NIL
         defining = ROOT_CLASS
@@ -514,6 +574,8 @@ class Interpreter:
                         callee = found[0].code
                         if callee is None:
                             callee = _code_of(found[0])
+                            site_caches += [()] * (len(sites)
+                                                   - len(site_caches))
                         # A super-send's start class is static: no fill.
                         if inline_cache_on and op != SUPER_SEND:
                             entry = site_caches[a.site_id]
@@ -529,11 +591,15 @@ class Interpreter:
                         # A hit skips this check. The fill comes first and a
                         # mismatch ends the run; a site always passes the
                         # same argument count, so every entry a later hit
-                        # finds has passed it.
+                        # finds has passed it. A body naming an unknown
+                        # field has no parameter count: it is stuck here
+                        # too, once its arity matches.
                         if callee[1] != b:
-                            raise _stuck(ArityMismatch(lookup_class,
-                                                       a.plain_text,
-                                                       callee[1], b))
+                            nparams = len(found[0].params)
+                            raise _stuck(callee[2] if nparams == b
+                                         else ArityMismatch(lookup_class,
+                                                            a.plain_text,
+                                                            nparams, b))
                     # The activation, shared by hits and misses.
                     if steps >= fuel:
                         raise _Stop(FuelExhausted())
@@ -564,7 +630,7 @@ class Interpreter:
                     steps += 1
                     env[a] = pop()
                 elif op == GET or op == SET:
-                    # The compiler admits only the enclosing class's fields,
+                    # Lowering admits only the enclosing class's fields,
                     # none in main, and every receiver's record holds them.
                     fields = records[owner.oid][1]
                     if steps >= fuel:
@@ -596,28 +662,23 @@ class Interpreter:
 
     def sites(self) -> list[dict]:
         """Polymorphic and megamorphic send sites in site order, read after
-        the run from the site caches and the sites of every body (main's
-        have no class; a body that did not run has empty caches). A
-        megamorphic site kept no receivers."""
-        image = self.image
+        the run from the site caches, so only from bodies that ran (main's
+        sites have no class). A megamorphic site kept no receivers."""
+        sites = self.image.symbols.sites
         rows = []
-        for method in (image.main, *dict.fromkeys(
-                method for icls in image.classes.values()
-                for method in icls.dictionary.values())):
-            holder = ((None, "main") if method is image.main
-                      else (method.origin_class, method.selector.text))
-            for site in method.sites:
-                entry = self.site_caches[site.site_id]
-                mega = entry is MEGAMORPHIC
-                if mega or len(entry) > 1:
-                    rows.append({
-                        "site": site.site_id,
-                        "class": holder[0],
-                        "method": holder[1],
-                        "selector": site.plain_text,
-                        "state": "mega" if mega else "poly",
-                        "receivers": [e[0] for e in entry]})
-        return sorted(rows, key=lambda row: row["site"])
+        for site_id, entry in enumerate(self.site_caches):
+            mega = entry is MEGAMORPHIC
+            if mega or len(entry) > 1:
+                site = sites[site_id]
+                rows.append({
+                    "site": site_id,
+                    "class": site.origin_class,
+                    "method": "main" if site.method is None
+                    else site.method.text,
+                    "selector": site.plain_text,
+                    "state": "mega" if mega else "poly",
+                    "receivers": [e[0] for e in entry]})
+        return rows
 
     def _stats(self) -> CacheStats:
         mono = poly = mega = 0

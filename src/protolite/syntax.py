@@ -24,7 +24,7 @@ Equality is by value; the nodes are not hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from .validate import HierarchyIndex
@@ -145,12 +145,13 @@ _PREC_SUM = 1
 _PREC_POSTFIX = 2
 
 
-def pretty_expr(e: Expr, dispatch: Iterator[str] | None = None) -> str:
+def pretty_expr(e: Expr,
+                dispatch: Callable[[Send | SuperSend], str] | None = None
+                ) -> str:
     """Source text of an expression.
 
-    ``dispatch``, when given, yields the selector each send prints in place
-    of its source selector, in the order the code runs the sends (receiver,
-    arguments, send): the order of a compiled body's sites.
+    ``dispatch``, when given, maps each send node to the selector it prints
+    in place of its source selector.
     """
     return _pretty(e, dispatch)[0]
 
@@ -160,7 +161,8 @@ def _wrap(printed: tuple[str, int], prec: int) -> str:
     return text if level >= prec else f"({text})"
 
 
-def _pretty(e: Expr, dispatch: Iterator[str] | None) -> tuple[str, int]:
+def _pretty(e: Expr, dispatch: Callable[[Send | SuperSend], str] | None
+            ) -> tuple[str, int]:
     if isinstance(e, (Var, FieldGet)):
         return (e.name if isinstance(e, Var) else e.field), _PREC_POSTFIX
     if isinstance(e, (SelfRef, NilLit, IntLit)):
@@ -178,7 +180,7 @@ def _pretty(e: Expr, dispatch: Iterator[str] | None) -> tuple[str, int]:
     receiver = (_pretty(e.receiver, dispatch) if isinstance(e, Send)
                 else ("super", _PREC_POSTFIX))
     args = [_pretty(a, dispatch) for a in e.args]
-    selector = e.selector if dispatch is None else next(dispatch)
+    selector = e.selector if dispatch is None else dispatch(e)
     if selector == "+" and len(args) == 1 and isinstance(e, Send):
         return (f"{_wrap(receiver, _PREC_SUM)} + "
                 f"{_wrap(args[0], _PREC_POSTFIX)}"), _PREC_SUM
@@ -207,23 +209,34 @@ def pretty_program(p: Program) -> str:
     return "\n".join(out) + "\n"
 
 
+def self_and_super_sends(e: Expr) -> list[Send | SuperSend]:
+    """Every send through self or super anywhere in an expression, one per
+    send node."""
+    sends: list[Send | SuperSend] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        kind = node.__class__
+        if kind is Send:
+            if node.receiver.__class__ is SelfRef:
+                sends.append(node)
+            stack += (node.receiver, *node.args)
+        elif kind is SuperSend:
+            sends.append(node)
+            stack += node.args
+        elif kind is FieldSet:
+            stack.append(node.value)
+        elif kind is Let:
+            stack += (node.bound, node.body)
+    return sends
+
+
 def self_and_super_selectors(e: Expr) -> tuple[set[str], set[str]]:
     """Selectors sent through self, and those sent through super, anywhere in
     an expression."""
     through_self: set[str] = set()
     through_super: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Send):
-            if isinstance(node.receiver, SelfRef):
-                through_self.add(node.selector)
-            stack += (node.receiver, *node.args)
-        elif isinstance(node, SuperSend):
-            through_super.add(node.selector)
-            stack.extend(node.args)
-        elif isinstance(node, FieldSet):
-            stack.append(node.value)
-        elif isinstance(node, Let):
-            stack += (node.bound, node.body)
+    for send in self_and_super_sends(e):
+        (through_super if send.__class__ is SuperSend
+         else through_self).add(send.selector)
     return through_self, through_super

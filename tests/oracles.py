@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from protolite.compiler import CompileMode, RuntimeImage, compile_program
+from protolite.compiler import CompileMode, RuntimeImage, compile_program, \
+    render
 from protolite.metrics import DIFF_FUEL, DiffResult, differential_run
 from protolite.outcomes import Outcome
 from protolite.runtime import GLOBAL_CACHE_SIZE, RunResult, run_image
@@ -21,9 +22,9 @@ from protolite.syntax import Program
 def image_fingerprint(image: RuntimeImage) -> dict:
     """Canonical structure of an image's dictionaries, for equality checks.
 
-    A compiled method counts as its source body and the dispatch text of
-    each of its sites, in site order: site ids and the sites' Symbols
-    (each image interns its own) do not count.
+    A compiled method counts as its source body and its text as it
+    dispatches (``render``), which interns no symbol and makes no site:
+    site ids and Symbols do not count.
     """
     out: dict = {}
     for name in sorted(image.classes):
@@ -34,7 +35,7 @@ def image_fingerprint(image: RuntimeImage) -> dict:
             entries[sym.text] = (
                 cm.origin_class, cm.selector.text, cm.visibility,
                 cm.params, cm.body,
-                tuple(site.selector.text for site in cm.sites),
+                render(cm),
             )
         out[name] = entries
     return out

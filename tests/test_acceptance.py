@@ -290,7 +290,7 @@ def test_criterion_8_propagation_check(programs_dir):
     # the middle class's self-send to the root-only method stays plain
     helper = image.classes["Mid"].dictionary[
         image.symbols.intern("__protectedHelper")]
-    assert render(helper.body, helper.sites) == "self.rootOnly()"
+    assert render(helper) == "self.rootOnly()"
     dump = desugar_dump(image)
     assert "body protectedHelper() [protected]: self.rootOnly()" in dump
     # and the leaf's public override is what that plain send finds
@@ -307,7 +307,7 @@ def test_criterion_9_deferred_site(programs_dir):
     assert [(d.class_name, d.selector) for d in image.deferred_sites] == \
         [("Box", "unknown")]
     cm = image.classes["Box"].dictionary[image.symbols.intern("anyMethod")]
-    assert render(cm.body, cm.sites) == "self.unknown()"
+    assert render(cm) == "self.unknown()"
     before = run_image(image)
     assert before.outcome == Errored(DoesNotUnderstand("Box", "unknown"))
 
@@ -318,7 +318,7 @@ def test_criterion_9_deferred_site(programs_dir):
     assert image2.deferred_sites == ()
     cm2 = image2.classes["Box"].dictionary[
         image2.symbols.intern("anyMethod")]
-    assert render(cm2.body, cm2.sites) == "self.__unknown()"
+    assert render(cm2) == "self.__unknown()"
     after = run_image(image2)
     assert after.outcome == Completed(IntVal(5))
     report(9, "deferred site compiled plain, mangled after install, "

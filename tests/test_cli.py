@@ -320,15 +320,17 @@ main { (new Driver).go() }
 def test_stats_lists_polymorphic_and_megamorphic_sites(capsys, tmp_path):
     # few's send sees two receiver classes, many's seven: more than the
     # inline cache holds, so it goes megamorphic and keeps no classes.
+    # Sites are numbered as bodies first run: main's send is 0 and go's
+    # nine self-sends 1-9.
     path = tmp_path / "sites.stl"
     path.write_text(SITES_SOURCE)
     code, out, _ = run_cli(capsys, "stats", "--json", str(path))
     assert code == 0
     payload = json.loads(out)
     assert payload["sites"] == [
-        {"site": 0, "class": "Driver", "method": "few", "selector": "probe",
+        {"site": 10, "class": "Driver", "method": "few", "selector": "probe",
          "state": "poly", "receivers": ["P0", "P1"]},
-        {"site": 1, "class": "Driver", "method": "many", "selector": "probe",
+        {"site": 11, "class": "Driver", "method": "many", "selector": "probe",
          "state": "mega", "receivers": []},
     ]
     assert payload["cache"]["ic"]["poly"] == 1
@@ -339,8 +341,8 @@ def test_stats_lists_polymorphic_and_megamorphic_sites(capsys, tmp_path):
     ic = next(i for i, line in enumerate(lines)
               if line.startswith("inline caches:"))
     assert lines[ic + 1:ic + 3] == [
-        "  site 0 in Driver.few sends probe: poly (P0, P1)",
-        "  site 1 in Driver.many sends probe: mega",
+        "  site 10 in Driver.few sends probe: poly (P0, P1)",
+        "  site 11 in Driver.many sends probe: mega",
     ]
     assert not lines[ic + 3].startswith("  site")
 

@@ -4,7 +4,6 @@ import pytest
 
 from protolite.compiler import (
     CompileMode,
-    SendSite,
     SymbolTable,
     compile_program,
     desugar_dump,
@@ -56,7 +55,7 @@ def lowered(image, class_name, selector):
     deferred = tuple(d for d in image.deferred_sites
                      if (d.class_name, d.method_selector)
                      == (class_name, selector))
-    return render(cm.body, cm.sites), deferred
+    return render(cm), deferred
 
 
 # -- mangle -------------------------------------------------------------------
@@ -85,7 +84,8 @@ def test_mangle_twice_is_an_error():
 def test_symbols_are_per_table_and_images_compare_by_text(two_level_program):
     # Symbols hash by identity: each compile interns its own, and a
     # dictionary answers only its own table's symbols. Fingerprints compare
-    # the sites' dispatch texts, so the two images are still equal.
+    # the bodies' dispatch texts, so the two images are still equal. An
+    # install shares its parent's table rather than copying it.
     first = compile_program(two_level_program)
     second = compile_program(two_level_program)
     assert images_equal(first, second)
@@ -95,20 +95,27 @@ def test_symbols_are_per_table_and_images_compare_by_text(two_level_program):
     assert ours is not theirs and ours != theirs
     assert ours in first.classes["A"].dictionary
     assert theirs not in first.classes["A"].dictionary
+    grown = install_method(first, "B", MethodDef("extra", (), IntLit(1)))
+    assert grown.symbols is first.symbols
+    assert grown.symbols.intern("callProtected") is ours
 
 
 def test_retagged_self_send_differs_from_its_plain_form():
-    # A compiled send prints its site's dispatch text: neither the site id
-    # nor the Symbol's table counts, the mangling does.
-    table, other = SymbolTable(), SymbolTable()
-    plain = table.intern("foo")
-
-    def self_send(symbol, site_id):
-        return render(Send(SelfRef(), "foo", ()),
-                      (SendSite(site_id, symbol, "foo"),))
-
-    assert self_send(plain, 0) == self_send(other.intern("foo"), 7)
-    assert self_send(table.mangle(plain), 0) != self_send(plain, 0)
+    # A compiled send prints the selector it dispatches through: the site
+    # ids a run gives it do not count, the mangling does.
+    p = parse("""
+        class A extends Object { method m() { nil } method n() { self.m() } }
+        main { (new A).n() }
+    """)
+    worst = compile_program(p, CompileMode.WORST_CASE)
+    plain = compile_program(p, CompileMode.BASELINE)
+    assert not images_equal(worst, plain)
+    before = image_fingerprint(worst)
+    run_image(plain)
+    run_image(worst)
+    assert image_fingerprint(worst) == before
+    assert [render(image.classes["A"].dictionary[image.symbols.intern("n")])
+            for image in (worst, plain)] == ["self.__m()", "self.m()"]
 
 
 # -- rewrite scope ---------------------------------------------------------------
@@ -292,7 +299,7 @@ def test_worst_case_doubles_everything():
     image = compile_program(p, CompileMode.WORST_CASE)
     assert entry_texts(image, "A") == {"m", "__m", "n", "__n"}
     cm = image.classes["A"].dictionary[image.symbols.intern("n")]
-    assert render(cm.body, cm.sites) == "self.__m()"
+    assert render(cm) == "self.__m()"
 
 
 # -- incremental installation ------------------------------------------------------------
@@ -327,7 +334,7 @@ def test_install_first_protected_recompiles_descendants():
     assert {"helper", "__helper"} <= entry_texts(image2, "Low")
     # go's self-send now resolves in scope and is mangled.
     cm = image2.classes["Top"].dictionary[image2.symbols.intern("go")]
-    assert render(cm.body, cm.sites) == "self.__helper()"
+    assert render(cm) == "self.__helper()"
     assert run_image(image2).outcome == Completed(IntVal(5))
 
 
@@ -425,14 +432,14 @@ def test_deferred_site_retagged_on_install(programs_dir):
     image = compile_program(p)
     assert [d.selector for d in image.deferred_sites] == ["unknown"]
     cm = image.classes["Box"].dictionary[image.symbols.intern("anyMethod")]
-    assert render(cm.body, cm.sites) == "self.unknown()"
+    assert render(cm) == "self.unknown()"
 
     unknown = MethodDef("unknown", (), Send(SelfRef(), "seed", ()),
                         visibility="protected")
     image2 = install_method(image, "Box", unknown)
     assert image2.deferred_sites == ()
     cm2 = image2.classes["Box"].dictionary[image2.symbols.intern("anyMethod")]
-    assert render(cm2.body, cm2.sites) == "self.__unknown()"
+    assert render(cm2) == "self.__unknown()"
     assert run_image(image2).outcome == Completed(IntVal(5))
 
 
@@ -583,9 +590,9 @@ def test_lowered_bodies_print_as_their_source():
             for mdef in cdef.methods:
                 cm = image.classes[cdef.name].dictionary[
                     image.symbols.intern(mdef.selector)]
-                assert render(cm.body, cm.sites) == \
+                assert render(cm) == \
                     pretty_expr(mdef.body), (seed, cdef.name, mdef.selector)
-        assert render(image.main.body, image.main.sites) == \
+        assert render(image.main) == \
             pretty_expr(program.main), seed
 
 
@@ -675,31 +682,79 @@ def test_an_install_verifies_its_program_only_once_its_checks_pass(
     assert err.value.violations == refusal
 
 
-# -- sites fixed at compile ---------------------------------------------------------
+# -- sites made at first activation ---------------------------------------------
 
 
-def _site_layout(image):
-    """Site ids per compiled method and main, and the symbol table."""
-    methods = {(name, cm.selector.text): [s.site_id for s in cm.sites]
-               for name, icls in image.classes.items()
-               for cm in icls.dictionary.values()}
-    return (methods, [s.site_id for s in image.main.sites],
-            [(s.text, s.id) for s in image.symbols.symbols()],
-            image.site_count)
+class _Tripwire(Send):
+    """A send whose every attribute read but its class is recorded."""
+
+    __slots__ = ()
+    reads: list = []
+
+    def __getattribute__(self, name):
+        if name != "__class__":
+            _Tripwire.reads.append(name)
+        return object.__getattribute__(self, name)
 
 
-def test_sites_and_symbols_are_fixed_when_the_compile_returns(programs_dir):
+def test_a_compile_makes_no_site_and_walks_no_body():
+    # Every body and main are tripwires. No class has a protected hook
+    # below it, so not even the rewrite scope reads a body.
+    def body():
+        return _Tripwire(SelfRef(), "g", ())
+
+    program = Program((
+        ClassDef("A", "Object", ("f",), (
+            MethodDef("g", (), body()),
+            MethodDef("h", (), body(), PROTECTED))),
+        ClassDef("B", "A", (), (MethodDef("g", (), body()),))), body())
+    images = []
+    _Tripwire.reads.clear()
+    for mode in CompileMode:
+        images.append(compile_program(program, mode))
+    assert _Tripwire.reads == []
+    for image in images:
+        # An install reads the bodies whose tags it may change, but it
+        # makes no site either, and neither does a dump.
+        desugar_dump(install_method(image, "B", MethodDef("k", (), body())))
+        assert image.symbols.sites == []
+
+
+def test_sites_are_made_at_first_activation(programs_dir):
+    # Lowering makes a body's sites, one per send in the order its code
+    # runs them, numbered on from the last site of the compile's table; a
+    # later run lowers nothing it has lowered before.
+    from protolite.runtime import ADD, SUPER_SEND
+
     programs = [parse(path.read_text())
                 for path in sorted(programs_dir.glob("golden_*.stl"))]
     programs += [generate_program(seed) for seed in range(50)]
     for program in programs:
         for mode in CompileMode:
             image = compile_program(program, mode)
-            compiled = _site_layout(image)
-            methods = [image.main, *(cm for icls in image.classes.values()
-                                     for cm in icls.dictionary.values())]
+            symbols = len(image.symbols.symbols())
+            dumped = desugar_dump(image)
+            fingerprint = image_fingerprint(image)
+            methods = [image.main, *dict.fromkeys(
+                cm for icls in image.classes.values()
+                for cm in icls.dictionary.values())]
+            assert len(image.symbols.symbols()) == symbols
+            assert image.symbols.sites == []
             assert all(cm.code is None for cm in methods)
-            run_image(image, fuel=3_000)
-            assert image.main.code is not None
-            assert _site_layout(image) == compiled
-            assert _site_layout(compile_program(program, mode)) == compiled
+            first = run_image(image, fuel=3_000)
+            made = list(image.symbols.sites)
+            assert [site.site_id for site in made] == list(range(len(made)))
+            lowered = [cm for cm in methods if cm.code is not None]
+            assert image.main in lowered
+            sends = [a for cm in lowered for op, a, _ in cm.code[0]
+                     if ADD <= op <= SUPER_SEND]
+            assert sorted(sends, key=lambda site: site.site_id) == made
+            for cm in lowered:
+                ids = [a.site_id for op, a, _ in cm.code[0]
+                       if ADD <= op <= SUPER_SEND]
+                assert ids == list(range(ids[0], ids[0] + len(ids))) \
+                    if ids else True
+            assert run_image(image, fuel=3_000) == first
+            assert image.symbols.sites == made
+            assert desugar_dump(image) == dumped
+            assert image_fingerprint(image) == fingerprint

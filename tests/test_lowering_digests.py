@@ -31,7 +31,7 @@ from protolite.errors import ProgramInvalidError
 from protolite.generator import GeneratorConfig, generate_program
 from protolite.metrics import DIFF_FUEL
 from protolite.parser import parse
-from protolite.runtime import Interpreter, _lower_code
+from protolite.runtime import Interpreter, _code_of
 from protolite.syntax import MethodDef, Send, SelfRef
 
 from tests.conftest import PROGRAMS
@@ -119,10 +119,8 @@ def _image_code_lines(image):
         entries = sorted(image.classes[name].dictionary.items(),
                          key=lambda e: e[0].text)
         for cm in dict.fromkeys(cm for _, cm in entries):
-            yield f"{name}#{cm.selector.text} " + _code_text(
-                _lower_code(cm.body, cm.params, cm.sites))
-    yield "main " + _code_text(_lower_code(image.main.body, (),
-                                           image.main.sites))
+            yield f"{name}#{cm.selector.text} " + _code_text(_code_of(cm))
+    yield "main " + _code_text(_code_of(image.main))
 
 
 def code_lines():

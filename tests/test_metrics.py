@@ -69,8 +69,9 @@ def test_worst_case_symbol_ratio_is_exact(two_level_program):
     base = measure_image(compile_program(two_level_program, CompileMode.BASELINE))
     worst = measure_image(
         compile_program(two_level_program, CompileMode.WORST_CASE))
-    # plain symbols: five installed selectors plus the '+' send
-    assert base.plain_symbols == worst.plain_symbols == 6
+    # plain symbols: the five installed selectors; the '+' send has no
+    # dictionary entry, so it is not counted
+    assert base.plain_symbols == worst.plain_symbols == 5
     assert base.mangled_symbols == 0
     # every distinct installed selector gains exactly one mangled twin
     assert worst.mangled_symbols == 5
@@ -80,6 +81,27 @@ def test_worst_case_symbol_ratio_is_exact(two_level_program):
     # baseline installs all 7 methods once; worst case pays 2 entries per
     # public method and 1 per protected: (2*1+2) + (2*3+1) = 11
     assert ratios.entries == pytest.approx(11 / 7)
+
+
+def test_memory_report_ignores_what_runs_and_installs_intern(
+        two_level_program):
+    # A compile and its installs share one symbol table, which runs grow
+    # as they lower bodies; an image's report counts its dictionaries' keys.
+    from protolite.compiler import install_method
+    from protolite.syntax import IntLit, MethodDef, SelfRef, Send
+
+    image = compile_program(two_level_program)
+    before = measure_image(image)
+    symbols = len(image.symbols.symbols())
+    assert isinstance(run_image(image).outcome, Completed)
+    child = install_method(image, "B", MethodDef(
+        "fresh", (), Send(SelfRef(), "unsent", (IntLit(1),))))
+    run_image(child)
+    assert len(image.symbols.symbols()) > symbols
+    assert measure_image(image) == before
+    grown = measure_image(child)
+    assert grown.plain_symbols == before.plain_symbols + 1
+    assert grown.mangled_symbols == before.mangled_symbols + 1
 
 
 def test_memory_report_json_shape(two_level_program):
@@ -125,6 +147,16 @@ def test_generator_respects_depth_bound():
 
 
 # -- differential runs ------------------------------------------------------------
+
+
+def test_generated_programs_agree_at_small_fuels():
+    # A run whose fuel ends exactly where it would get stuck is
+    # FuelExhausted in both evaluators. About 0.5 s for these 1,600 runs on
+    # a 2-core machine.
+    for fuel in (1, 2, 3, 5):
+        for seed in range(400):
+            diff = differential_run(generate_program(seed), fuel=fuel)
+            assert diff.agree, (seed, fuel, diff.detail)
 
 
 def test_golden_programs_agree(programs_dir):

@@ -373,16 +373,24 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
     # Chained random installs, valid and invalid: each one either raises
     # exactly the violations a full validate of the grown program reports,
     # or yields the image a from-scratch compile of it gives, with an index
-    # that answers like one built over it.
+    # that answers like one built over it. Each image runs before it grows,
+    # so the grown one reuses code its parent lowered; it must still run
+    # as the from-scratch image does.
     from dataclasses import replace
 
     from protolite.compiler import desugar_dump, install_method
     from protolite.errors import ProgramInvalidError
+    from protolite.runtime import run_image
+
+    def run(image):
+        result = run_image(image, fuel=500)
+        return result.outcome, result.steps
 
     program = generate_program(seed)
     if not program.classes:
         return
     image = compile_program(program, mode)
+    run(image)
     rng = random.Random(install_seed)
     for _ in range(8):
         for class_name, mdef in _random_install(rng, program, image):
@@ -399,12 +407,14 @@ def test_install_equals_validate_and_compile_from_scratch(seed, install_seed,
             scratch = compile_program(grown, mode)
             assert desugar_dump(installed) == desugar_dump(scratch)
             assert image_fingerprint(installed) == image_fingerprint(scratch)
+            assert run(installed) == run(scratch)
             # Each site belongs to the source send in its place: it keeps
             # that send's selector as its plain text and dispatches through
             # it or its mangled form. Its Symbol must be the image's own,
             # since dictionaries hash symbols by identity.
+            sends = list(_image_sends(installed))
             own = set(installed.symbols.symbols())
-            for node, site in _image_sends(installed):
+            for node, site in sends:
                 assert site.plain_text == node.selector
                 assert site.selector.text in (node.selector,
                                               MANGLE_PREFIX + node.selector)
@@ -443,8 +453,13 @@ def _sends_in_site_order(node):
         yield from _sends_in_site_order(node.body)
 
 
-def _sends_with_sites(body, sites):
-    sends = list(_sends_in_site_order(body))
+def _sends_with_sites(cm):
+    """A compiled method's source sends with the sites of its code,
+    lowering it if no run has."""
+    from protolite.runtime import ADD, SUPER_SEND, _code_of
+
+    sites = [a for op, a, _ in _code_of(cm)[0] if ADD <= op <= SUPER_SEND]
+    sends = list(_sends_in_site_order(cm.body))
     assert len(sends) == len(sites)
     return zip(sends, sites)
 
@@ -454,8 +469,8 @@ def _image_sends(image):
     main."""
     for icls in image.classes.values():
         for cm in {id(cm): cm for cm in icls.dictionary.values()}.values():
-            yield from _sends_with_sites(cm.body, cm.sites)
-    yield from _sends_with_sites(image.main.body, image.main.sites)
+            yield from _sends_with_sites(cm)
+    yield from _sends_with_sites(image.main)
 
 
 @given(seeds)
@@ -471,8 +486,10 @@ def test_no_mangled_sites_outside_scope(seed):
             if id(cm) in seen:
                 continue
             seen.add(id(cm))
-            assert not any(site.selector.mangled for site in cm.sites)
-    assert not any(site.selector.mangled for site in image.main.sites)
+            assert not any(site.selector.mangled
+                           for _, site in _sends_with_sites(cm))
+    assert not any(site.selector.mangled
+                   for _, site in _sends_with_sites(image.main))
 
 
 @given(seeds)

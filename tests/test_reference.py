@@ -603,23 +603,49 @@ def test_unknown_field_in_hand_built_body_errors_lazily():
     assert result.outcome == Errored(UF("C", "zz"))
 
 
-def test_unknown_field_rejected_eagerly_by_the_compiler(monkeypatch):
-    from protolite import runtime
+def test_unknown_field_is_stuck_at_activation_in_both_evaluators():
+    # Neither the compile nor an install checks field names: the runtime
+    # checks them as it lowers a body, and a body naming a field its class
+    # lacks is stuck at each activation, after the arity check and before
+    # the activation's step, as in the reference evaluator. A body no run
+    # activates costs nothing.
     from protolite.compiler import compile_program, install_method
+    from protolite.outcomes import UnknownField as UF
+    from protolite.runtime import run_image
     from protolite.syntax import ClassDef, MethodDef, New, Program, Send
 
-    cdef = ClassDef("C", "Object", (), (MethodDef("m", (), FieldGet("zz")),))
-    program = Program((cdef,), Send(New("C"), "m", ()))
-    with pytest.raises(UnknownFieldError):
-        compile_program(program)
-    # The compile checks every body, not only those a run activates, and
-    # an install checks the method it adds; neither waits for a first
-    # activation, and no body is lowered to code on the way.
-    monkeypatch.setattr(runtime, "_lower_code", None)
-    never_called = Program((cdef,), IntLit(1))
-    with pytest.raises(UnknownFieldError):
-        compile_program(never_called)
+    from tests.oracles import run_all_configs
+
+    def both(program, image=None):
+        image = image or compile_program(program)
+        ref = eval_program(program)
+        runs = {(run.outcome, run.steps) for run in
+                run_all_configs(image) + run_all_configs(image)}
+        assert runs == {(ref.outcome, ref.steps)}
+        return ref.outcome, ref.steps
+
+    def bad(params, body):
+        return ClassDef("C", "Object", ("f",), (MethodDef("m", params, body),))
+
+    zz = FieldGet("zz")
+    call = Send(New("C"), "m", ())
+    assert both(Program((bad((), zz),), call)) == (Errored(UF("C", "zz")), 1)
+    assert both(Program((bad(("x",), zz),), call)) == \
+        (Errored(ArityMismatch("C", "m", 1, 0)), 1)
+    assert both(Program((bad((), zz),), IntLit(1))) == \
+        (Completed(IntVal(1)), 0)
+    # Main's class is Object, which has no field.
+    assert both(Program((bad((), zz),), FieldGet("f"))) == \
+        (Errored(UF("Object", "f")), 0)
+    # Of two unknown fields, the one the reference translates first: a
+    # send's arguments before its receiver.
+    two = Send(FieldGet("r"), "g", (FieldSet("a", FieldGet("f")),))
+    assert both(Program((bad((), two),), call)) == \
+        (Errored(UF("C", "a")), 1)
+    # An install adds the bad method without complaint.
     image = compile_program(Program(
         (ClassDef("C", "Object", ("f",), ()),), IntLit(1)))
-    with pytest.raises(UnknownFieldError):
-        install_method(image, "C", MethodDef("bad", (), FieldGet("zz")))
+    grown = install_method(image, "C", MethodDef("m", (), zz))
+    program = Program(grown.program.classes, call)
+    assert run_image(grown).outcome == Completed(IntVal(1))
+    assert both(program) == (Errored(UF("C", "zz")), 1)

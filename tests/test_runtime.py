@@ -16,6 +16,9 @@ from protolite.outcomes import (
     FuelExhausted,
     NilReceiver,
     PrimitiveFailure,
+    UnknownClass,
+    UnknownField,
+    UnknownVariable,
 )
 from protolite.parser import parse
 from protolite.reference import eval_program
@@ -30,6 +33,7 @@ from protolite.runtime import (
 )
 from protolite.syntax import (
     ClassDef,
+    FieldGet,
     IntLit,
     Let,
     MethodDef,
@@ -424,6 +428,31 @@ def _runs_like_reference(program, fuel=DIFF_FUEL):
 NOT_AN_INT = PrimitiveFailure("+", "argument must be an integer")
 
 
+def _unknown_field_program():
+    cdef = ClassDef("C", "Object", (), (MethodDef("m", (), FieldGet("zz")),))
+    return Program((cdef,), Send(New("C"), "m", ()))
+
+
+@pytest.mark.parametrize("program, reason", [
+    (parse("class C extends Object { } main { (new C).nope() }"),
+     DoesNotUnderstand("C", "nope")),
+    (parse("class C extends Object { method m(x) { x } }"
+           " main { (new C).m() }"), ArityMismatch("C", "m", 1, 0)),
+    (parse("main { let x = nil in x.m() }"), NilReceiver("m")),
+    (parse("main { let x = 1 in x + nil }"), NOT_AN_INT),
+    (parse("main { let x = 1 in y }"), UnknownVariable("y")),
+    (parse("main { let x = 1 in new Ghost }"), UnknownClass("Ghost")),
+    (_unknown_field_program(), UnknownField("C", "zz")),
+], ids=lambda v: type(v).__name__)
+def test_fuel_spent_at_a_stuck_state_is_exhausted(program, reason):
+    # Each program gets stuck after one step. The reference checks the fuel
+    # before each reduction, so with the fuel spent it never sees the stuck
+    # state; one unit more and both report it.
+    for fuel, outcome in ((1, FuelExhausted()), (2, Errored(reason))):
+        runs = _runs_like_reference(program, fuel)
+        assert {(run.outcome, run.steps) for run in runs} == {(outcome, 1)}
+
+
 @pytest.mark.parametrize("main, outcome", [
     (Send(New("A"), "+", (IntLit(1),)), Errored(DoesNotUnderstand("A", "+"))),
     (Send(IntLit(1), "+", (NilLit(),)), Errored(NOT_AN_INT)),
@@ -567,21 +596,19 @@ def test_parameterless_let_free_callees_then_a_let():
     assert runs[0].outcome == Completed(IntVal(49))
 
 
-@pytest.mark.parametrize("body, site_order, code_order", [
-    ("a.f().g(a.h())", "h f g", "f h g"),
-    ("(a.f() + a.h()).g(a.h().g(a.f()))", "f h g h f + g", "f h + h f g g"),
-    ("a.g(a.f().g(a.h()))", "h f g g", "f h g g"),
+@pytest.mark.parametrize("body, code_order", [
+    ("a.f().g(a.h())", "f h g"),
+    ("(a.f() + a.h()).g(a.h().g(a.f()))", "f h + h f g g"),
+    ("a.g(a.f().g(a.h()))", "f h g g"),
     # Under a let and a field write, self- and super-sends dispatching
     # through mangled selectors.
     ("(let y = self.g(self.me()) in v := self.g(y).g(self.it()))"
      ".g(super.g(self.me().g(self.it())))",
-     "__it __me g __g __me __g __it __g g g",
      "__me __g __g __it g __me __it g __g g"),
 ])
-def test_code_gives_each_send_its_own_site(body, site_order, code_order):
-    # A body's sites are stored in the order its code runs its sends,
-    # receiver first, but numbered with a send's arguments before its
-    # receiver. Each send instruction must carry the site made for its own
+def test_code_gives_each_send_its_own_site(body, code_order):
+    # Lowering makes each send's site as it emits the send: numbered in the
+    # order the code runs them, receiver first, and tagged for its own
     # source send. C is in the rewrite scope.
     from protolite.runtime import ADD, SUPER_SEND, _code_of
 
@@ -595,10 +622,61 @@ def test_code_gives_each_send_its_own_site(body, site_order, code_order):
     method = image.classes["C"].dictionary[image.symbols.intern("k")]
     code, _, _ = _code_of(method)
     sends = [site for op, site, _ in code if ADD <= op <= SUPER_SEND]
-    assert sends == list(method.sites)
+    assert sends == image.symbols.sites
     assert [s.selector.text for s in sends] == code_order.split()
-    by_id = sorted(sends, key=lambda s: s.site_id)
-    assert [s.selector.text for s in by_id] == site_order.split()
-    first = by_id[0].site_id
-    assert [s.site_id for s in by_id] == list(range(first, first + len(sends)))
+    assert [s.site_id for s in sends] == list(range(len(sends)))
+    assert {(s.origin_class, s.method.text) for s in sends} == {("C", "k")}
     assert run_image(image).outcome == eval_program(image.program).outcome
+
+
+# -- code shared across images -------------------------------------------------------
+
+
+def test_a_child_reuses_code_its_parent_lowered_before_the_install():
+    # The parent's run lowers Y.go, interning the object-send's 't'. The
+    # child then installs 't' on X: its dictionary key must be the symbol
+    # that code already sends, or the shared code would miss it.
+    from protolite.compiler import install_method
+
+    program = parse("""
+        class X extends Object { }
+        class Y extends Object { method go(o) { o.t() } }
+        main { (new Y).go(new X) }
+    """)
+    parent = compile_program(program)
+    for run in run_all_configs(parent):
+        assert run.outcome == Errored(DoesNotUnderstand("X", "t"))
+    go = parent.classes["Y"].dictionary[parent.symbols.intern("go")]
+    code = go.code
+    assert code is not None
+    child = install_method(parent, "X", MethodDef("t", (), IntLit(7)))
+    assert child.classes["Y"] is parent.classes["Y"]
+    for run in run_all_configs(child):
+        assert run.outcome == Completed(IntVal(7))
+    assert go.code is code
+    assert run_image(parent).outcome == Errored(DoesNotUnderstand("X", "t"))
+
+
+def test_sites_reads_only_the_site_caches_and_the_sites_made():
+    # Interpreter.sites() reads no compiled method: the rows come from the
+    # run's site caches and the table's sites, so bodies that never ran
+    # cost nothing.
+    from types import SimpleNamespace
+
+    program = parse("""
+        class P extends Object { method m() { 1 } }
+        class Q extends Object { method m() { 2 } }
+        class D extends Object {
+          method call(o) { o.m() }
+          method unused(o) { o.m() + o.m() }
+        }
+        main { let d = new D in d.call(new P) + d.call(new Q) }
+    """)
+    image = compile_program(program)
+    interp = Interpreter(image)
+    assert interp.run().outcome == Completed(IntVal(3))
+    rows = interp.sites()
+    assert [(row["class"], row["method"], row["receivers"]) for row in rows] \
+        == [("D", "call", ["P", "Q"])]
+    interp.image = SimpleNamespace(symbols=image.symbols)
+    assert interp.sites() == rows
