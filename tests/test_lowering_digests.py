@@ -20,6 +20,9 @@ Four SHA-256 digests cover everything a change to lowering could alter:
 
 Symbol ids feed the global cache's hash and site ids order ``sites()``, so
 a change that renumbers either shows here even when every outcome agrees.
+Sites are numbered, and send selectors interned, as bodies are first
+lowered: in a run, in the order it reaches them; in the code digest, in the
+order it lists the bodies.
 """
 
 import hashlib
@@ -39,12 +42,12 @@ from tests.conftest import PROGRAMS
 DUMP_DIGEST = \
     "a0f32b9126e8e6f0f1d4441444a9d5fe88ee648f988acf777b18aba43cfa9cf4"
 RUN_DIGEST = \
-    "097b2493d6fae5c8e75985483606f61c26e1886e7f3342fb70d63088711948d2"
+    "b1ed18f7b03380b993b98b3a3f7493e0431113e36138c792c0c198502cdb5d97"
 GENERATED_DUMP_DIGEST = \
     "20de0cc57970e6bd4eed18c71568a199c109a0ef8c86dd46ce6611e02cdb5d78"
 
 CODE_DIGEST = \
-    "fb2f48dd576cc0256a3e585f1350771bf12139ab465cbc0c3ca34e8381de1c7c"
+    "b25a3801ab873a419580f0dd8bbd46d65ac6987e3f28c56728f36cf0303749b0"
 
 SEEDS = range(300)
 CACHE_CONFIGS = ((False, False), (False, True), (True, False), (True, True))
