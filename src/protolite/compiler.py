@@ -275,11 +275,15 @@ class RuntimeImage:
     mode: CompileMode
     classes: dict[str, ImageClass]
     main: CompiledMethod
-    symbols: SymbolTable  # shared by the compile and all its installs
     rewrite_scope: frozenset[str]
     # The program the image was compiled from; its index is the one the
     # compile used.
     program: Program = field(repr=False)
+
+    @property
+    def symbols(self) -> SymbolTable:
+        """The symbol table of the compile and all its installs."""
+        return self.main.build.symbols
 
     @property
     def deferred_sites(self) -> tuple[DeferredSite, ...]:
@@ -390,7 +394,6 @@ def compile_program(program: Program,
         mode=mode,
         classes=classes,
         main=CompiledMethod(None, None, PUBLIC, (), program.main, build),
-        symbols=build.symbols,
         rewrite_scope=build.scope,
         program=program,
     )

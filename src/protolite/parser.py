@@ -46,9 +46,9 @@ resolution counts tree levels, one per level for every node kind, because a
 ``+`` or send chain is read in a loop yet builds a left-nested tree; past the
 limit it raises a ``ParseError`` at the method or main block that holds the
 body. The descent spends at most 5 frames a level and every later walk over
-the tree at most 3 (the compiler's site walk and the runtime's lowering spend
-one, and none down a let body), so under Python's default recursion limit of
-1,000 frames any caller up to 200 frames deep gets the same verdict.
+the tree at most 3 (the runtime's lowering, which also makes the send sites,
+spends one, and none down a let body), so under Python's default recursion
+limit of 1,000 frames any caller up to 200 frames deep gets the same verdict.
 """
 
 from __future__ import annotations

@@ -193,7 +193,9 @@ def translate(e: Expr, owner: Value, defining_class: str,
     sends attach (owner, defining class), and sends whose receiver is
     syntactically ``self`` become self-send redexes. ``owner`` may be
     ``_OWNER_HOLE``, which makes the result a template for ``_fill``. Raises
-    UnknownFieldError for a field not visible from the defining class.
+    UnknownFieldError for a field not visible from the defining class: the
+    first one met walking each node before its children and a send's
+    receiver before its arguments.
     """
     if isinstance(e, NilLit):
         return RVal(NIL)
@@ -215,11 +217,12 @@ def translate(e: Expr, owner: Value, defining_class: str,
         return RFieldSet(owner, e.field,
                          translate(e.value, owner, defining_class, idx))
     if isinstance(e, Send):
+        receiver = (None if isinstance(e.receiver, SelfRef)
+                    else translate(e.receiver, owner, defining_class, idx))
         args = tuple(translate(a, owner, defining_class, idx) for a in e.args)
-        if isinstance(e.receiver, SelfRef):
+        if receiver is None:
             return RSelfSend(owner, defining_class, e.selector, args)
-        return RObjectSend(translate(e.receiver, owner, defining_class, idx),
-                           e.selector, args)
+        return RObjectSend(receiver, e.selector, args)
     if isinstance(e, SuperSend):
         args = tuple(translate(a, owner, defining_class, idx) for a in e.args)
         return RSuperSend(owner, defining_class, e.selector, args)

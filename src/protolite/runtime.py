@@ -283,20 +283,18 @@ def _lower_code(method: CompiledMethod) -> tuple:
     would); each ``let`` takes the next slot above those live at its
     binding. A body that names a field its class lacks lowers to ``(None,
     None, reason)``: no parameter count matches, and ``reason`` is the
-    ``UnknownField`` of its first such field in the reference evaluator's
-    order.
+    ``UnknownField`` of the first such field the walk meets, as in the
+    reference evaluator.
     """
     code: list[tuple] = []
     params = method.params
     nparams = len(params)
-    enclosing = method.origin_class or ROOT_CLASS
-    fields = method.build.index.fields_of(enclosing)
+    fields = method.build.index.fields_of(method.origin_class or ROOT_CLASS)
     try:
         nslots = _lower(method.body, dict(zip(params, range(nparams))),
                         nparams, code.append, method, fields)
-    except UnknownFieldError:
-        return None, None, UnknownField(
-            enclosing, _first_unknown_field(method.body, fields))
+    except UnknownFieldError as err:
+        return None, None, UnknownField(err.class_name, err.field)
     code.append(_RETURN)
     # A plain tuple: this runs once per activated body, often for bodies
     # that run only once, so construction cost matters.
@@ -357,31 +355,6 @@ def _lower(node: Expr, scope: dict[str, int], depth: int, emit,
     else:
         raise TypeError(f"not an expression: {node!r}")
     return reach
-
-
-def _first_unknown_field(node: Expr, fields: tuple[str, ...]) -> str | None:
-    """The first field ``node`` names outside ``fields`` in the order the
-    reference evaluator translates a body, a send's arguments before its
-    receiver; None if there is none. One frame a level, looping down let
-    bodies."""
-    while type(node) is Let:
-        found = _first_unknown_field(node.bound, fields)
-        if found is not None:
-            return found
-        node = node.body
-    kind = type(node)
-    if kind is FieldGet or kind is FieldSet:
-        if node.field not in fields:
-            return node.field
-        return (_first_unknown_field(node.value, fields) if kind is FieldSet
-                else None)
-    if kind is Send or kind is SuperSend:
-        for child in (*node.args, node.receiver) if kind is Send \
-                else node.args:
-            found = _first_unknown_field(child, fields)
-            if found is not None:
-                return found
-    return None
 
 
 def _code_of(method: CompiledMethod) -> tuple:

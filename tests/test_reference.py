@@ -637,10 +637,13 @@ def test_unknown_field_is_stuck_at_activation_in_both_evaluators():
     # Main's class is Object, which has no field.
     assert both(Program((bad((), zz),), FieldGet("f"))) == \
         (Errored(UF("Object", "f")), 0)
-    # Of two unknown fields, the one the reference translates first: a
-    # send's arguments before its receiver.
-    two = Send(FieldGet("r"), "g", (FieldSet("a", FieldGet("f")),))
+    # Of several unknown fields, the first met walking each node before its
+    # children and a send's receiver before its arguments.
+    two = Send(FieldGet("r"), "g", (FieldSet("a", FieldGet("b")),))
     assert both(Program((bad((), two),), call)) == \
+        (Errored(UF("C", "r")), 1)
+    three = Send(FieldGet("f"), "g", (FieldSet("a", FieldGet("b")),))
+    assert both(Program((bad((), three),), call)) == \
         (Errored(UF("C", "a")), 1)
     # An install adds the bad method without complaint.
     image = compile_program(Program(
