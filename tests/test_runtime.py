@@ -433,7 +433,7 @@ def _unknown_field_program():
     return Program((cdef,), Send(New("C"), "m", ()))
 
 
-@pytest.mark.parametrize("program, reason", [
+STUCK_AFTER_ONE_STEP = [
     (parse("class C extends Object { } main { (new C).nope() }"),
      DoesNotUnderstand("C", "nope")),
     (parse("class C extends Object { method m(x) { x } }"
@@ -443,7 +443,11 @@ def _unknown_field_program():
     (parse("main { let x = 1 in y }"), UnknownVariable("y")),
     (parse("main { let x = 1 in new Ghost }"), UnknownClass("Ghost")),
     (_unknown_field_program(), UnknownField("C", "zz")),
-], ids=lambda v: type(v).__name__)
+]
+
+
+@pytest.mark.parametrize("program, reason", STUCK_AFTER_ONE_STEP,
+                         ids=[type(r).__name__ for _, r in STUCK_AFTER_ONE_STEP])
 def test_fuel_spent_at_a_stuck_state_is_exhausted(program, reason):
     # Each program gets stuck after one step. The reference checks the fuel
     # before each reduction, so with the fuel spent it never sees the stuck
