@@ -368,7 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at the null device, so that
+        # the flush at exit writes the rest nowhere instead of failing again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_IO
     except ProgramInvalidError as err:
         # compile_program validates; its refusal prints one violation per
         # line, as ``check`` does.

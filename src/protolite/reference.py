@@ -18,16 +18,20 @@ one reduction at the leftmost reducible position:
 Method activation fills a template: the method's body translated for the
 class where it was found, with the receiver left as an owner hole and the
 parameters left as variables. An activation fills the hole with the
-receiver and the parameters with the argument values in one pass (``_fill``,
-which also reduces ``let``). One per-run table, the send table, maps each
-(send kind, receiver class, selector) -- for a super-send, its defining class
-in place of the receiver's -- to what it activates (``_activation``): the
-class the walk starts at, the parameters and the template, or the stuck
-state of a miss. A send key is resolved, and its method translated, once per
-run; a method reached through several keys is translated once for each. The
-table lives for one ``eval_program`` call and never on the hierarchy index,
-which an install copies. A redex with no applicable rule is *stuck* and
-reports a structured reason.
+receiver and the parameters with the argument values. ``_fill`` does it by
+name in one pass, as ``step`` does and as reducing ``let`` does;
+``eval_program``'s loop compiles each template once into a *filler*
+(``_filler``), closures that take the arguments by index and put each
+subtree holding no hole and no parameter into every fill as the template's
+own object. One per-run table, the send table, maps each (send kind,
+receiver class, selector) -- for a super-send, its defining class in place
+of the receiver's -- to what it activates (``_activation``): the class the
+walk starts at, the parameters and the filler, or the stuck state of a
+miss. A send key is resolved, and its method translated and compiled, once
+per run; a method reached through several keys is translated once for each.
+The table lives for one ``eval_program`` call and never on the hierarchy
+index, which an install copies. A redex with no applicable rule is *stuck*
+and reports a structured reason.
 
 Evaluation positions follow a fixed order: field-write right-hand side, send
 receiver or let binding first, then arguments left to right. The order is
@@ -42,6 +46,7 @@ The corpus test in ``tests/test_reference.py`` pins the loop to iterated
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import UnknownClassError, UnknownFieldError
@@ -86,9 +91,11 @@ class Redex:
     """A program being reduced.
 
     Redexes follow the node rule in the ``syntax`` module docstring: never
-    changed after they are built, and slotted rather than frozen. A method
-    template is shared by every activation of its method, and a step builds
-    new nodes along the path it rewrites, several per reduction.
+    changed after they are built, and slotted rather than frozen. So one
+    node may sit in many redexes: a method template's subtrees that hold no
+    owner hole and no parameter are shared by every activation its filler
+    fills, and a step builds new nodes only along the path it rewrites,
+    several per reduction.
     """
 
     __slots__ = ()
@@ -192,7 +199,7 @@ def translate(e: Expr, owner: Value, defining_class: str,
     ``self`` becomes the owner value, field accesses attach the owner, super
     sends attach (owner, defining class), and sends whose receiver is
     syntactically ``self`` become self-send redexes. ``owner`` may be
-    ``_OWNER_HOLE``, which makes the result a template for ``_fill``. Raises
+    ``_OWNER_HOLE``, which makes the result a template to fill. Raises
     UnknownFieldError for a field not visible from the defining class: the
     first one met walking each node before its children and a send's
     receiver before its arguments.
@@ -237,8 +244,9 @@ def _fill(r: Redex, owner: Value | None, env: dict[str, Value]) -> Redex:
     variable bound in ``env`` becomes its value.
 
     A ``let`` that rebinds a name shadows it: its bound expression is filled
-    with the name, its body without. Activation passes the receiver and the
-    parameters; reducing ``let`` passes no owner (None) and one binding.
+    with the name, its body without. ``step``'s activations pass the
+    receiver and the parameters; reducing ``let`` passes no owner (None) and
+    one binding.
     """
     t = type(r)
     if t is RSelfSend or t is RSuperSend:
@@ -269,6 +277,101 @@ def _fill(r: Redex, owner: Value | None, env: dict[str, Value]) -> Redex:
     if t is RVar:
         return RVal(env[r.name]) if r.name in env else r
     raise TypeError(f"not a redex: {r!r}")
+
+
+def _substituting(params: tuple[str, ...], template: Redex) -> Callable:
+    """The definitional filler: ``_fill`` with the parameters bound by name
+    to the argument values."""
+    return lambda receiver, args: _fill(
+        template, receiver, dict(zip(params, [a.value for a in args])))
+
+
+def _filler(params: tuple[str, ...], template: Redex) -> Callable:
+    """``template`` compiled by one walk into ``fill(receiver, args)``.
+
+    ``args`` are the send's arguments, each an ``RVal``; a fill equals
+    ``_fill(template, receiver, env)`` with ``env`` binding each parameter
+    to its argument's value. Each parameter is resolved to its argument
+    index here, and each node that needs filling becomes a closure over its
+    children's (Feeley & Lapalme, "Using closures for code generation",
+    1987). A parameter is filled with the argument's own node, and a subtree
+    with no owner hole and no parameter in scope with the template's own
+    object, never a copy: the node rule makes the sharing safe.
+    """
+    part = _part(template, {name: i for i, name in enumerate(params)})
+    return part if callable(part) else lambda receiver, args: part
+
+
+def _part(r: Redex, env: dict[str, int]):
+    """``r`` itself if it holds no owner hole and no variable ``env`` binds;
+    otherwise a function ``(receiver, args) -> Redex`` that fills it. ``env``
+    maps each parameter in scope to its argument index. ``r`` is part of a
+    template, whose every owner is the hole: ``translate`` puts one in each.
+    """
+    t = type(r)
+    if t is RVal:
+        return (lambda o, a: RVal(o)) if r.value is _OWNER_HOLE else r
+    if t is RVar:
+        if r.name not in env:
+            return r
+        i = env[r.name]
+        return lambda o, a: a[i]
+    if t is RNew:
+        return r
+    if t is RFieldGet:
+        field = r.field
+        return lambda o, a: RFieldGet(o, field)
+    if t is RObjectSend:
+        receiver = _part(r.receiver, env)
+        args = _args_part(r.args, env)
+        selector = r.selector
+        if callable(receiver):
+            if callable(args):
+                return lambda o, a: RObjectSend(receiver(o, a), selector,
+                                                args(o, a))
+            return lambda o, a: RObjectSend(receiver(o, a), selector, args)
+        if callable(args):
+            return lambda o, a: RObjectSend(receiver, selector, args(o, a))
+        return r
+    if t is RSelfSend or t is RSuperSend:
+        cls, selector = r.defining_class, r.selector
+        args = _args_part(r.args, env)
+        if callable(args):
+            return lambda o, a: t(o, cls, selector, args(o, a))
+        return lambda o, a: t(o, cls, selector, args)
+    if t is RFieldSet:
+        field = r.field
+        rhs = _part(r.rhs, env)
+        if callable(rhs):
+            return lambda o, a: RFieldSet(o, field, rhs(o, a))
+        return lambda o, a: RFieldSet(o, field, rhs)
+    if t is RLet:
+        var = r.var
+        bound = _part(r.bound, env)
+        if var in env:
+            env = {k: v for k, v in env.items() if k != var}
+        body = _part(r.body, env)
+        if callable(bound):
+            if callable(body):
+                return lambda o, a: RLet(var, bound(o, a), body(o, a))
+            return lambda o, a: RLet(var, bound(o, a), body)
+        if callable(body):
+            return lambda o, a: RLet(var, bound, body(o, a))
+        return r
+    raise TypeError(f"not a redex: {r!r}")
+
+
+def _args_part(args: tuple[Redex, ...], env: dict[str, int]):
+    """``args`` itself if no argument needs filling, else a function
+    ``(receiver, args) -> tuple`` that fills them."""
+    parts = [_part(x, env) for x in args]
+    if not any(callable(p) for p in parts):
+        return args
+    if len(parts) == 1:
+        only = parts[0]
+        return lambda o, a: (only(o, a),)
+    fills = [p if callable(p) else (lambda o, a, p=p: p) for p in parts]
+    return lambda o, a: tuple([f(o, a) for f in fills])
 
 
 # --- one reduction step ------------------------------------------------------
@@ -341,7 +444,8 @@ def _set_slot(node: Redex, slot: int, child: Redex) -> Redex:
     raise TypeError(f"no slot {slot} on {node!r}")
 
 
-def _activation(key: tuple, idx: HierarchyIndex) -> tuple | Stuck:
+def _activation(key: tuple, idx: HierarchyIndex,
+                make_filler: Callable) -> tuple | Stuck:
     """What a send key ``(kind, class, selector)`` activates; its kind is
     the send's redex type.
 
@@ -349,10 +453,11 @@ def _activation(key: tuple, idx: HierarchyIndex) -> tuple | Stuck:
     from the receiver's class. A super-send is keyed by its defining class
     and walks from that class's superclass; above ``Object`` nothing
     answers. A miss is the ``Stuck`` of ``DoesNotUnderstand`` at the class
-    the walk started at. A hit is ``(that class, parameters, template)``:
-    the template is the body translated for the class where the method was
-    found, with the receiver as ``_OWNER_HOLE``, or the ``Stuck`` of a field
-    the body may not name.
+    the walk started at. A hit is ``(that class, parameters, filler)``: the
+    filler is ``make_filler(parameters, template)``, the template being the
+    body translated for the class where the method was found with the
+    receiver as ``_OWNER_HOLE``; or it is the ``Stuck`` of a field the body
+    may not name.
     """
     kind, name, selector = key
     if kind is RSuperSend:
@@ -369,38 +474,36 @@ def _activation(key: tuple, idx: HierarchyIndex) -> tuple | Stuck:
     try:
         template = translate(mdef.body, _OWNER_HOLE, found_class, idx)
     except UnknownFieldError as err:
-        template = Stuck(UnknownField(err.class_name, err.field))
-    return name, mdef.params, template
+        return name, mdef.params, Stuck(UnknownField(err.class_name, err.field))
+    return name, mdef.params, make_filler(mdef.params, template)
 
 
-def _int_builtin(selector: str, args: tuple[Value, ...],
+def _int_builtin(selector: str, args: tuple[RVal, ...],
                  receiver: IntVal) -> Redex | Stuck:
     if selector != "+":
         return Stuck(DoesNotUnderstand(INT_CLASS, selector))
     if len(args) != 1:
         return Stuck(ArityMismatch(INT_CLASS, "+", 1, len(args)))
-    arg = args[0]
+    arg = args[0].value
     if not isinstance(arg, IntVal):
         return Stuck(PrimitiveFailure("+", "argument must be an integer"))
     return RVal(IntVal(receiver.n + arg.n))
 
 
-def _reduce(node: Redex, store: Store, idx: HierarchyIndex,
-            sends: dict) -> Redex | Stuck:
+def _reduce(node: Redex, store: Store, idx: HierarchyIndex, sends: dict,
+            make_filler: Callable = _substituting) -> Redex | Stuck:
     """Reduce a redex whose children are all values.
 
-    ``sends`` maps a send key to its ``_activation``, filled on first use,
-    so an activation costs one lookup in it. Arity is checked before the
-    template is used, so a wrong-arity send is an ``ArityMismatch`` even
-    where the body names an unknown field. The table answers for one index
-    only.
+    ``sends`` maps a send key to its ``_activation``, filled on first use
+    with ``make_filler``, so an activation costs one lookup in it. Arity is
+    checked before the filler is used, so a wrong-arity send is an
+    ``ArityMismatch`` even where the body names an unknown field. The table
+    answers for one index and one ``make_filler`` only.
     """
     t = type(node)
     if t is RObjectSend or t is RSelfSend or t is RSuperSend:
         selector = node.selector
         args = node.args
-        if args:
-            args = tuple([a.value for a in args])  # type: ignore[union-attr]
         if t is RSuperSend:
             receiver = node.owner
             key = (t, node.defining_class, selector)
@@ -415,16 +518,16 @@ def _reduce(node: Redex, store: Store, idx: HierarchyIndex,
             key = (t, store.records[receiver.oid].class_name, selector)
         activation = sends.get(key)
         if activation is None:
-            activation = sends[key] = _activation(key, idx)
+            activation = sends[key] = _activation(key, idx, make_filler)
         if type(activation) is Stuck:
             return activation
-        lookup_class, params, template = activation
+        lookup_class, params, fill = activation
         if len(params) != len(args):
             return Stuck(ArityMismatch(lookup_class, selector,
                                        len(params), len(args)))
-        if type(template) is Stuck:
-            return template
-        return _fill(template, receiver, dict(zip(params, args)))
+        if type(fill) is Stuck:
+            return fill
+        return fill(receiver, args)
     if t is RLet:
         return _fill(node.body, None,
                      {node.var: node.bound.value})  # type: ignore[union-attr]
@@ -503,13 +606,14 @@ def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
     reduction and decomposed again from the root. A reduced focus is
     descended into from slot -1; a value is plugged one level up and
     ``_descend`` resumes at the parent's next slot. ``sends`` lives for this
-    run only, so each send key is resolved, and its method translated, once
-    per run. The ``_reduce`` calls -- and so the step count, the store and
+    run only, so each send key is resolved, and its method translated and
+    compiled into a filler (``_filler``), once per run. The ``_reduce`` calls -- and so the step count, the store and
     the outcome -- are those of iterating ``step`` from the root;
     ``test_on_step_path_matches_fast_path_on_generated_corpus`` compares
     all three.
     """
     sends: dict = {}
+    make_filler = _filler
     frames: list = []  # parent, slot, parent, slot, ...
     pop = frames.pop
     steps = 0
@@ -523,7 +627,7 @@ def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
             focus = _descend(focus, frames, -1)
         if steps >= fuel:
             return EvalResult(FuelExhausted(), steps)
-        result = _reduce(focus, store, idx, sends)
+        result = _reduce(focus, store, idx, sends, make_filler)
         if type(result) is Stuck:
             return EvalResult(Errored(result.reason), steps)
         steps += 1

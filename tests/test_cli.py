@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -616,6 +617,43 @@ def test_non_utf8_source_exits_3(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "cannot read" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["diff", "--json"]])
+@pytest.mark.parametrize("buffering", [1, -1], ids=["line", "block"])
+def test_closed_stdout_exits_3(capsys, monkeypatch, argv, buffering):
+    # A pipe whose reader is gone, as after ``| head -c 10``. Python ignores
+    # SIGPIPE, so a write to it raises BrokenPipeError: at the first line
+    # when line-buffered, at ``main``'s flush when block-buffered.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = open(write_end, "w", buffering=buffering)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main([*argv, program_path("golden_sum.stl")])
+        # The descriptor now leads to the null device: later writes and the
+        # flush at close succeed.
+        print("more", file=stdout, flush=True)
+    finally:
+        stdout.close()
+    assert code == cli.EXIT_IO == 3
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_prints_no_traceback_at_exit():
+    # The reader closes its end before the child has started, so each of
+    # the child's writes, and Python's own flush at exit, meets a closed
+    # pipe.
+    env = {**os.environ, "PYTHONPATH": str(PROGRAMS.parent / "src")}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "protolite.cli", "stats",
+         program_path("golden_sum.stl")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 3
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv, validates", [

@@ -1,7 +1,7 @@
 import pytest
 
 from protolite.errors import UnknownFieldError
-from protolite.generator import generate_program
+from protolite.generator import GeneratorConfig, generate_program
 from protolite.outcomes import (
     ArityMismatch,
     Completed,
@@ -26,9 +26,11 @@ from protolite.reference import (
     RVar,
     Store,
     Stuck,
+    _OWNER_HOLE,
     _descend,
     _eval_loop,
     _fill,
+    _filler,
     _reduce,
     eval_program,
     step,
@@ -115,6 +117,77 @@ def test_fill_super_args():
     r = RSuperSend(Oid(1), "B", "m", (RVar("x"),))
     assert _fill(r, None, {"x": IntVal(3)}) == \
         RSuperSend(Oid(1), "B", "m", (RVal(IntVal(3)),))
+
+
+# -- fillers ------------------------------------------------------------------------
+
+
+def _fills_agree(params, template):
+    """Fill ``template`` with its filler and with ``_fill``; both must build
+    equal redexes. Returns the filler's."""
+    receiver = Oid(9)
+    args = tuple(IntVal(100 + i) for i in range(len(params)))
+    filled = _filler(params, template)(receiver, tuple(map(RVal, args)))
+    assert filled == _fill(template, receiver, dict(zip(params, args)))
+    return filled
+
+
+@pytest.mark.parametrize("config", [
+    GeneratorConfig(), GeneratorConfig(allow_protected=False),
+], ids=["protected", "protected-free"])
+def test_filler_matches_fill_on_generated_templates(config):
+    # Every method template of generator seeds 0..199, translated for its
+    # own class as an activation translates it.
+    templates = 0
+    for seed in range(200):
+        program = generate_program(seed, config)
+        cidx = HierarchyIndex(program)
+        for cdef in program.classes:
+            for mdef in cdef.methods:
+                template = translate(mdef.body, _OWNER_HOLE, cdef.name, cidx)
+                _fills_agree(mdef.params, template)
+                templates += 1
+    assert templates > 1000
+
+
+def test_filler_pinned_templates():
+    x, y, here = RVar("x"), RVar("y"), RVal(_OWNER_HOLE)
+    a0, a1, me = RVal(IntVal(100)), RVal(IntVal(101)), Oid(9)
+    # A let that rebinds a parameter shadows it in its body, not its binding.
+    shadow = RLet("x", x, RObjectSend(x, "+", (y,)))
+    assert _fills_agree(("x", "y"), shadow) == \
+        RLet("x", a0, RObjectSend(x, "+", (a1,)))
+    # The owner hole in a field read and a field write.
+    fields = RFieldSet(_OWNER_HOLE, "f", RFieldGet(_OWNER_HOLE, "g"))
+    assert _fills_agree((), fields) == RFieldSet(me, "f", RFieldGet(me, "g"))
+    # A super-send's owner and arguments.
+    sup = RSuperSend(_OWNER_HOLE, "B", "m", (y, here, RVal(NIL)))
+    assert _fills_agree(("x", "y"), sup) == \
+        RSuperSend(me, "B", "m", (a1, RVal(me), RVal(NIL)))
+    # A free variable stays for the let reduction that binds it, as itself.
+    free = RObjectSend(RVar("w"), "m", (x,))
+    filled = _fills_agree(("x",), free)
+    assert filled == RObjectSend(RVar("w"), "m", (a0,))
+    assert filled.receiver is free.receiver
+
+
+def test_filler_shares_closed_subtrees():
+    # A subtree with no owner hole and no parameter is the template's own
+    # object in every fill, never a copy.
+    closed = RObjectSend(RNew("A"), "f", ())
+    template = RSelfSend(_OWNER_HOLE, "C", "g", (closed, RVar("x")))
+    fill = _filler(("x",), template)
+    nil, one = RVal(NIL), RVal(IntVal(1))
+    first, second = fill(Oid(1), (nil,)), fill(Oid(2), (one,))
+    assert first == RSelfSend(Oid(1), "C", "g", (closed, nil))
+    assert second == RSelfSend(Oid(2), "C", "g", (closed, one))
+    assert first.args[0] is closed and second.args[0] is closed
+    # A parameter becomes the argument's own value node.
+    assert first.args[1] is nil and second.args[1] is one
+    # A closed body is itself the fill, its argument tuple included.
+    assert _filler(("x",), closed)(Oid(1), (nil,)) is closed
+    self_send = RSelfSend(_OWNER_HOLE, "C", "g", (closed,))
+    assert _filler((), self_send)(Oid(1), ()).args is self_send.args
 
 
 # -- single steps -----------------------------------------------------------------
@@ -404,30 +477,50 @@ def test_on_step_path_matches_fast_path(two_level_program):
 
 
 def test_each_method_is_translated_once_per_run(monkeypatch):
+    # Per run, each send key's method is translated once and compiled into
+    # one filler; ``_fill`` only reduces lets. ``step`` builds no filler.
     from protolite import reference
 
-    translated = []
-    depth = [0]  # translate recurses through the patched name
-    real_translate = reference.translate
+    def counting(real, calls, top):
+        """``real``, appending ``top(*args)`` to ``calls`` for each
+        outermost call that ``top`` does not map to None."""
+        depth = [0]  # translate and _fill recurse through the patched name
 
-    def counting(e, owner, defining_class, idx):
-        if depth[0] == 0 and owner is reference._OWNER_HOLE:
-            translated.append(defining_class)
-        depth[0] += 1
-        try:
-            return real_translate(e, owner, defining_class, idx)
-        finally:
-            depth[0] -= 1
+        def call(*args):
+            if depth[0] == 0 and (tag := top(*args)) is not None:
+                calls.append(tag)
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+        return call
 
-    monkeypatch.setattr(reference, "translate", counting)
+    translated, built, fills = [], [], []
+    monkeypatch.setattr(reference, "translate", counting(
+        reference.translate, translated,
+        lambda e, owner, cls, idx: cls if owner is _OWNER_HOLE else None))
+    monkeypatch.setattr(reference, "_filler", counting(
+        reference._filler, built, lambda params, template: params))
+    # The owner of each fill: None for a let, the receiver for an activation.
+    monkeypatch.setattr(reference, "_fill", counting(
+        reference._fill, fills, lambda r, owner, env: owner or "let"))
     p = parse("""
         class C extends Object { method inc(n) { n + 1 } }
         main { let c = new C in c.inc(c.inc(c.inc(0))) }
     """)
     assert eval_program(p).outcome == Completed(IntVal(3))
-    assert translated == ["C"]
+    assert (translated, built, fills) == (["C"], [("n",)], ["let"])
     assert eval_program(p).outcome == Completed(IntVal(3))
-    assert translated == ["C", "C"]  # templates live for one run only
+    # Templates and fillers live for one run only.
+    assert (translated, built, fills) == (["C"] * 2, [("n",)] * 2, ["let"] * 2)
+    # ``step``'s fresh table translates each activation's method afresh and
+    # fills it, for the receiver at oid 1, with ``_fill``.
+    del translated[:], built[:], fills[:]
+    result, _ = _step_from_root(p)
+    assert result.outcome == Completed(IntVal(3))
+    assert (translated, built) == (["C"] * 3, [])
+    assert fills == ["let", Oid(1), Oid(1), Oid(1)]
 
 
 def test_inherited_template_uses_each_receivers_own_fields():
