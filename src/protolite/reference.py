@@ -474,7 +474,8 @@ def _activation(key: tuple, idx: HierarchyIndex,
     try:
         template = translate(mdef.body, _OWNER_HOLE, found_class, idx)
     except UnknownFieldError as err:
-        return name, mdef.params, Stuck(UnknownField(err.class_name, err.field))
+        fault = UnknownField(err.class_name, err.field)
+        return name, mdef.params, Stuck(fault)
     return name, mdef.params, make_filler(mdef.params, template)
 
 
@@ -607,10 +608,11 @@ def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
     descended into from slot -1; a value is plugged one level up and
     ``_descend`` resumes at the parent's next slot. ``sends`` lives for this
     run only, so each send key is resolved, and its method translated and
-    compiled into a filler (``_filler``), once per run. The ``_reduce`` calls -- and so the step count, the store and
-    the outcome -- are those of iterating ``step`` from the root;
+    compiled into a filler (``_filler``), once per run. The ``_reduce``
+    calls -- and so the step count, the store and the outcome -- are those
+    of iterating ``step`` from the root;
     ``test_on_step_path_matches_fast_path_on_generated_corpus`` compares
-    all three.
+    all three, and so checks the fillers against ``step``'s ``_fill``.
     """
     sends: dict = {}
     make_filler = _filler
