@@ -53,6 +53,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
+from ._collector import collector_paused
 from .errors import (
     AlreadyMangledError,
     ProgramInvalidError,
@@ -373,6 +374,7 @@ def _compile_class(build: Build, cdef: ClassDef,
                       build.index.fields_of(cdef.name), dictionary, class_id)
 
 
+@collector_paused
 def compile_program(program: Program,
                     mode: CompileMode = CompileMode.NORMAL) -> RuntimeImage:
     """Register every class of a valid program.
@@ -402,6 +404,7 @@ def compile_program(program: Program,
 # --- incremental method installation ----------------------------------------------
 
 
+@collector_paused
 def install_method(image: RuntimeImage, class_name: str,
                    mdef: MethodDef) -> RuntimeImage:
     """Install one method into an existing image, returning a new image.

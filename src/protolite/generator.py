@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._collector import collector_paused
 from .syntax import (
     PROTECTED,
     PUBLIC,
@@ -276,6 +277,7 @@ class _Generator:
         return SelfRef()
 
 
+@collector_paused
 def generate_program(seed: int,
                      config: GeneratorConfig = GeneratorConfig()) -> Program:
     """Deterministic random program for the given seed; always validates."""

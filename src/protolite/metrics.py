@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._collector import collector_paused
 from .compiler import (
     CompileMode,
     RuntimeImage,
@@ -135,6 +136,7 @@ class DiffResult:
     runtime_steps: int = 0
 
 
+@collector_paused
 def differential_run(program: Program, fuel: int = DIFF_FUEL,
                      program_id: str = "") -> DiffResult:
     """Run the reference evaluator and the compiled runtime; compare them.

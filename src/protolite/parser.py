@@ -59,6 +59,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 
+from ._collector import collector_paused
 from .errors import ParseError, ReservedSelectorError
 from .syntax import (
     MANGLE_PREFIX,
@@ -517,6 +518,7 @@ def _resolve(raw: Program, method_starts: list[list[int]], walks: list[bool],
     return raw
 
 
+@collector_paused
 def parse(source: str) -> Program:
     """Parse source text into a Program. Raises ParseError on malformed input,
     including a body nested more than ``MAX_NESTING`` levels deep."""

@@ -49,6 +49,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from ._collector import collector_paused
 from .errors import UnknownClassError, UnknownFieldError
 from .outcomes import (
     DEFAULT_FUEL,
@@ -580,6 +581,7 @@ def step(redex: Redex, store: Store,
     return result, store
 
 
+@collector_paused
 def eval_program(program: Program, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Run a validated program's main expression to an outcome.
 

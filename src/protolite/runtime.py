@@ -72,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._collector import collector_paused
 from .compiler import CompiledMethod, RuntimeImage, Symbol, send_site
 from .errors import UnknownFieldError
 from .outcomes import (
@@ -427,6 +428,7 @@ class Interpreter:
 
     # -- execution ----------------------------------------------------------------
 
+    @collector_paused
     def run(self) -> RunResult:
         if self.fuel <= 0:
             return RunResult(FuelExhausted(), 0, self._stats())

@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
+from ._collector import collector_paused
 from .errors import UnknownClassError
 from .syntax import PROTECTED, PUBLIC, ROOT_CLASS, ClassDef, MethodDef, Program
 
@@ -64,6 +65,7 @@ def index_of(program: Program) -> HierarchyIndex:
     return idx
 
 
+@collector_paused
 def validate(program: Program) -> list[Violation]:
     """Check every rule; an empty report means the program is valid, and
     marks it so (``Program.valid``) for ``compile_program``."""

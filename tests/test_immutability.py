@@ -9,6 +9,13 @@ hierarchy index, so a reference back from the index, or any other cycle a
 phase builds, would keep every parsed program alive until a collection; the
 same pass runs with the collector off, and the garbage tests count what it
 finds afterwards.
+
+The garbage tests are what makes it safe for the entry points to run with
+the collector paused (``protolite._collector``): a cycle built inside one,
+say once per step, would live until the outermost paused call returns. So
+they cover both generator configurations, every stuck reason in both
+evaluators (the four the generator never reaches from hand-written
+programs), and the entry points that raise.
 """
 
 import copy
@@ -24,11 +31,29 @@ from protolite.compiler import (
     desugar_dump,
     install_method,
 )
-from protolite.generator import generate_program
+from protolite.errors import ParseError, ProgramInvalidError, UnknownClassError
+from protolite.generator import GeneratorConfig, generate_program
 from protolite.metrics import differential_run
 from protolite.parser import parse
 from protolite.reference import eval_program
-from protolite.syntax import IntLit, MethodDef, Send, SelfRef, pretty_program
+from protolite.outcomes import (
+    ArityMismatch,
+    Errored,
+    UnknownClass,
+    UnknownField,
+    UnknownVariable,
+)
+from protolite.syntax import (
+    ClassDef,
+    FieldGet,
+    IntLit,
+    MethodDef,
+    New,
+    Program,
+    Send,
+    SelfRef,
+    pretty_program,
+)
 from protolite.validate import validate
 
 from tests.conftest import PROGRAMS
@@ -63,19 +88,23 @@ def _image_snapshot(image):
 def _pipeline_pass(source, installs=None):
     """Every phase, once, from the source text: parse, validate, compile in
     every mode, installs, runs in every cache configuration, the reference
-    evaluator and a differential run.
+    evaluator and a differential run. ``source`` may instead be a function
+    that builds the program, for a program the parser cannot give.
 
     Returns the checks that failed: ``changed`` names each comparison of a
     program or image with its snapshot that no longer holds, and
-    ``garbage`` is what the cyclic collector finds after the pass. The
-    whole pass, comparisons included, runs with the collector off; frozen
-    objects are never scanned, so the count covers only what the pass
-    built, without first collecting the whole test session's heap.
+    ``garbage`` is what the cyclic collector finds after the pass; with
+    them comes the differential run's result, ``diff``. The whole pass,
+    comparisons included, runs with the collector off; frozen objects are
+    never scanned, so the count covers only what the pass built, without
+    first collecting the whole test session's heap. A program built before
+    the freeze would be frozen too, and a cycle through it never found, so
+    the program is built inside the pass.
     """
     gc.freeze()
     gc.disable()
     try:
-        program = parse(source)
+        program = parse(source) if isinstance(source, str) else source()
         if installs is None:
             installs = _generated_installs(program)
         assert validate(program) == []
@@ -97,7 +126,7 @@ def _pipeline_pass(source, installs=None):
                 run_all_configs(target, fuel=FUEL)
                 desugar_dump(target)
         eval_program(program, fuel=FUEL)
-        differential_run(program, fuel=FUEL)
+        diff = differential_run(program, fuel=FUEL)
         if program != snapshot:
             changed.append("program")
         if [_image_snapshot(image) for image in images] != before:
@@ -106,7 +135,76 @@ def _pipeline_pass(source, installs=None):
     finally:
         gc.enable()
         gc.unfreeze()
-    return SimpleNamespace(changed=changed, garbage=garbage)
+    return SimpleNamespace(changed=changed, garbage=garbage, diff=diff)
+
+
+def _unknown_field_program():
+    # The parser builds only field nodes that resolve, so this one is built
+    # by hand: go activates a body that reads a field C lacks.
+    cdef = ClassDef("C", "Object", (), (
+        MethodDef("m", (), FieldGet("zz")),
+        MethodDef("go", (), Send(SelfRef(), "m", ())),
+    ))
+    return Program((cdef,), Send(New("C"), "go", ()))
+
+
+# The stuck reasons the generator never reaches, each reached inside a
+# method activated by a send, so both evaluators are mid-run when they stop.
+STUCK = {
+    "ArityMismatch": (
+        "class C extends Object { method m(x) { x } method go() { self.m() } }"
+        " main { (new C).go() }", ArityMismatch("C", "m", 1, 0)),
+    "UnknownVariable": (
+        "class C extends Object { method go(x) { let y = x in z } }"
+        " main { (new C).go(1) }", UnknownVariable("z")),
+    "UnknownClass": (
+        "class C extends Object { method go() { new Ghost } }"
+        " main { (new C).go() }", UnknownClass("Ghost")),
+    "UnknownField": (_unknown_field_program, UnknownField("C", "zz")),
+}
+
+NARROWED = (PROGRAMS / "narrowing_rejected.stl").read_text()
+NARROWING = MethodDef("size", (), SelfRef(), visibility="protected")
+SIZED = """
+    class A extends Object { method size() { 100 } }
+    class B extends A { }
+    main { (new B).size() }
+"""
+
+# Each raising entry point: what it is called on, and what it raises.
+RAISING = {
+    "parse-truncated": (
+        lambda: parse("class A extends Object { method m() { 1 "), ParseError),
+    "compile-invalid": (
+        lambda: compile_program(parse(NARROWED)), ProgramInvalidError),
+    "install-narrowing": (
+        lambda: install_method(compile_program(parse(SIZED)), "B", NARROWING),
+        ProgramInvalidError),
+    "install-unknown-class": (
+        lambda: install_method(compile_program(parse(SIZED)), "Ghost",
+                               NARROWING),
+        UnknownClassError),
+}
+
+
+def _garbage_after_raise(call, error):
+    """What the cyclic collector finds once ``call`` has raised ``error``
+    and the exception is dropped; inputs are built inside ``call``, after
+    the freeze, as in ``_pipeline_pass``."""
+    gc.freeze()
+    gc.disable()
+    try:
+        try:
+            call()
+        except error:
+            raised = True
+        else:
+            raised = False
+        # The handler has dropped the exception and its traceback.
+        return raised, gc.collect()
+    finally:
+        gc.enable()
+        gc.unfreeze()
 
 
 # Each fixture runs one pass per program; both families read it. Module
@@ -117,6 +215,20 @@ def _pipeline_pass(source, installs=None):
 @pytest.fixture(scope="module", params=range(200))
 def generated(request):
     return _pipeline_pass(pretty_program(generate_program(request.param)))
+
+
+@pytest.fixture(scope="module", params=range(100))
+def protected_free(request):
+    # perfbench's fuzz_diff mix; 100 seeds keep the module near 4 s.
+    program = generate_program(request.param,
+                               GeneratorConfig(allow_protected=False))
+    return _pipeline_pass(pretty_program(program))
+
+
+@pytest.fixture(scope="module", params=sorted(STUCK))
+def stuck(request):
+    source, reason = STUCK[request.param]
+    return _pipeline_pass(source), reason
 
 
 @pytest.fixture(scope="module", params=GOLDEN)
@@ -134,6 +246,14 @@ def test_no_phase_mutates_a_generated_program(generated):
     assert generated.changed == []
 
 
+def test_no_phase_mutates_a_protected_free_program(protected_free):
+    assert protected_free.changed == []
+
+
+def test_no_phase_mutates_a_stuck_program(stuck):
+    assert stuck[0].changed == []
+
+
 def test_no_phase_mutates_a_golden_program(golden):
     assert golden.changed == []
 
@@ -144,6 +264,22 @@ def test_no_phase_mutates_a_pipeline_program(pooled):
 
 def test_no_cyclic_garbage_from_a_generated_program(generated):
     assert generated.garbage == 0
+
+
+def test_no_cyclic_garbage_from_a_protected_free_program(protected_free):
+    assert protected_free.garbage == 0
+
+
+def test_no_cyclic_garbage_from_a_stuck_program(stuck):
+    result, reason = stuck
+    assert result.diff.agree, result.diff.detail
+    assert result.diff.reference_outcome == Errored(reason)
+    assert result.garbage == 0
+
+
+@pytest.mark.parametrize("name", sorted(RAISING))
+def test_no_cyclic_garbage_from_an_entry_point_that_raises(name):
+    assert _garbage_after_raise(*RAISING[name]) == (True, 0)
 
 
 def test_no_cyclic_garbage_from_a_golden_program(golden):
