@@ -16,56 +16,36 @@ import sys
 import pytest
 
 from protolite.compiler import compile_program, install_method
-from protolite.errors import ParseError, ProgramInvalidError, UnknownClassError
 from protolite.generator import GeneratorConfig, generate_program
 from protolite.metrics import DIFF_FUEL, differential_run
 from protolite.outcomes import FuelExhausted
 from protolite.parser import parse
 from protolite.reference import eval_program
 from protolite.runtime import Interpreter
-from protolite.syntax import IntLit, MethodDef, SelfRef
+from protolite.syntax import IntLit, MethodDef
 from protolite.validate import validate
 
-from tests.conftest import PROGRAMS
-
-SIZED = """
-    class A extends Object { method size() { 100 } }
-    class B extends A { }
-    main { (new B).size() }
-"""
-NARROWED = (PROGRAMS / "narrowing_rejected.stl").read_text()
-NARROWING = MethodDef("size", (), SelfRef(), visibility="protected")
+from tests.conftest import NARROWED_SOURCE, RAISING_CALLS, SIZED_SOURCE
 
 # id -> (entry point, a function that builds its arguments, the error it
 # raises or None).
 CALLS = {
-    "parse": (parse, lambda: (SIZED,), None),
-    "parse-truncated": (
-        parse, lambda: ("class A extends Object { method m() { 1 ",),
-        ParseError),
-    "validate": (validate, lambda: (parse(NARROWED),), None),
-    "compile_program": (compile_program, lambda: (parse(SIZED),), None),
-    "compile_program-invalid": (
-        compile_program, lambda: (parse(NARROWED),), ProgramInvalidError),
+    "parse": (parse, lambda: (SIZED_SOURCE,), None),
+    "validate": (validate, lambda: (parse(NARROWED_SOURCE),), None),
+    "compile_program": (compile_program, lambda: (parse(SIZED_SOURCE),), None),
     "install_method": (
         install_method,
-        lambda: (compile_program(parse(SIZED)), "B",
+        lambda: (compile_program(parse(SIZED_SOURCE)), "B",
                  MethodDef("twice", (), IntLit(2))),
         None),
-    "install_method-narrowing": (
-        install_method,
-        lambda: (compile_program(parse(SIZED)), "B", NARROWING),
-        ProgramInvalidError),
-    "install_method-unknown-class": (
-        install_method,
-        lambda: (compile_program(parse(SIZED)), "Ghost", NARROWING),
-        UnknownClassError),
     "Interpreter.run": (
         Interpreter.run,
-        lambda: (Interpreter(compile_program(parse(SIZED))),), None),
-    "eval_program": (eval_program, lambda: (parse(SIZED),), None),
+        lambda: (Interpreter(compile_program(parse(SIZED_SOURCE))),), None),
+    "eval_program": (eval_program, lambda: (parse(SIZED_SOURCE),), None),
     "generate_program": (generate_program, lambda: (7,), None),
-    "differential_run": (differential_run, lambda: (parse(SIZED),), None),
+    "differential_run": (
+        differential_run, lambda: (parse(SIZED_SOURCE),), None),
+    **RAISING_CALLS,
 }
 
 

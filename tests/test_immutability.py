@@ -18,6 +18,7 @@ evaluators (the four the generator never reaches from hand-written
 programs), and the entry points that raise.
 """
 
+import contextlib
 import copy
 import gc
 from types import SimpleNamespace
@@ -31,7 +32,6 @@ from protolite.compiler import (
     desugar_dump,
     install_method,
 )
-from protolite.errors import ParseError, ProgramInvalidError, UnknownClassError
 from protolite.generator import GeneratorConfig, generate_program
 from protolite.metrics import differential_run
 from protolite.parser import parse
@@ -56,7 +56,7 @@ from protolite.syntax import (
 )
 from protolite.validate import validate
 
-from tests.conftest import PROGRAMS
+from tests.conftest import PROGRAMS, RAISING_CALLS
 from tests.oracles import image_fingerprint, run_all_configs
 
 # Enough steps to run every phase's node-reading paths; fuel exhaustion is as
@@ -85,6 +85,22 @@ def _image_snapshot(image):
     return image_fingerprint(image), desugar_dump(image)
 
 
+@contextlib.contextmanager
+def _collector_off_heap_frozen():
+    """The collector off and everything allocated so far frozen. Frozen
+    objects are never scanned, so a ``gc.collect()`` inside counts only
+    what was built since, without first collecting the whole test session's
+    heap; and a cycle through an object built before would never be found,
+    so what is checked is built inside."""
+    gc.freeze()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.unfreeze()
+
+
 def _pipeline_pass(source, installs=None):
     """Every phase, once, from the source text: parse, validate, compile in
     every mode, installs, runs in every cache configuration, the reference
@@ -95,15 +111,10 @@ def _pipeline_pass(source, installs=None):
     program or image with its snapshot that no longer holds, and
     ``garbage`` is what the cyclic collector finds after the pass; with
     them comes the differential run's result, ``diff``. The whole pass,
-    comparisons included, runs with the collector off; frozen objects are
-    never scanned, so the count covers only what the pass built, without
-    first collecting the whole test session's heap. A program built before
-    the freeze would be frozen too, and a cycle through it never found, so
-    the program is built inside the pass.
+    comparisons included and the program built, runs inside
+    ``_collector_off_heap_frozen``.
     """
-    gc.freeze()
-    gc.disable()
-    try:
+    with _collector_off_heap_frozen():
         program = parse(source) if isinstance(source, str) else source()
         if installs is None:
             installs = _generated_installs(program)
@@ -132,9 +143,6 @@ def _pipeline_pass(source, installs=None):
         if [_image_snapshot(image) for image in images] != before:
             changed.append("images after every phase")
         garbage = gc.collect()
-    finally:
-        gc.enable()
-        gc.unfreeze()
     return SimpleNamespace(changed=changed, garbage=garbage, diff=diff)
 
 
@@ -163,48 +171,18 @@ STUCK = {
     "UnknownField": (_unknown_field_program, UnknownField("C", "zz")),
 }
 
-NARROWED = (PROGRAMS / "narrowing_rejected.stl").read_text()
-NARROWING = MethodDef("size", (), SelfRef(), visibility="protected")
-SIZED = """
-    class A extends Object { method size() { 100 } }
-    class B extends A { }
-    main { (new B).size() }
-"""
-
-# Each raising entry point: what it is called on, and what it raises.
-RAISING = {
-    "parse-truncated": (
-        lambda: parse("class A extends Object { method m() { 1 "), ParseError),
-    "compile-invalid": (
-        lambda: compile_program(parse(NARROWED)), ProgramInvalidError),
-    "install-narrowing": (
-        lambda: install_method(compile_program(parse(SIZED)), "B", NARROWING),
-        ProgramInvalidError),
-    "install-unknown-class": (
-        lambda: install_method(compile_program(parse(SIZED)), "Ghost",
-                               NARROWING),
-        UnknownClassError),
-}
-
-
-def _garbage_after_raise(call, error):
-    """What the cyclic collector finds once ``call`` has raised ``error``
-    and the exception is dropped; inputs are built inside ``call``, after
-    the freeze, as in ``_pipeline_pass``."""
-    gc.freeze()
-    gc.disable()
-    try:
+def _garbage_after_raise(entry, make_args, error):
+    """Whether the entry point raised ``error``, and what the cyclic
+    collector finds once the exception is dropped."""
+    with _collector_off_heap_frozen():
         try:
-            call()
+            entry(*make_args())
         except error:
             raised = True
         else:
             raised = False
         # The handler has dropped the exception and its traceback.
         return raised, gc.collect()
-    finally:
-        gc.enable()
-        gc.unfreeze()
 
 
 # Each fixture runs one pass per program; both families read it. Module
@@ -219,7 +197,8 @@ def generated(request):
 
 @pytest.fixture(scope="module", params=range(100))
 def protected_free(request):
-    # perfbench's fuzz_diff mix; 100 seeds keep the module near 4 s.
+    # perfbench's fuzz_diff mix; half the default config's seeds, to keep
+    # the module's time down.
     program = generate_program(request.param,
                                GeneratorConfig(allow_protected=False))
     return _pipeline_pass(pretty_program(program))
@@ -228,7 +207,9 @@ def protected_free(request):
 @pytest.fixture(scope="module", params=sorted(STUCK))
 def stuck(request):
     source, reason = STUCK[request.param]
-    return _pipeline_pass(source), reason
+    result = _pipeline_pass(source)
+    result.reason = reason
+    return result
 
 
 @pytest.fixture(scope="module", params=GOLDEN)
@@ -251,7 +232,7 @@ def test_no_phase_mutates_a_protected_free_program(protected_free):
 
 
 def test_no_phase_mutates_a_stuck_program(stuck):
-    assert stuck[0].changed == []
+    assert stuck.changed == []
 
 
 def test_no_phase_mutates_a_golden_program(golden):
@@ -271,15 +252,14 @@ def test_no_cyclic_garbage_from_a_protected_free_program(protected_free):
 
 
 def test_no_cyclic_garbage_from_a_stuck_program(stuck):
-    result, reason = stuck
-    assert result.diff.agree, result.diff.detail
-    assert result.diff.reference_outcome == Errored(reason)
-    assert result.garbage == 0
+    assert stuck.diff.agree, stuck.diff.detail
+    assert stuck.diff.reference_outcome == Errored(stuck.reason)
+    assert stuck.garbage == 0
 
 
-@pytest.mark.parametrize("name", sorted(RAISING))
+@pytest.mark.parametrize("name", RAISING_CALLS)
 def test_no_cyclic_garbage_from_an_entry_point_that_raises(name):
-    assert _garbage_after_raise(*RAISING[name]) == (True, 0)
+    assert _garbage_after_raise(*RAISING_CALLS[name]) == (True, 0)
 
 
 def test_no_cyclic_garbage_from_a_golden_program(golden):
