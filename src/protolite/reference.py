@@ -17,20 +17,9 @@ one reduction at the leftmost reducible position:
 
 Method activation fills a template: the method's body translated for the
 class where it was found, with the receiver left as an owner hole and the
-parameters left as variables. An activation fills the hole with the
-receiver and the parameters with the argument values. ``_fill`` does it by
-name in one pass, as ``step`` does and as reducing ``let`` does;
-``eval_program``'s loop compiles each template once into a *filler*
-(``_filler``), closures that take the arguments by index and put each
-subtree holding no hole and no parameter into every fill as the template's
-own object. One per-run table, the send table, maps each (send kind,
-receiver class, selector) -- for a super-send, its defining class in place
-of the receiver's -- to what it activates (``_activation``): the class the
-walk starts at, the parameters and the filler, or the stuck state of a
-miss. A send key is resolved, and its method translated and compiled, once
-per run; a method reached through several keys is translated once for each.
-The table lives for one ``eval_program`` call and never on the hierarchy
-index, which an install copies. A redex with no applicable rule is *stuck*
+parameters left as variables. ``step`` fills the hole with the receiver and
+the parameters with the argument values by ``_fill``, in one pass by name,
+and reduces ``let`` the same way. A redex with no applicable rule is *stuck*
 and reports a structured reason.
 
 Evaluation positions follow a fixed order: field-write right-hand side, send
@@ -38,15 +27,29 @@ receiver or let binding first, then arguments left to right. The order is
 written once, in ``_descend``, following refocusing (Danvy & Nielsen,
 "Refocusing in reduction semantics", 2004): the definitional ``step``
 descends from the root, reduces the focus, and plugs the result back; no
-context value is ever materialised in the API. ``eval_program``'s loop keeps
-the path between reductions and resumes the same descent where it plugged.
-The corpus test in ``tests/test_reference.py`` pins the loop to iterated
-``step`` on outcome, step count and final store.
+context value is ever materialised in the API.
+
+``eval_program`` runs the next step of that derivation, an environment
+machine (Biernacka & Danvy, "A concrete framework for environment
+machines", 2007): ``_machine`` walks each template in an environment of
+parameters and let-bound values, with the receiver standing for the owner
+hole, and keeps what waits on an operand on an explicit stack. It performs
+the same reductions in the same order, copies no template, and grows no
+stack on a tail send. One per-run table, the send table, maps each (send
+kind, receiver class, selector) -- for a super-send, its defining class in
+place of the receiver's -- to what it activates (``_activation``): the
+class the walk starts at, the parameters and the template, or the stuck
+state of a miss. A send key is resolved, and its method translated, once
+per run; a method reached through several keys is translated once for
+each. The table lives for one ``eval_program`` call and never on the
+hierarchy index, which an install copies. The corpus test in
+``tests/test_reference.py`` pins the machine to iterated ``step`` on
+outcome, step count and final store.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from ._collector import collector_paused
@@ -93,10 +96,9 @@ class Redex:
 
     Redexes follow the node rule in the ``syntax`` module docstring: never
     changed after they are built, and slotted rather than frozen. So one
-    node may sit in many redexes: a method template's subtrees that hold no
-    owner hole and no parameter are shared by every activation its filler
-    fills, and a step builds new nodes only along the path it rewrites,
-    several per reduction.
+    node may sit in many redexes: ``_fill`` keeps each node that holds
+    nothing to fill, and a step builds new nodes only along the path it
+    rewrites, several per reduction.
     """
 
     __slots__ = ()
@@ -287,94 +289,6 @@ def _substituting(params: tuple[str, ...], template: Redex) -> Callable:
         template, receiver, dict(zip(params, [a.value for a in args])))
 
 
-def _filler(params: tuple[str, ...], template: Redex) -> Callable:
-    """``template`` compiled by one walk into ``fill(receiver, args)``.
-
-    ``args`` are the send's arguments, each an ``RVal``; a fill equals
-    ``_fill(template, receiver, env)`` with ``env`` binding each parameter
-    to its argument's value. Each parameter is resolved to its argument
-    index here, and each node that needs filling becomes a closure over its
-    children's (Feeley & Lapalme, "Using closures for code generation",
-    1987). A parameter is filled with the argument's own node, and a subtree
-    with no owner hole and no parameter in scope with the template's own
-    object, never a copy: the node rule makes the sharing safe.
-    """
-    part = _part(template, {name: i for i, name in enumerate(params)})
-    return part if callable(part) else lambda receiver, args: part
-
-
-def _part(r: Redex, env: dict[str, int]):
-    """``r`` itself if it holds no owner hole and no variable ``env`` binds;
-    otherwise a function ``(receiver, args) -> Redex`` that fills it. ``env``
-    maps each parameter in scope to its argument index. ``r`` is part of a
-    template, whose every owner is the hole: ``translate`` puts one in each.
-    """
-    t = type(r)
-    if t is RVal:
-        return (lambda o, a: RVal(o)) if r.value is _OWNER_HOLE else r
-    if t is RVar:
-        if r.name not in env:
-            return r
-        i = env[r.name]
-        return lambda o, a: a[i]
-    if t is RNew:
-        return r
-    if t is RFieldGet:
-        field = r.field
-        return lambda o, a: RFieldGet(o, field)
-    if t is RObjectSend:
-        receiver = _part(r.receiver, env)
-        args = _args_part(r.args, env)
-        selector = r.selector
-        if callable(receiver):
-            if callable(args):
-                return lambda o, a: RObjectSend(receiver(o, a), selector,
-                                                args(o, a))
-            return lambda o, a: RObjectSend(receiver(o, a), selector, args)
-        if callable(args):
-            return lambda o, a: RObjectSend(receiver, selector, args(o, a))
-        return r
-    if t is RSelfSend or t is RSuperSend:
-        cls, selector = r.defining_class, r.selector
-        args = _args_part(r.args, env)
-        if callable(args):
-            return lambda o, a: t(o, cls, selector, args(o, a))
-        return lambda o, a: t(o, cls, selector, args)
-    if t is RFieldSet:
-        field = r.field
-        rhs = _part(r.rhs, env)
-        if callable(rhs):
-            return lambda o, a: RFieldSet(o, field, rhs(o, a))
-        return lambda o, a: RFieldSet(o, field, rhs)
-    if t is RLet:
-        var = r.var
-        bound = _part(r.bound, env)
-        if var in env:
-            env = {k: v for k, v in env.items() if k != var}
-        body = _part(r.body, env)
-        if callable(bound):
-            if callable(body):
-                return lambda o, a: RLet(var, bound(o, a), body(o, a))
-            return lambda o, a: RLet(var, bound(o, a), body)
-        if callable(body):
-            return lambda o, a: RLet(var, bound, body(o, a))
-        return r
-    raise TypeError(f"not a redex: {r!r}")
-
-
-def _args_part(args: tuple[Redex, ...], env: dict[str, int]):
-    """``args`` itself if no argument needs filling, else a function
-    ``(receiver, args) -> tuple`` that fills them."""
-    parts = [_part(x, env) for x in args]
-    if not any(callable(p) for p in parts):
-        return args
-    if len(parts) == 1:
-        only = parts[0]
-        return lambda o, a: (only(o, a),)
-    fills = [p if callable(p) else (lambda o, a, p=p: p) for p in parts]
-    return lambda o, a: tuple([f(o, a) for f in fills])
-
-
 # --- one reduction step ------------------------------------------------------
 
 
@@ -457,8 +371,9 @@ def _activation(key: tuple, idx: HierarchyIndex,
     the walk started at. A hit is ``(that class, parameters, filler)``: the
     filler is ``make_filler(parameters, template)``, the template being the
     body translated for the class where the method was found with the
-    receiver as ``_OWNER_HOLE``; or it is the ``Stuck`` of a field the body
-    may not name.
+    receiver as ``_OWNER_HOLE``: ``step`` fills it by substitution, and
+    ``eval_program``'s machine keeps the template itself (``_template``). Or
+    the filler is the ``Stuck`` of a field the body may not name.
     """
     kind, name, selector = key
     if kind is RSuperSend:
@@ -480,7 +395,7 @@ def _activation(key: tuple, idx: HierarchyIndex,
     return name, mdef.params, make_filler(mdef.params, template)
 
 
-def _int_builtin(selector: str, args: tuple[RVal, ...],
+def _int_builtin(selector: str, args: Sequence[RVal],
                  receiver: IntVal) -> Redex | Stuck:
     if selector != "+":
         return Stuck(DoesNotUnderstand(INT_CLASS, selector))
@@ -581,12 +496,18 @@ def step(redex: Redex, store: Store,
     return result, store
 
 
+def _template(params: tuple[str, ...], template: Redex) -> Redex:
+    """The machine's ``make_filler``: an activation walks the template
+    itself, in an environment that binds the parameters."""
+    return template
+
+
 @collector_paused
 def eval_program(program: Program, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Run a validated program's main expression to an outcome.
 
     Never raises: translation failures, stuck states, and fuel exhaustion all
-    come back as outcome variants. The loop (``_eval_loop``) performs the
+    come back as outcome variants. The machine (``_machine``) performs the
     exact same reductions in the exact same order as iterating ``step`` from
     the root.
     """
@@ -597,42 +518,172 @@ def eval_program(program: Program, fuel: int = DEFAULT_FUEL) -> EvalResult:
         redex = translate(program.main, NIL, ROOT_CLASS, idx)
     except UnknownFieldError as err:
         return EvalResult(Errored(UnknownField(err.class_name, err.field)), 0)
-    return _eval_loop(redex, Store(), idx, fuel)
+    return _machine(redex, Store(), idx, fuel)
 
 
-def _eval_loop(focus: Redex, store: Store, idx: HierarchyIndex,
-               fuel: int) -> EvalResult:
-    """Reduction loop that keeps the decomposition path between reductions.
+def _machine(focus: Redex, store: Store, idx: HierarchyIndex,
+             fuel: int) -> EvalResult:
+    """Evaluate ``focus``, main's redex, as an environment machine.
 
-    The enclosing nodes wait on ``frames``, each followed by the slot its
-    focus fills, instead of the whole redex being rebuilt after each
-    reduction and decomposed again from the root. A reduced focus is
-    descended into from slot -1; a value is plugged one level up and
-    ``_descend`` resumes at the parent's next slot. ``sends`` lives for this
-    run only, so each send key is resolved, and its method translated and
-    compiled into a filler (``_filler``), once per run. The ``_reduce``
-    calls -- and so the step count, the store and the outcome -- are those
-    of iterating ``step`` from the root;
-    ``test_on_step_path_matches_fast_path_on_generated_corpus`` compares
-    all three, and so checks the fillers against ``step``'s ``_fill``.
+    The state is a focus node, the ``owner`` that stands for the receiver
+    in it, an environment ``env`` from names to ``RVal`` nodes, and a stack
+    of frames. The owner is read from the state, never from a node: in a
+    template every node's owner is ``_OWNER_HOLE``, and in main it is nil,
+    the machine's first owner. A frame waits on an operand and holds the
+    owner and environment it resumes with: a let on its binding or a field
+    write on its value, as a tuple, or a send on its receiver or next
+    argument, as the list ``[send, owner, env, receiver, arguments]``. An
+    activation pushes no frame, and reducing ``let`` extends the environment.
+
+    Operands are evaluated in ``_descend``'s order; a value or a bound
+    variable takes no step, and the fuel is checked before each reduction,
+    a stuck one included. A field access or an unbound variable is reduced
+    by ``_reduce``, on a node that holds the owner; a send resolves through
+    ``_activation`` and ``_int_builtin`` as ``_reduce`` does.
     """
     sends: dict = {}
-    make_filler = _filler
-    frames: list = []  # parent, slot, parent, slot, ...
-    pop = frames.pop
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    owner: Value = NIL
+    env: dict = {}
     steps = 0
     while True:
-        if type(focus) is RVal:
-            if not frames:
-                return EvalResult(Completed(focus.value), steps)
-            slot = pop()
-            focus = _descend(_set_slot(pop(), slot, focus), frames, slot + 1)
+        # Evaluate ``focus`` to a value ``val``, or start a send's frame.
+        t = type(focus)
+        if t is RObjectSend or t is RSelfSend or t is RSuperSend:
+            frame = [focus, owner, env, None, []]
+            val = None
+        elif t is RNew:
+            # ``_reduce``'s rule, in line: after sends, allocation is the
+            # most frequent reduction.
+            if steps >= fuel:
+                return EvalResult(FuelExhausted(), steps)
+            try:
+                fields = idx.fields_of(focus.class_name)
+            except UnknownClassError:
+                return EvalResult(
+                    Errored(UnknownClass(focus.class_name)), steps)
+            val = RVal(Oid(store.allocate(focus.class_name, fields)))
+            steps += 1
+            frame = None
+        elif t is RVal:
+            val = RVal(owner) if focus.value is _OWNER_HOLE else focus
+            frame = None
+        elif t is RVar and focus.name in env:
+            val = env[focus.name]
+            frame = None
+        elif t is RLet:
+            push((focus, owner, env))
+            focus = focus.bound
+            continue
+        elif t is RFieldSet:
+            push((focus, owner, env))
+            focus = focus.rhs
+            continue
         else:
-            focus = _descend(focus, frames, -1)
-        if steps >= fuel:
-            return EvalResult(FuelExhausted(), steps)
-        result = _reduce(focus, store, idx, sends, make_filler)
-        if type(result) is Stuck:
-            return EvalResult(Errored(result.reason), steps)
-        steps += 1
-        focus = result
+            # A field read or an unbound variable.
+            if steps >= fuel:
+                return EvalResult(FuelExhausted(), steps)
+            val = _reduce(RFieldGet(owner, focus.field) if t is RFieldGet
+                          else focus, store, idx, sends)
+            if type(val) is Stuck:
+                return EvalResult(Errored(val.reason), steps)
+            steps += 1
+            frame = None
+        # Hand ``val`` to ``frame``, or else to the frame on top of the
+        # stack, until one has a node to evaluate. A new send's frame takes
+        # ``None`` and goes on the stack only to wait on an operand.
+        while True:
+            if frame is None:
+                if not stack:
+                    return EvalResult(Completed(val.value), steps)
+                frame = pop()
+            node = frame[0]
+            t = type(node)
+            if t is RLet:
+                if steps >= fuel:
+                    return EvalResult(FuelExhausted(), steps)
+                steps += 1
+                owner = frame[1]
+                env = {**frame[2], node.var: val}
+                focus = node.body
+                break
+            if t is RFieldSet:
+                if steps >= fuel:
+                    return EvalResult(FuelExhausted(), steps)
+                val = _reduce(RFieldSet(frame[1], node.field, val), store,
+                              idx, sends)
+                if type(val) is Stuck:
+                    return EvalResult(Errored(val.reason), steps)
+                steps += 1
+                frame = None
+                continue
+            _, owner, env, receiver, args = frame
+            if t is RObjectSend and receiver is None:
+                if val is None:
+                    # The receiver, taken in place if a bound variable or
+                    # a constant; translation puts no owner hole here.
+                    operand = node.receiver
+                    if type(operand) is RVar and operand.name in env:
+                        val = env[operand.name]
+                    elif type(operand) is RVal:
+                        val = operand
+                    else:
+                        push(frame)
+                        focus = operand
+                        break
+                frame[3] = receiver = val
+            elif val is not None:
+                args.append(val)
+            # The arguments left to right; values and bound variables are
+            # taken in place.
+            operands = node.args
+            i, n = len(args), len(operands)
+            while i < n:
+                operand = operands[i]
+                if type(operand) is RVar and operand.name in env:
+                    args.append(env[operand.name])
+                elif type(operand) is RVal:
+                    args.append(RVal(owner) if operand.value is _OWNER_HOLE
+                                else operand)
+                else:
+                    break
+                i += 1
+            if i < n:
+                push(frame)
+                focus = operand
+                break
+            frame = None
+            if steps >= fuel:
+                return EvalResult(FuelExhausted(), steps)
+            selector = node.selector
+            if t is RSuperSend:
+                receiver = owner
+                key = (t, node.defining_class, selector)
+            else:
+                receiver = receiver.value if t is RObjectSend else owner
+                rt = type(receiver)
+                if rt is Nil:
+                    return EvalResult(Errored(NilReceiver(selector)), steps)
+                if rt is IntVal:
+                    val = _int_builtin(selector, args, receiver)
+                    if type(val) is Stuck:
+                        return EvalResult(Errored(val.reason), steps)
+                    steps += 1
+                    continue
+                key = (t, store.records[receiver.oid].class_name, selector)
+            activation = sends.get(key)
+            if activation is None:
+                activation = sends[key] = _activation(key, idx, _template)
+            if type(activation) is Stuck:
+                return EvalResult(Errored(activation.reason), steps)
+            lookup_class, params, focus = activation
+            if len(params) != len(args):
+                return EvalResult(Errored(ArityMismatch(
+                    lookup_class, selector, len(params), len(args))), steps)
+            if type(focus) is Stuck:
+                return EvalResult(Errored(focus.reason), steps)
+            steps += 1
+            owner = receiver
+            env = dict(zip(params, args)) if args else {}
+            break

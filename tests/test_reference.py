@@ -1,7 +1,11 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from protolite.errors import UnknownFieldError
 from protolite.generator import GeneratorConfig, generate_program
+from protolite.metrics import DIFF_FUEL
 from protolite.outcomes import (
     ArityMismatch,
     Completed,
@@ -24,20 +28,18 @@ from protolite.reference import (
     RSuperSend,
     RVal,
     RVar,
+    Redex,
     Store,
     Stuck,
     _OWNER_HOLE,
     _descend,
-    _eval_loop,
     _fill,
-    _filler,
     _reduce,
     eval_program,
     step,
     translate,
 )
 from protolite.syntax import (
-    ROOT_CLASS,
     FieldGet,
     FieldSet,
     IntLit,
@@ -46,8 +48,10 @@ from protolite.syntax import (
     SelfRef,
     SuperSend,
 )
-from protolite.validate import HierarchyIndex, index_of
+from protolite.validate import HierarchyIndex
 from protolite.values import NIL, IntVal, Oid
+
+from tests.oracles import machine_matches_step, step_from_root
 
 
 @pytest.fixture()
@@ -117,77 +121,6 @@ def test_fill_super_args():
     r = RSuperSend(Oid(1), "B", "m", (RVar("x"),))
     assert _fill(r, None, {"x": IntVal(3)}) == \
         RSuperSend(Oid(1), "B", "m", (RVal(IntVal(3)),))
-
-
-# -- fillers ------------------------------------------------------------------------
-
-
-def _fills_agree(params, template):
-    """Fill ``template`` with its filler and with ``_fill``; both must build
-    equal redexes. Returns the filler's."""
-    receiver = Oid(9)
-    args = tuple(IntVal(100 + i) for i in range(len(params)))
-    filled = _filler(params, template)(receiver, tuple(map(RVal, args)))
-    assert filled == _fill(template, receiver, dict(zip(params, args)))
-    return filled
-
-
-@pytest.mark.parametrize("config", [
-    GeneratorConfig(), GeneratorConfig(allow_protected=False),
-], ids=["protected", "protected-free"])
-def test_filler_matches_fill_on_generated_templates(config):
-    # Every method template of generator seeds 0..199, translated for its
-    # own class as an activation translates it.
-    templates = 0
-    for seed in range(200):
-        program = generate_program(seed, config)
-        cidx = HierarchyIndex(program)
-        for cdef in program.classes:
-            for mdef in cdef.methods:
-                template = translate(mdef.body, _OWNER_HOLE, cdef.name, cidx)
-                _fills_agree(mdef.params, template)
-                templates += 1
-    assert templates > 1000
-
-
-def test_filler_pinned_templates():
-    x, y, here = RVar("x"), RVar("y"), RVal(_OWNER_HOLE)
-    a0, a1, me = RVal(IntVal(100)), RVal(IntVal(101)), Oid(9)
-    # A let that rebinds a parameter shadows it in its body, not its binding.
-    shadow = RLet("x", x, RObjectSend(x, "+", (y,)))
-    assert _fills_agree(("x", "y"), shadow) == \
-        RLet("x", a0, RObjectSend(x, "+", (a1,)))
-    # The owner hole in a field read and a field write.
-    fields = RFieldSet(_OWNER_HOLE, "f", RFieldGet(_OWNER_HOLE, "g"))
-    assert _fills_agree((), fields) == RFieldSet(me, "f", RFieldGet(me, "g"))
-    # A super-send's owner and arguments.
-    sup = RSuperSend(_OWNER_HOLE, "B", "m", (y, here, RVal(NIL)))
-    assert _fills_agree(("x", "y"), sup) == \
-        RSuperSend(me, "B", "m", (a1, RVal(me), RVal(NIL)))
-    # A free variable stays for the let reduction that binds it, as itself.
-    free = RObjectSend(RVar("w"), "m", (x,))
-    filled = _fills_agree(("x",), free)
-    assert filled == RObjectSend(RVar("w"), "m", (a0,))
-    assert filled.receiver is free.receiver
-
-
-def test_filler_shares_closed_subtrees():
-    # A subtree with no owner hole and no parameter is the template's own
-    # object in every fill, never a copy.
-    closed = RObjectSend(RNew("A"), "f", ())
-    template = RSelfSend(_OWNER_HOLE, "C", "g", (closed, RVar("x")))
-    fill = _filler(("x",), template)
-    nil, one = RVal(NIL), RVal(IntVal(1))
-    first, second = fill(Oid(1), (nil,)), fill(Oid(2), (one,))
-    assert first == RSelfSend(Oid(1), "C", "g", (closed, nil))
-    assert second == RSelfSend(Oid(2), "C", "g", (closed, one))
-    assert first.args[0] is closed and second.args[0] is closed
-    # A parameter becomes the argument's own value node.
-    assert first.args[1] is nil and second.args[1] is one
-    # A closed body is itself the fill, its argument tuple included.
-    assert _filler(("x",), closed)(Oid(1), (nil,)) is closed
-    self_send = RSelfSend(_OWNER_HOLE, "C", "g", (closed,))
-    assert _filler((), self_send)(Oid(1), ()).args is self_send.args
 
 
 # -- single steps -----------------------------------------------------------------
@@ -391,37 +324,6 @@ def test_determinism(two_level_program):
     assert a == b
 
 
-def _step_from_root(program, fuel=100_000, on_step=lambda redex, store: None):
-    """Iterate ``step`` from the root, calling ``on_step(redex, store)``
-    after every reduction: the definition ``eval_program``'s loop keeps.
-    Returns the result and the final store."""
-    idx, store, steps = HierarchyIndex(program), Store(), 0
-    redex = translate(program.main, NIL, ROOT_CLASS, idx)
-    while type(redex) is not RVal:
-        if steps >= fuel:
-            return EvalResult(FuelExhausted(), steps), store
-        result = step(redex, store, idx)
-        if type(result) is Stuck:
-            return EvalResult(Errored(result.reason), steps), store
-        redex, store = result
-        steps += 1
-        on_step(redex, store)
-    return EvalResult(Completed(redex.value), steps), store
-
-
-def _loop_from_root(program, fuel):
-    """``eval_program``'s loop, returning its result and its final store."""
-    idx, store = index_of(program), Store()
-    redex = translate(program.main, NIL, ROOT_CLASS, idx)
-    return _eval_loop(redex, store, idx, fuel), store
-
-
-def _heap(store):
-    """Class and field values of every oid."""
-    return {oid: (record.class_name, record.fields)
-            for oid, record in store.records.items()}
-
-
 def test_store_shape_invariant_along_a_run():
     # After every reduction, each record's field keys match the full field
     # set of its class.
@@ -440,33 +342,32 @@ def test_store_shape_invariant_along_a_run():
         for record in store.records.values():
             assert set(record.fields) == fields_of[record.class_name]
 
-    result, _ = _step_from_root(p, on_step=check)
+    result, _ = step_from_root(p, on_step=check)
     assert isinstance(result.outcome, Completed)
 
 
 # ``step`` decomposes from the root each time, so a run costs steps x redex
-# depth; at DIFF_FUEL (3000) the 200 seeds take about 90 s, at 500 about 2 s,
-# with 36 of the runs still ending out of fuel.
+# depth; at DIFF_FUEL (3000) the default config's 200 seeds take about 90 s,
+# at 500 about 1.3 s, with 36 of the runs still ending out of fuel. The
+# protected-free config's 200 add as much again, with 40 out of fuel.
 ON_STEP_CORPUS_FUEL = 500
 
 
 def test_on_step_path_matches_fast_path_on_generated_corpus():
-    # Iterated from the root, ``step`` descends from the root and resolves
-    # and translates every send afresh; ``eval_program``'s loop resumes the
-    # descent where it plugged and keeps its send table. Both must perform
-    # the same reductions: same outcome, steps and final heap.
-    for seed in range(200):
-        program = generate_program(seed)
-        fast, fast_store = _loop_from_root(program, ON_STEP_CORPUS_FUEL)
-        assert fast == eval_program(program, ON_STEP_CORPUS_FUEL), seed
-        slow, slow_store = _step_from_root(program, ON_STEP_CORPUS_FUEL)
-        assert (slow.outcome, slow.steps) == (fast.outcome, fast.steps), seed
-        assert _heap(slow_store) == _heap(fast_store), seed
+    # Iterated from the root, ``step`` descends from the root, resolves and
+    # translates every send afresh and substitutes; ``eval_program``'s
+    # machine walks each template in an environment and keeps its send
+    # table. Both must perform the same reductions: same outcome, steps and
+    # final heap. The protected-free config is ``fuzz_diff``'s mix.
+    for config in (GeneratorConfig(), GeneratorConfig(allow_protected=False)):
+        for seed in range(200):
+            program = generate_program(seed, config)
+            assert machine_matches_step(program, ON_STEP_CORPUS_FUEL), seed
 
 
 def test_on_step_path_matches_fast_path(two_level_program):
     seen = []
-    slow, _ = _step_from_root(two_level_program,
+    slow, _ = step_from_root(two_level_program,
                               on_step=lambda r, s: seen.append(1))
     fast = eval_program(two_level_program)
     assert slow == fast
@@ -477,8 +378,10 @@ def test_on_step_path_matches_fast_path(two_level_program):
 
 
 def test_each_method_is_translated_once_per_run(monkeypatch):
-    # Per run, each send key's method is translated once and compiled into
-    # one filler; ``_fill`` only reduces lets. ``step`` builds no filler.
+    # Per run, each send key's method is translated once, and the send table
+    # keeps the template itself: the machine calls neither ``_fill`` nor a
+    # filler, and reduces ``let`` by extending its environment. ``step``
+    # translates at every activation and fills with ``_fill``.
     from protolite import reference
 
     def counting(real, calls, top):
@@ -496,31 +399,120 @@ def test_each_method_is_translated_once_per_run(monkeypatch):
                 depth[0] -= 1
         return call
 
-    translated, built, fills = [], [], []
+    translated, fills, kept = [], [], []
     monkeypatch.setattr(reference, "translate", counting(
         reference.translate, translated,
         lambda e, owner, cls, idx: cls if owner is _OWNER_HOLE else None))
-    monkeypatch.setattr(reference, "_filler", counting(
-        reference._filler, built, lambda params, template: params))
     # The owner of each fill: None for a let, the receiver for an activation.
     monkeypatch.setattr(reference, "_fill", counting(
         reference._fill, fills, lambda r, owner, env: owner or "let"))
+    real_activation = reference._activation
+
+    def activation(key, idx, make_filler):
+        found = real_activation(key, idx, make_filler)
+        kept.append(found[2])
+        return found
+
+    monkeypatch.setattr(reference, "_activation", activation)
     p = parse("""
         class C extends Object { method inc(n) { n + 1 } }
         main { let c = new C in c.inc(c.inc(c.inc(0))) }
     """)
     assert eval_program(p).outcome == Completed(IntVal(3))
-    assert (translated, built, fills) == (["C"], [("n",)], ["let"])
+    assert (translated, fills) == (["C"], [])
     assert eval_program(p).outcome == Completed(IntVal(3))
-    # Templates and fillers live for one run only.
-    assert (translated, built, fills) == (["C"] * 2, [("n",)] * 2, ["let"] * 2)
+    # Templates live for one run only.
+    assert (translated, fills) == (["C"] * 2, [])
+    assert len(kept) == 2 and all(isinstance(t, Redex) for t in kept)
     # ``step``'s fresh table translates each activation's method afresh and
     # fills it, for the receiver at oid 1, with ``_fill``.
-    del translated[:], built[:], fills[:]
-    result, _ = _step_from_root(p)
+    del translated[:], kept[:]
+    result, _ = step_from_root(p)
     assert result.outcome == Completed(IntVal(3))
-    assert (translated, built) == (["C"] * 3, [])
+    assert translated == ["C"] * 3
     assert fills == ["let", Oid(1), Oid(1), Oid(1)]
+    assert len(kept) == 3 and all(callable(f) for f in kept)
+
+
+@pytest.mark.parametrize("source, want", [
+    # A let that rebinds a parameter: its binding sees the parameter, its
+    # body the let, and what follows the let the parameter again.
+    ("class C extends Object {"
+     "  method m(x, y) { (let x = x + 1 in x + y) + x }"
+     "} main { (new C).m(100, 20) }", Completed(IntVal(221))),
+    # The owner in a field read and a field write is each activation's
+    # receiver.
+    ("class C extends Object {"
+     "  fields: f g;"
+     "  method set(v) { g := v }"
+     "  method copy() { f := g }"
+     "} main { let a = new C in let b = new C in"
+     "  let i = a.set(1) in let j = b.set(2) in a.copy() + b.copy() }",
+     Completed(IntVal(3))),
+    # A super-send's owner and arguments.
+    ("class A extends Object {"
+     "  fields: f;"
+     "  method m(a, b, c) { let i = (f := a) in b }"
+     "} class B extends A {"
+     "  method m(a, b, c) { nil }"
+     "  method go(x, y) { super.m(y, self, nil).get() }"
+     "  method get() { f }"
+     "} main { (new B).go(1, 2) }", Completed(IntVal(2))),
+    # A free variable is reached after a let, as ``step`` reaches it.
+    ("class C extends Object { method m(x) { let y = x in w.m(y) } }"
+     " main { (new C).m(1) }", Errored(UnknownVariable("w"))),
+    # A let's name is free again after its body.
+    ("class C extends Object { method m(x) { (let y = x in y).m(y) } }"
+     " main { (new C).m(1) }", Errored(UnknownVariable("y"))),
+], ids=["let-rebinds-parameter", "owner-in-fields", "super-send",
+        "free-variable-after-let", "let-scope-ends-with-its-body"])
+def test_machine_matches_step_on_pinned_programs(source, want):
+    for fuel in (1, 2, 3, 5, 100):
+        result = machine_matches_step(parse(source), fuel)
+    assert result.outcome == want
+
+
+def _at_depth(depth, run):
+    """``run()`` called with at least ``depth`` frames on the stack."""
+    frame, here = sys._getframe(), 0
+    while frame is not None:
+        frame, here = frame.f_back, here + 1
+    return run() if here >= depth else _at_depth(depth, run)
+
+
+def test_machine_uses_no_host_recursion_and_a_tail_send_no_stack():
+    # About 3,000 nested activations, each waiting on the next, from a
+    # caller 200 frames deep under the default limit of 1,000 frames.
+    deep = parse("""
+        class C extends Object { method down() { 1 + self.down() } }
+        main { (new C).down() }
+    """)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = _at_depth(200, lambda: eval_program(deep, DIFF_FUEL))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == EvalResult(FuelExhausted(), DIFF_FUEL)
+    # A tail send keeps no frame for its caller: memory stays flat over
+    # 20,000 steps (6,667 activations), while the same recursion waiting on
+    # a let holds more after 2,000 (each step under ``tracemalloc`` costs
+    # about 20 us).
+    spin = """
+        class C extends Object { method spin(n) { %s } }
+        main { (new C).spin(0) }
+    """
+    tail = parse(spin % "let m = n + 1 in self.spin(m)")
+    nested = parse(spin % "let m = self.spin(n + 1) in m")
+    peaks = []
+    for program, fuel in ((tail, 20_000), (nested, 2_000)):
+        tracemalloc.start()
+        try:
+            assert eval_program(program, fuel).outcome == FuelExhausted()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 32_768 < peaks[1], peaks
 
 
 def test_inherited_template_uses_each_receivers_own_fields():

@@ -13,6 +13,7 @@ from protolite.outcomes import (
     Completed,
     DoesNotUnderstand,
     Errored,
+    EvalResult,
     FuelExhausted,
     NilReceiver,
     PrimitiveFailure,
@@ -45,7 +46,7 @@ from protolite.syntax import (
 )
 from protolite.values import IntVal, Oid
 
-from tests.oracles import probe_index, run_all_configs
+from tests.oracles import machine_matches_step, probe_index, run_all_configs
 
 
 @pytest.fixture()
@@ -451,10 +452,12 @@ STUCK_AFTER_ONE_STEP = [
 def test_fuel_spent_at_a_stuck_state_is_exhausted(program, reason):
     # Each program gets stuck after one step. The reference checks the fuel
     # before each reduction, so with the fuel spent it never sees the stuck
-    # state; one unit more and both report it.
+    # state; one unit more and both report it. The reference's machine
+    # must stop where iterated ``step`` does.
     for fuel, outcome in ((1, FuelExhausted()), (2, Errored(reason))):
         runs = _runs_like_reference(program, fuel)
         assert {(run.outcome, run.steps) for run in runs} == {(outcome, 1)}
+        assert machine_matches_step(program, fuel) == EvalResult(outcome, 1)
 
 
 @pytest.mark.parametrize("main, outcome", [
@@ -471,8 +474,11 @@ def test_fuel_spent_at_a_stuck_state_is_exhausted(program, reason):
 ], ids=["object-plus", "int-plus-nil", "int-plus-object", "nil-plus-int",
         "plus-no-args", "plus-two-args", "int-foo", "int-plus-int", "object"])
 def test_sends_to_and_with_integers(main, outcome):
-    runs = _runs_like_reference(Program((PLAIN_A,), main))
+    program = Program((PLAIN_A,), main)
+    runs = _runs_like_reference(program)
     assert runs[0].outcome == outcome
+    for fuel in (1, 2, DIFF_FUEL):
+        machine_matches_step(program, fuel)
 
 
 def test_plus_to_an_object_counts_its_lookup_key():
